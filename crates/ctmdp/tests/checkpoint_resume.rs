@@ -10,7 +10,9 @@ use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use unicon_ctmdp::guard::{CheckpointConfig, GuardError, GuardOptions, RunBudget, StopReason};
+use unicon_ctmdp::guard::{
+    CheckpointConfig, GuardError, GuardEvent, GuardOptions, RunBudget, StopReason,
+};
 use unicon_ctmdp::par::ReachBatch;
 use unicon_ctmdp::reachability::Objective;
 use unicon_ctmdp::{Ctmdp, CtmdpBuilder};
@@ -72,7 +74,7 @@ fn chop_and_resume(threads: usize, stop_after: usize, seed: u64) {
     let goal = random_goal(n, seed);
     let batch = ReachBatch::new(&m, &goal)
         .with_epsilon(1e-8)
-        .with_threads(threads)
+        .with_exact_workers(threads)
         .query(0.75)
         .query_with(2.0, Objective::Minimize)
         .query(2.0);
@@ -94,6 +96,10 @@ fn chop_and_resume(threads: usize, stop_after: usize, seed: u64) {
     let mut run = batch
         .resume(&path, &stopper)
         .expect("checkpoint written at the stop");
+    assert!(matches!(
+        run.events.first(),
+        Some(GuardEvent::Resumed { .. })
+    ));
     let mut hops = 0;
     while !run.is_complete() {
         hops += 1;
@@ -127,6 +133,55 @@ fn resumed_runs_are_bitwise_identical_four_threads() {
 }
 
 #[test]
+fn resumed_runs_are_bitwise_identical_two_and_eight_workers() {
+    for (stop_after, seed) in [(1, 61), (5, 62), (17, 63)] {
+        chop_and_resume(2, stop_after, seed);
+        chop_and_resume(8, stop_after, seed);
+    }
+}
+
+/// A budget stop yields the same partial bracket, bit for bit, at 1, 2
+/// and 8 workers.
+#[test]
+fn budget_stop_brackets_are_identical_at_any_worker_count() {
+    let n = 40;
+    let m = random_uniform_ctmdp(n, 71);
+    let goal = random_goal(n, 71);
+    for stop_after in [0, 1, 6] {
+        let partials: Vec<_> = [1, 2, 8]
+            .into_iter()
+            .map(|workers| {
+                let guard = GuardOptions::default()
+                    .with_budget(RunBudget::default().with_max_iterations(stop_after));
+                let run = ReachBatch::new(&m, &goal)
+                    .with_epsilon(1e-8)
+                    .with_exact_workers(workers)
+                    .query(1.5)
+                    .run_guarded(&guard)
+                    .unwrap();
+                let (reason, partial) = run.stopped.expect("the budget stops the run");
+                assert_eq!(reason, StopReason::MaxIterations);
+                assert_eq!(run.health_checks, stop_after);
+                partial.expect("a query was in flight")
+            })
+            .collect();
+        for p in &partials {
+            assert_eq!(p.completed_steps, stop_after);
+            assert_eq!(
+                bits(&p.lower),
+                bits(&partials[0].lower),
+                "stop_after {stop_after}"
+            );
+            assert_eq!(
+                bits(&p.upper),
+                bits(&partials[0].upper),
+                "stop_after {stop_after}"
+            );
+        }
+    }
+}
+
+#[test]
 fn resume_crosses_thread_counts_bitwise() {
     // interrupt at 4 threads, finish at 1 thread — the checkpoint stores
     // raw iterate bits, so even mixed-thread histories stay identical
@@ -136,7 +191,7 @@ fn resume_crosses_thread_counts_bitwise() {
     let path = temp_ck("cross_threads");
     let par = ReachBatch::new(&m, &goal)
         .with_epsilon(1e-8)
-        .with_threads(4)
+        .with_exact_workers(4)
         .query(1.5);
     let seq = ReachBatch::new(&m, &goal)
         .with_epsilon(1e-8)

@@ -74,10 +74,12 @@ fn temp_ck(name: &str) -> PathBuf {
 const N: usize = 40;
 const SEED: u64 = 7;
 
+/// `threads` is an exact worker count: planned faults name worker indices,
+/// so the pool must not be clamped to the machine's cores.
 fn batch<'a>(m: &'a Ctmdp, goal: &[bool], threads: usize) -> ReachBatch<'a> {
     ReachBatch::new(m, goal)
         .with_epsilon(1e-8)
-        .with_threads(threads)
+        .with_exact_workers(threads)
         .query(1.5)
 }
 
@@ -94,7 +96,7 @@ fn injected_nan_is_a_typed_health_error_naming_step_and_state() {
     for fault_seed in [1, 2, 3] {
         let plan = FaultPlan::nan(fault_seed, k, N);
         let (planned_step, planned_state) = plan.nan_at.unwrap();
-        for threads in [1, 4] {
+        for threads in [1, 2, 4, 8] {
             let guard = GuardOptions::default().with_fault_plan(plan);
             let err = batch(&m, &goal, threads).run_guarded(&guard).unwrap_err();
             let GuardError::Health(health) = err else {
@@ -249,4 +251,69 @@ fn fault_plans_are_deterministic_given_the_seed() {
     let (step, worker) = plan.panic_worker_at.unwrap();
     assert!((1..=20).contains(&step));
     assert!(worker < 4);
+}
+
+/// A NaN planted in the last state — the last worker's range at every
+/// worker count — is the same typed error at 1, 2 and 8 workers.
+#[test]
+fn nan_in_the_last_workers_range_is_the_same_error_at_any_worker_count() {
+    let m = random_uniform_ctmdp(N, SEED);
+    let goal = random_goal(N, SEED);
+    let k = steps(&m, &goal);
+    let plan = FaultPlan {
+        nan_at: Some((k / 2, N - 1)),
+        ..FaultPlan::default()
+    };
+    let errors: Vec<_> = [1, 2, 8]
+        .into_iter()
+        .map(|workers| {
+            let guard = GuardOptions::default().with_fault_plan(plan);
+            match batch(&m, &goal, workers).run_guarded(&guard).unwrap_err() {
+                GuardError::Health(e) => e,
+                other => panic!("expected a health error at {workers} workers, got {other}"),
+            }
+        })
+        .collect();
+    assert_eq!(errors[0].step, k / 2);
+    assert_eq!(errors[0].state, N - 1);
+    assert_eq!(errors[0].kind, HealthKind::NotANumber);
+    assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+}
+
+/// A planned panic of the first or the last worker degrades to a replay
+/// whose values are bitwise those of a clean run, at 1, 2 and 8 workers.
+#[test]
+fn planned_panic_degrades_bitwise_identically_at_any_worker_count() {
+    let m = random_uniform_ctmdp(N, SEED);
+    let goal = random_goal(N, SEED);
+    let k = steps(&m, &goal);
+    let clean = batch(&m, &goal, 1).run().unwrap();
+    for workers in [1, 2, 8] {
+        for worker in [0, workers - 1] {
+            let plan = FaultPlan {
+                panic_worker_at: Some((k / 3, worker)),
+                ..FaultPlan::default()
+            };
+            let guard = GuardOptions::default()
+                .with_fault_plan(plan)
+                .with_degrade_policy(DegradePolicy::Sequential);
+            let run = batch(&m, &goal, workers).run_guarded(&guard).unwrap();
+            assert!(run.is_complete());
+            assert_eq!(
+                bits(&run.results[0].values),
+                bits(&clean.results[0].values),
+                "workers {workers}, panicking worker {worker}"
+            );
+            assert_eq!(
+                run.events,
+                vec![GuardEvent::Degradation {
+                    query: 0,
+                    step: k / 3,
+                    worker,
+                    from_threads: workers,
+                    to_threads: 1,
+                }]
+            );
+        }
+    }
 }

@@ -8,7 +8,7 @@
 //! models) plus the structural edge cases the fused layout special-cases
 //! (empty transition rows, all-goal models, single-action models, t=0).
 
-use unicon_ctmdp::par::timed_reachability_par;
+use unicon_ctmdp::par::{timed_reachability_par, timed_reachability_workers};
 use unicon_ctmdp::reachability::{timed_reachability, Kernel, Objective, ReachOptions};
 use unicon_ctmdp::{Ctmdp, CtmdpBuilder};
 use unicon_numeric::rng::{Rng, XorShift64};
@@ -82,6 +82,18 @@ fn assert_kernel_parity(m: &Ctmdp, goal: &[bool], t: f64, objective: Objective, 
         assert_eq!(
             par.decisions, reference.decisions,
             "{label} threads={threads}"
+        );
+        let exact =
+            timed_reachability_workers(m, goal, t, &base.with_kernel(Kernel::Fused), threads)
+                .unwrap();
+        assert_eq!(
+            bits(&exact.values),
+            bits(&reference.values),
+            "{label} workers={threads}"
+        );
+        assert_eq!(
+            exact.decisions, reference.decisions,
+            "{label} workers={threads}"
         );
     }
 }

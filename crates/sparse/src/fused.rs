@@ -15,9 +15,8 @@
 //!   goal sets are long contiguous id ranges (in the fault-tolerant
 //!   workstation-cluster model, the overwhelming majority of states are
 //!   goal states), so a sweep handles each fixed run as one tight
-//!   element-wise loop the compiler can vectorize — bitwise safely,
-//!   because each output element's operation sequence is unchanged —
-//!   instead of taking a data-dependent branch per state;
+//!   element-wise loop instead of taking a data-dependent branch per
+//!   state;
 //! * entry storage is **pooled** (one copy per interned row no matter
 //!   how many groups reference it) and **compressed**: columns narrow
 //!   to `u16` when the column space allows it, and weights/biases
@@ -39,7 +38,10 @@
 //! oracle the sweep is tested against.
 
 use std::ops::Range;
+use std::sync::atomic::Ordering;
 use std::time::Instant;
+
+use crate::plane::{self, Plane};
 
 /// Precomputed class of one group — the byte the kernel dispatches on
 /// instead of re-deriving per-sweep branches.
@@ -333,10 +335,12 @@ impl FusedGroups {
         v
     }
 
-    /// One optimize-over-rows sweep over the groups in `groups`, writing
-    /// each group's best value into `out` (indexed from `groups.start`)
-    /// and, when `decisions` is provided, the best row's position within
-    /// its group.
+    /// One optimize-over-rows sweep over the groups in `groups`, reading
+    /// the [`Plane`] `x` and writing each group's best value into the
+    /// plane slice `out` (indexed from `groups.start`) and, when
+    /// `decisions` is provided, the best row's position within its group.
+    /// Planes let a persistent worker pool share one output plane, each
+    /// worker writing its own group range.
     ///
     /// Per-group semantics:
     ///
@@ -351,8 +355,7 @@ impl FusedGroups {
     ///   false for NaN) — matching a sequential first-wins reference loop.
     ///
     /// The sweep walks the precomputed class runs: fixed and empty runs
-    /// become element-wise loops over the run's span (vectorizable
-    /// without changing any element's operation sequence), active runs
+    /// become element-wise loops over the run's span, active runs
     /// evaluate per group. A shared-row value is recomputed for every
     /// referencing group, exactly as a per-state reference kernel would —
     /// identical operations in identical order, so the output is bitwise
@@ -366,9 +369,9 @@ impl FusedGroups {
         &self,
         groups: Range<usize>,
         scale: f64,
-        x: &[f64],
+        x: &Plane,
         maximize: bool,
-        out: &mut [f64],
+        out: &Plane,
         decisions: Option<&mut [u16]>,
     ) {
         assert!(groups.end <= self.num_groups(), "group range out of bounds");
@@ -458,9 +461,9 @@ impl FusedGroups {
         &self,
         groups: Range<usize>,
         scale: f64,
-        x: &[f64],
+        x: &Plane,
         maximize: bool,
-        out: &mut [f64],
+        out: &Plane,
         mut decisions: Option<&mut [u16]>,
         timing: &mut ClassTiming,
     ) {
@@ -482,7 +485,7 @@ impl FusedGroups {
                 scale,
                 x,
                 maximize,
-                &mut out[g - base..end - base],
+                &out[g - base..end - base],
                 decisions
                     .as_deref_mut()
                     .map(|d| &mut d[g - base..end - base]),
@@ -527,9 +530,9 @@ fn sweep_best_generic<C: Copy + Into<u32>, R: Copy>(
     wmap: impl Fn(R) -> f64 + Copy,
     groups: Range<usize>,
     scale: f64,
-    x: &[f64],
+    x: &Plane,
     maximize: bool,
-    out: &mut [f64],
+    out: &Plane,
     mut decisions: Option<&mut [u16]>,
 ) {
     let base = groups.start;
@@ -544,18 +547,19 @@ fn sweep_best_generic<C: Copy + Into<u32>, R: Copy>(
         match kind {
             RunKind::Fixed => {
                 // Element-wise: each output is exactly `scale + x[g]`,
-                // independent of its neighbors, so the compiler may
-                // vectorize the run without reordering any element's
-                // operations.
-                for (o, &xi) in out[g - base..end - base].iter_mut().zip(&x[g..end]) {
-                    *o = scale + xi;
+                // independent of its neighbors.
+                for (o, xi) in out[g - base..end - base].iter().zip(&x[g..end]) {
+                    let xi = f64::from_bits(xi.load(Ordering::Relaxed));
+                    o.store((scale + xi).to_bits(), Ordering::Relaxed);
                 }
                 if let Some(d) = decisions.as_deref_mut() {
                     d[g - base..end - base].fill(0);
                 }
             }
             RunKind::Empty => {
-                out[g - base..end - base].fill(0.0);
+                for o in &out[g - base..end - base] {
+                    o.store(0.0f64.to_bits(), Ordering::Relaxed);
+                }
                 if let Some(d) = decisions.as_deref_mut() {
                     d[g - base..end - base].fill(0);
                 }
@@ -571,7 +575,7 @@ fn sweep_best_generic<C: Copy + Into<u32>, R: Copy>(
                         let (lo, hi) = (f.pool_ptr[p] as usize, f.pool_ptr[p + 1] as usize);
                         let mut v = scale * f.bias.at(p);
                         for (&c, &w) in col[lo..hi].iter().zip(&wraw[lo..hi]) {
-                            v += wmap(w) * x[c.into() as usize];
+                            v += wmap(w) * plane::get(x, c.into() as usize);
                         }
                         let better = if maximize { v > best } else { v < best };
                         if better {
@@ -579,7 +583,7 @@ fn sweep_best_generic<C: Copy + Into<u32>, R: Copy>(
                             best_idx = k as u16;
                         }
                     }
-                    out[s - base] = best;
+                    plane::set(out, s - base, best);
                     if let Some(d) = decisions.as_deref_mut() {
                         d[s - base] = best_idx;
                     }
@@ -776,6 +780,29 @@ fn index_u32(i: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plane;
+
+    /// `sweep_best` over f64 slices: `x` and `out` go through planes.
+    fn sweep(
+        f: &FusedGroups,
+        groups: Range<usize>,
+        scale: f64,
+        x: &[f64],
+        maximize: bool,
+        out: &mut [f64],
+        decisions: Option<&mut [u16]>,
+    ) {
+        let o = plane::from_slice(out);
+        f.sweep_best(
+            groups,
+            scale,
+            &plane::from_slice(x),
+            maximize,
+            &o,
+            decisions,
+        );
+        out.copy_from_slice(&plane::to_vec(&o));
+    }
 
     fn sample() -> FusedGroups {
         let mut b = FusedBuilder::with_capacity(4, 4, 3, 5);
@@ -865,7 +892,7 @@ mod tests {
         for &maximize in &[true, false] {
             let mut out = vec![0.0; 4];
             let mut dec = vec![u16::MAX; 4];
-            f.sweep_best(0..4, 0.7, &x, maximize, &mut out, Some(&mut dec));
+            sweep(&f, 0..4, 0.7, &x, maximize, &mut out, Some(&mut dec));
             for g in 0..4 {
                 let (v, d) = oracle(&f, g, 0.7, &x, maximize);
                 assert_eq!(out[g].to_bits(), v.to_bits(), "group {g}");
@@ -911,14 +938,14 @@ mod tests {
         let x: Vec<f64> = (0..16).map(|i| f64::from(i) * 0.37 + 0.01).collect();
         let mut full = vec![0.0; 12];
         let mut full_dec = vec![0u16; 12];
-        f.sweep_best(0..12, 0.9, &x, true, &mut full, Some(&mut full_dec));
+        sweep(&f, 0..12, 0.9, &x, true, &mut full, Some(&mut full_dec));
         for split in 0..=12 {
             let mut lo = vec![0.0; split];
             let mut lo_dec = vec![0u16; split];
             let mut hi = vec![0.0; 12 - split];
             let mut hi_dec = vec![0u16; 12 - split];
-            f.sweep_best(0..split, 0.9, &x, true, &mut lo, Some(&mut lo_dec));
-            f.sweep_best(split..12, 0.9, &x, true, &mut hi, Some(&mut hi_dec));
+            sweep(&f, 0..split, 0.9, &x, true, &mut lo, Some(&mut lo_dec));
+            sweep(&f, split..12, 0.9, &x, true, &mut hi, Some(&mut hi_dec));
             for g in 0..split {
                 assert_eq!(lo[g].to_bits(), full[g].to_bits(), "split {split} g {g}");
                 assert_eq!(lo_dec[g], full_dec[g]);
@@ -949,24 +976,37 @@ mod tests {
     fn timed_sweep_is_bitwise_identical_and_attributes_groups() {
         let f = sample();
         let x = [0.1, 0.2, 0.3, 0.4];
+        let xp = plane::from_slice(&x);
         for &maximize in &[true, false] {
             let mut plain = vec![0.0; 4];
             let mut plain_dec = vec![u16::MAX; 4];
-            f.sweep_best(0..4, 0.7, &x, maximize, &mut plain, Some(&mut plain_dec));
-            let mut timed = vec![0.0; 4];
+            sweep(
+                &f,
+                0..4,
+                0.7,
+                &x,
+                maximize,
+                &mut plain,
+                Some(&mut plain_dec),
+            );
+            let timed = plane::from_slice(&[0.0; 4]);
             let mut timed_dec = vec![u16::MAX; 4];
             let mut timing = ClassTiming::default();
             f.sweep_best_timed(
                 0..4,
                 0.7,
-                &x,
+                &xp,
                 maximize,
-                &mut timed,
+                &timed,
                 Some(&mut timed_dec),
                 &mut timing,
             );
             for g in 0..4 {
-                assert_eq!(timed[g].to_bits(), plain[g].to_bits(), "group {g}");
+                assert_eq!(
+                    plane::get(&timed, g).to_bits(),
+                    plain[g].to_bits(),
+                    "group {g}"
+                );
                 assert_eq!(timed_dec[g], plain_dec[g], "group {g}");
             }
             // Group attribution is exact even though the ns are wall time.
@@ -976,11 +1016,11 @@ mod tests {
             assert_eq!(timing.groups[GroupClass::Single as usize], 1);
         }
         // Subranges attribute only what they cover, accumulating.
-        let mut out = vec![0.0; 2];
+        let out = plane::from_slice(&[0.0; 2]);
         let mut timing = ClassTiming::default();
-        f.sweep_best_timed(1..3, 0.7, &x, true, &mut out, None, &mut timing);
+        f.sweep_best_timed(1..3, 0.7, &xp, true, &out, None, &mut timing);
         assert_eq!(timing.groups, [0, 1, 0, 1]); // Multi + Empty only
-        f.sweep_best_timed(1..3, 0.7, &x, true, &mut out, None, &mut timing);
+        f.sweep_best_timed(1..3, 0.7, &xp, true, &out, None, &mut timing);
         assert_eq!(timing.groups, [0, 2, 0, 2]);
         let mut other = ClassTiming::default();
         other.add(&timing);
@@ -1002,7 +1042,7 @@ mod tests {
         let x = [0.5, 0.25];
         let mut out = vec![0.0; 2];
         let mut dec = vec![u16::MAX; 2];
-        f.sweep_best(0..2, 1.0, &x, true, &mut out, Some(&mut dec));
+        sweep(&f, 0..2, 1.0, &x, true, &mut out, Some(&mut dec));
         assert_eq!(dec[0], 0, "equal rows keep the first");
         assert_eq!(dec[1], 1, "NaN row never displaces the sentinel");
         assert_eq!(out[1], 0.25 + 0.25);
@@ -1013,9 +1053,9 @@ mod tests {
         b.end_group();
         let f = b.build();
         let mut out = vec![0.0; 1];
-        f.sweep_best(0..1, 1.0, &[0.0], true, &mut out, None);
+        sweep(&f, 0..1, 1.0, &[0.0], true, &mut out, None);
         assert_eq!(out[0], -1.0);
-        f.sweep_best(0..1, 1.0, &[0.0], false, &mut out, None);
+        sweep(&f, 0..1, 1.0, &[0.0], false, &mut out, None);
         assert_eq!(out[0], f64::INFINITY);
     }
 
@@ -1046,7 +1086,7 @@ mod tests {
         assert_eq!(f.num_runs(), 0);
         assert!(f.memory_bytes() > 0); // the sentinel pointers
         let mut out: Vec<f64> = Vec::new();
-        f.sweep_best(0..0, 1.0, &[], true, &mut out, None); // no-op, no panic
+        sweep(&f, 0..0, 1.0, &[], true, &mut out, None); // no-op, no panic
     }
 
     #[test]

@@ -31,8 +31,10 @@ pub mod chunk;
 mod coo;
 mod csr;
 pub mod fused;
+pub mod plane;
 
 pub use chunk::{assign_blocks, fixed_blocks, RowChunk};
 pub use coo::CooBuilder;
 pub use csr::{CsrMatrix, RowIter};
 pub use fused::{ClassTiming, FusedBuilder, FusedGroups, GroupClass, PoolRow};
+pub use plane::Plane;
