@@ -1022,6 +1022,20 @@ mod tests {
             field(&vq2, "checksum").as_str(),
             field(&vq, "checksum").as_str()
         );
+
+        // The charge covers the value planes the engine keeps after a
+        // query, not only the model and its precomputation.
+        let reg = lock(&st.registry);
+        let entry = reg.values().next().expect("one entry");
+        let states = entry.prepared.ctmdp.num_states();
+        assert_eq!(
+            field(&v1, "resident_bytes").as_f64(),
+            Some(entry.resident_bytes as f64)
+        );
+        assert!(
+            entry.resident_bytes
+                >= entry.prepared.ctmdp.memory_bytes() + 2 * states * std::mem::size_of::<f64>()
+        );
     }
 
     /// Malformed lines and unknown models get typed errors; the session
