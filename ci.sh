@@ -46,20 +46,27 @@ for T in 1 4; do
 done
 echo "values byte-identical with tracing on and off at 1 and 4 threads"
 
-echo "==> kernel parity gate (--kernel reference vs --kernel fused, 1 and 4 threads)"
+echo "==> kernel parity gate (--kernel reference vs --kernel fused, max and min, 1 and 4 threads)"
 # The fused SoA kernel is an optimization, not a semantics change: its
 # value dumps must be byte-identical to the retained reference kernel.
+# A fused batch runs its bounds as lanes over the goal-folded model, the
+# reference kernel runs them one by one over the states: the --min runs
+# hold minimizing lanes to the same per-query oracle.
 for T in 1 4; do
-    ./target/release/unicon reach --ftwc 32 --time-bounds "$BOUNDS" --threads "$T" \
-        --kernel reference --values-out "$CI_DIR/kernel_ref_t$T.hex" >/dev/null 2>&1
-    ./target/release/unicon reach --ftwc 32 --time-bounds "$BOUNDS" --threads "$T" \
-        --kernel fused --values-out "$CI_DIR/kernel_fused_t$T.hex" >/dev/null 2>&1
-    if ! cmp -s "$CI_DIR/kernel_ref_t$T.hex" "$CI_DIR/kernel_fused_t$T.hex"; then
-        echo "FAIL: fused kernel values diverge from the reference kernel (threads $T)"
-        exit 1
-    fi
+    for OBJ in max min; do
+        MIN=""
+        [ "$OBJ" = min ] && MIN="--min"
+        ./target/release/unicon reach --ftwc 32 --time-bounds "$BOUNDS" --threads "$T" $MIN \
+            --kernel reference --values-out "$CI_DIR/kernel_ref_${OBJ}_t$T.hex" >/dev/null 2>&1
+        ./target/release/unicon reach --ftwc 32 --time-bounds "$BOUNDS" --threads "$T" $MIN \
+            --kernel fused --values-out "$CI_DIR/kernel_fused_${OBJ}_t$T.hex" >/dev/null 2>&1
+        if ! cmp -s "$CI_DIR/kernel_ref_${OBJ}_t$T.hex" "$CI_DIR/kernel_fused_${OBJ}_t$T.hex"; then
+            echo "FAIL: fused kernel values diverge from the reference kernel ($OBJ, threads $T)"
+            exit 1
+        fi
+    done
 done
-echo "reference and fused kernel dumps bitwise identical at 1 and 4 threads"
+echo "reference and fused kernel dumps bitwise identical for max and min at 1 and 4 threads"
 
 echo "==> metrics exposition smoke check"
 ./target/release/unicon metrics --ftwc 1 --time-bounds 10 2>/dev/null > "$CI_DIR/metrics.txt"

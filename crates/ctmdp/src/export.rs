@@ -183,7 +183,8 @@ pub fn scheduler_from_text(text: &str) -> Result<StepDependent, SchedulerParseEr
 /// `available_parallelism` clamp), machine parallelism, the
 /// value-iteration kernel and its normalized speed
 /// (`kernel_ns_per_state`), per-phase timings in milliseconds,
-/// weight-cache counters, and one entry per query carrying its iteration
+/// weight-cache counters, the total iteration and sweep counts, and one
+/// entry per query carrying its iteration
 /// count, wall time, the value from state `initial` and the deterministic
 /// chunked checksum (hex-encoded bits, bitwise reproducible across
 /// thread counts).
@@ -215,7 +216,7 @@ pub fn batch_to_json(batch: &BatchResult, initial: u32) -> String {
          \"available_parallelism\":{},\"kernel\":\"{}\",\
          \"kernel_ns_per_state\":{},\"precompute_ms\":{},\
          \"weights_ms\":{},\"iterate_ms\":{},\"cache_hits\":{},\"cache_misses\":{},\
-         \"total_iterations\":{},\"queries\":[{}]}}",
+         \"total_iterations\":{},\"sweeps\":{},\"queries\":[{}]}}",
         s.threads_requested,
         s.threads_effective,
         std::thread::available_parallelism().map_or(1, usize::from),
@@ -227,6 +228,7 @@ pub fn batch_to_json(batch: &BatchResult, initial: u32) -> String {
         s.cache_hits,
         s.cache_misses,
         s.total_iterations,
+        s.sweeps,
         queries.join(",")
     )
 }
@@ -353,6 +355,7 @@ mod tests {
             "\"iterate_ms\":",
             "\"cache_hits\":1",
             "\"cache_misses\":1",
+            "\"sweeps\":",
             "\"queries\":[{",
             "\"objective\":\"max\"",
             "\"checksum\":\"",

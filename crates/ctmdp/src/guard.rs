@@ -59,10 +59,10 @@ use unicon_sparse::{plane, Plane};
 #[cfg(feature = "fault-inject")]
 use unicon_numeric::rng::{Rng, XorShift64};
 
-use crate::par::{drive, Planes, ReachBatch, Steps, Supervisor};
+use crate::par::{drive, Lane, Planes, ReachBatch, Steps, Supervisor};
 use crate::reachability::{
-    finalize_values, indicator_result, validate_epsilon, validate_time, Objective, Precompute,
-    ReachError, ReachResult, Sweep,
+    finalize_values, indicator_result, objective_lane, validate_epsilon, validate_time, Objective,
+    Precompute, ReachError, ReachResult, Sweep,
 };
 
 /// Tolerance of the out-of-range health check: iterates may drift this
@@ -907,8 +907,8 @@ fn make_partial(
     next_i: usize,
     q_next: &Plane,
 ) -> PartialQuery {
-    let (query, fg, k) = (s.qi, s.fg, s.k);
-    let lower = finalize_values(&batch.goal, q_next);
+    let Lane { fg, k, qi: query } = s.lanes[0];
+    let lower = finalize_values(&batch.goal, plane::values(q_next));
     // Soundness of the bracket: the truncated iterate counts exactly the
     // first-hit events "hit at the r-th jump AND at least next_i + r
     // Poisson jumps happen within t", so it undercounts the true value
@@ -1034,14 +1034,14 @@ struct InFlight<'r, 'a, 'b> {
 
 impl InFlight<'_, '_, '_> {
     fn checkpoint(&mut self, i: usize, q: &Plane) -> Result<(), GuardError> {
-        let s = self.steps;
+        let lane = self.steps.lanes[0];
         let in_progress = InProgress {
-            query: s.qi,
-            k: s.k,
+            query: lane.qi,
+            k: lane.k,
             current_i: i,
             q: plane::to_vec(q),
         };
-        self.run.checkpoint(Some(in_progress), s.qi, i)
+        self.run.checkpoint(Some(in_progress), lane.qi, i)
     }
 }
 
@@ -1065,7 +1065,7 @@ impl Supervisor for InFlight<'_, '_, '_> {
         };
         unicon_obs::emit(unicon_obs::Class::Guard, || unicon_obs::Event::Guard {
             kind: "budget-exhausted",
-            query: s.qi,
+            query: s.lanes[0].qi,
             step: i - 1,
             detail: reason.as_str().to_string(),
         });
@@ -1083,7 +1083,7 @@ impl Supervisor for InFlight<'_, '_, '_> {
         workers: usize,
         _: Box<dyn Any + Send>,
     ) -> Result<(), GuardError> {
-        let query = self.steps.qi;
+        let query = self.steps.lanes[0].qi;
         if self.run.guard.on_degrade == DegradePolicy::Fail {
             return Err(GuardError::WorkerPanicked {
                 query,
@@ -1227,13 +1227,12 @@ fn run_guarded_inner(
             ctmdp: batch.ctmdp,
             pre,
             goal: &batch.goal,
-            maximize: query.objective == Objective::Maximize,
+            folded: None,
+            maximize: objective_lane(query.objective),
             timed: unicon_obs::live(unicon_obs::Class::Metric),
         };
         let steps = Steps {
-            fg: &fg,
-            k,
-            qi,
+            lanes: &[Lane { fg: &fg, k, qi }],
             from,
             record: false,
             health: true,
@@ -1244,13 +1243,13 @@ fn run_guarded_inner(
             run: &mut run,
             steps: &steps,
         };
-        workers = drive(&sweep, &steps, workers, planes, &mut sup)?.0;
+        workers = drive(&sweep, &steps, workers, planes.pair(), &mut sup)?.0;
         if run.stopped.is_some() {
             return Ok(run.finish());
         }
 
         run.results.push(ReachResult {
-            values: finalize_values(&batch.goal, planes.q(1)),
+            values: finalize_values(&batch.goal, plane::values(planes.q(1))),
             iterations: k,
             uniform_rate: pre.rate,
             runtime: query_start.elapsed(),

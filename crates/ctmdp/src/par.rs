@@ -34,6 +34,7 @@
 //! [`reachability` internals]: crate::reachability::timed_reachability
 
 use std::any::Any;
+use std::cmp::Reverse;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -41,13 +42,14 @@ use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use unicon_numeric::{chunked_stable_sum, CachedWeights, FoxGlynn, WeightCache};
-use unicon_sparse::{assign_blocks, plane, Plane};
+use unicon_sparse::{assign_blocks, plane, Plane, LANES};
 
 use crate::guard::{check_health, GuardError, NumericHealthError};
 use crate::model::Ctmdp;
 use crate::reachability::{
-    emit_iteration, emit_kernel_timing, finalize_values, indicator_result, validate_epsilon,
-    validate_time, Kernel, Objective, Precompute, ReachError, ReachOptions, ReachResult, Sweep,
+    emit_iteration, emit_kernel_timing, finalize_values, indicator_result, objective_lane,
+    validate_epsilon, validate_time, Folded, Kernel, Objective, Precompute, ReachError,
+    ReachOptions, ReachResult, Sweep,
 };
 
 /// Fixed block size of the deterministic checksum reduction — a property
@@ -158,23 +160,22 @@ pub(crate) fn run_query(
         ctmdp,
         pre,
         goal,
-        maximize: opts.objective == Objective::Maximize,
+        folded: None,
+        maximize: objective_lane(opts.objective),
         timed: metrics_live,
     };
     let steps = Steps {
-        fg,
-        k,
-        qi,
+        lanes: &[Lane { fg, k, qi }],
         from: k,
         record: opts.record_decisions,
         health: false,
         panic_at: None,
         nan_at: None,
     };
-    let (_, decisions) = drive(&sweep, &steps, workers, planes, &mut Plain)
+    let (_, decisions) = drive(&sweep, &steps, workers, planes.pair(), &mut Plain)
         .expect("an unguarded run has no hook that fails");
     let result = ReachResult {
-        values: finalize_values(goal, planes.q(1)),
+        values: finalize_values(goal, plane::values(planes.q(1))),
         iterations: k,
         uniform_rate: pre.rate,
         runtime: start.elapsed(),
@@ -202,18 +203,23 @@ pub(crate) struct Planes {
 }
 
 impl Planes {
-    /// Sizes both planes to `n` states and stores `q_{from + 1}` — `init`,
-    /// or zeros — in the plane step `from` reads.
-    pub(crate) fn prepare(&mut self, n: usize, from: usize, init: Option<&[f64]>) {
+    /// Sizes both planes to `len` entries, counting each allocation.
+    fn size(&mut self, len: usize) {
         for p in &mut self.planes {
-            if p.len() != n {
-                if p.capacity() < n {
+            if p.len() != len {
+                if p.capacity() < len {
                     self.allocs += 1;
                 }
                 p.clear();
-                p.resize_with(n, AtomicU64::default);
+                p.resize_with(len, AtomicU64::default);
             }
         }
+    }
+
+    /// Sizes both planes to `n` states and stores `q_{from + 1}` — `init`,
+    /// or zeros — in the plane step `from` reads.
+    pub(crate) fn prepare(&mut self, n: usize, from: usize, init: Option<&[f64]>) {
+        self.size(n);
         let read = self.q(from + 1);
         match init {
             Some(values) => plane::fill(read, values),
@@ -221,19 +227,72 @@ impl Planes {
         }
     }
 
+    /// Sizes both planes to hold `lens` back to back, and returns one
+    /// disjoint pair per length — one allocation for every part of a
+    /// laned batch.
+    fn split(&mut self, lens: &[usize]) -> Vec<Pair<'_>> {
+        // det-lint: allow(float-sum): plane lengths, integers.
+        self.size(lens.iter().sum());
+        let mut rest = self.pair();
+        lens.iter()
+            .map(|&len| {
+                let [a, b] = rest.0.map(|p| p.split_at(len));
+                rest = Pair([a.1, b.1]);
+                Pair([a.0, b.0])
+            })
+            .collect()
+    }
+
     /// The plane holding `q_i`.
     pub(crate) fn q(&self, i: usize) -> &Plane {
         &self.planes[i % 2]
     }
+
+    /// Both planes, for a run.
+    pub(crate) fn pair(&self) -> Pair<'_> {
+        Pair([&self.planes[0], &self.planes[1]])
+    }
 }
 
-/// One query's step schedule — steps `from` down to 1 of `k`, weighted by
-/// `fg` — and the hooks every worker runs on its own range each step.
-pub(crate) struct Steps<'a> {
+/// The two value planes one run steps over: plane `i % 2` holds `q_i`.
+#[derive(Clone, Copy)]
+pub(crate) struct Pair<'a>([&'a Plane; 2]);
+
+impl<'a> Pair<'a> {
+    /// The plane holding `q_i`.
+    fn q(self, i: usize) -> &'a Plane {
+        self.0[i % 2]
+    }
+
+    /// The first `len` entries of both planes, zeroed: a lane that joins
+    /// a laned run late reads `q_{k+1} = 0` from whichever plane its first
+    /// step reads, since no step writes a lane before it joins.
+    fn zeroed(self, len: usize) -> Self {
+        let pair = Pair(self.0.map(|p| &p[..len]));
+        for p in pair.0 {
+            p.iter().for_each(|a| a.store(0, Ordering::Relaxed));
+        }
+        pair
+    }
+}
+
+/// One query a run advances: its Poisson weights, its step count `k` and
+/// its index in its batch, for telemetry.
+#[derive(Clone, Copy)]
+pub(crate) struct Lane<'a> {
     pub(crate) fg: &'a FoxGlynn,
     pub(crate) k: usize,
-    /// The query's index in its batch, for telemetry.
     pub(crate) qi: usize,
+}
+
+/// A run's step schedule — steps `from` down to 1, each lane weighted by
+/// its own Poisson weights — and the hooks every worker runs on its own
+/// range each step.
+pub(crate) struct Steps<'a> {
+    /// The queries, `k` descending, in plane-lane order. Lane `l` joins
+    /// at step `lanes[l].k`, so the lanes a step advances are a prefix.
+    /// One lane unless the sweep is laned.
+    pub(crate) lanes: &'a [Lane<'a>],
     /// The first step to run; `q_{from + 1}` must be in its plane.
     pub(crate) from: usize,
     pub(crate) record: bool,
@@ -243,6 +302,13 @@ pub(crate) struct Steps<'a> {
     pub(crate) panic_at: Option<(usize, usize)>,
     /// `(step, state)`: the state's value turns NaN right after that step.
     pub(crate) nan_at: Option<(usize, usize)>,
+}
+
+impl Steps<'_> {
+    /// The lanes step `i` advances.
+    fn active(&self, i: usize) -> &[Lane<'_>] {
+        &self.lanes[..self.lanes.partition_point(|l| l.k >= i)]
+    }
 }
 
 /// Worker 0's hooks between steps. The defaults are the unguarded run's:
@@ -290,7 +356,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 struct Pool<'a> {
     sweep: &'a Sweep<'a>,
     steps: &'a Steps<'a>,
-    planes: &'a Planes,
+    planes: Pair<'a>,
     /// Waiters block at once. A barrier that first spun 256 times was no
     /// faster over 10 alternating benchmark rounds on a 2-vCPU Xeon VM:
     /// `reach-batch` 2-thread/1-thread ratio 0.82 against 0.83 here,
@@ -319,6 +385,12 @@ impl Pool<'_> {
     ) -> Option<Failure> {
         let steps = self.steps;
         let out = self.planes.q(i);
+        let stride = self.sweep.stride();
+        let active = steps.active(i);
+        let mut psi = [0.0; LANES];
+        for (p, lane) in psi.iter_mut().zip(active) {
+            *p = lane.fg.psi(i);
+        }
         // AssertUnwindSafe: a failed share's range is rewritten by the
         // replay or abandoned with the run, never read as a result.
         let swept = catch_unwind(AssertUnwindSafe(|| {
@@ -327,15 +399,16 @@ impl Pool<'_> {
             }
             self.sweep.run(
                 range.clone(),
-                steps.fg.psi(i),
+                &psi[..active.len()],
                 self.planes.q(i + 1),
-                &out[range.clone()],
+                &out[range.start * stride..range.end * stride],
                 decisions,
             );
         }));
         if let Err(payload) = swept {
             return Some(Failure::Panic(payload));
         }
+        // The guard hooks below index states: guarded runs sweep states.
         if let Some((step, state)) = steps.nan_at {
             if step == i && range.contains(&state) {
                 plane::set(out, state, f64::NAN);
@@ -410,7 +483,7 @@ impl Pool<'_> {
                     "decisions are never recorded with a degrade"
                 );
                 workers = 1;
-                range = 0..self.planes.q(i).len();
+                range = 0..self.sweep.groups();
                 match self.share(i, 0, range.clone(), &mut [], true) {
                     Some(Failure::Health(e)) => return Err(e.into()),
                     Some(Failure::Panic(payload)) => std::panic::resume_unwind(payload),
@@ -418,7 +491,9 @@ impl Pool<'_> {
                 }
             }
             let q = self.planes.q(i);
-            emit_iteration(self.steps.qi, i, self.steps.fg, self.steps.k, q);
+            for (l, lane) in self.steps.active(i).iter().enumerate() {
+                emit_iteration(lane.qi, i, lane.fg, lane.k, || self.sweep.checksum(q, l));
+            }
             let go = sup.proceed(i, q);
             if !matches!(go, Ok(true)) {
                 if workers > 1 && i > 1 {
@@ -437,26 +512,26 @@ impl Pool<'_> {
 /// The value-iteration step loop — the only one. Returns the worker
 /// count at the end (1 after a degradation) and, when recording,
 /// `decisions[i - 1]` for each step `i`. Runs `steps` on
-/// `workers` workers (at most one per state) over the shared `planes`;
+/// `workers` workers (at most one per group) over the shared `planes`;
 /// the calling thread is worker 0 and workers `1..` live in one scope for
-/// the whole run. Each step, every worker sweeps its own state range into
-/// plane `i % 2`, reading plane `(i + 1) % 2`, and then all meet at one
-/// barrier. One is enough: the next step writes the plane this step read,
-/// which no worker reads again once all have passed this barrier. With one
-/// worker the same loop runs with no barrier.
+/// the whole run. Each step, every worker sweeps its own group range —
+/// every active lane of it — into plane `i % 2`, reading plane
+/// `(i + 1) % 2`, and then all meet at one barrier. One is enough: the
+/// next step writes the plane this step read, which no worker reads again
+/// once all have passed this barrier. With one worker the same loop runs
+/// with no barrier.
 pub(crate) fn drive(
     sweep: &Sweep<'_>,
     steps: &Steps<'_>,
     workers: usize,
-    planes: &Planes,
+    planes: Pair<'_>,
     sup: &mut dyn Supervisor,
 ) -> Result<(usize, Vec<Vec<u16>>), GuardError> {
-    let n = planes.q(0).len();
-    let workers = workers.clamp(1, n.max(1));
+    let workers = workers.clamp(1, sweep.groups().max(1));
     if !sup.proceed(steps.from + 1, planes.q(steps.from + 1))? {
         return Ok((workers, Vec::new()));
     }
-    let ranges = assign_blocks(n, workers);
+    let ranges = assign_blocks(sweep.groups(), workers);
     let pool = Pool {
         sweep,
         steps,
@@ -525,7 +600,9 @@ pub struct QueryStats {
     pub objective: Objective,
     /// Value-iteration step count `k(ε, E, t)`.
     pub iterations: usize,
-    /// Wall-clock time of this query's iteration.
+    /// Wall-clock time of this query's iteration: of its whole lane
+    /// group when the batch ran its queries as lanes, so every lane of a
+    /// group reports the same wall.
     pub wall: Duration,
     /// Deterministic chunked-Neumaier checksum of the value vector
     /// (fixed [`CHECKSUM_BLOCK`]-state blocks) — bitwise reproducible for
@@ -541,14 +618,16 @@ pub struct BatchStats {
     /// small hardware is visible instead of silently rewriting the
     /// request in benchmark records.
     pub threads_requested: usize,
-    /// Worker threads actually used per query (after resolving `0` =
+    /// Worker threads actually used per run (after resolving `0` =
     /// auto and clamping to `available_parallelism`).
     pub threads_effective: usize,
-    /// Time spent building the shared CSR traversal structures.
+    /// Time spent building the shared CSR traversal structures and, for
+    /// a laned batch, its goal-folded layout.
     pub precompute_time: Duration,
     /// Time spent computing (or fetching) Fox–Glynn weight vectors.
     pub weights_time: Duration,
-    /// Total wall-clock time of all value iterations.
+    /// Total wall-clock time of all value iterations: of the laned
+    /// passes, when the batch ran its queries as lanes.
     pub iterate_time: Duration,
     /// Weight-cache hits across the batch.
     pub cache_hits: usize,
@@ -556,12 +635,21 @@ pub struct BatchStats {
     pub cache_misses: usize,
     /// Sum of all queries' iteration counts.
     pub total_iterations: usize,
+    /// Passes over the model the batch made, on all workers together:
+    /// `total_iterations` when each query iterates alone; when the
+    /// queries ran as lanes, the largest iteration count of each lane
+    /// group, summed over the groups.
+    pub sweeps: usize,
     /// The value-iteration kernel the batch ran on.
     pub kernel: Kernel,
-    /// Average wall nanoseconds per state per value-iteration step:
+    /// Average wall nanoseconds per state per query step:
     /// `iterate_time / (total_iterations × num_states)` — the
-    /// size-normalized kernel speed the BENCH trajectory tracks
-    /// (0 when the batch performed no iterations).
+    /// size-normalized batch speed the BENCH trajectory tracks (0 when
+    /// the batch performed no iterations). When each query iterates
+    /// alone that is the kernel's time per state per sweep. When the
+    /// queries ran as lanes it is the laned wall time spread over every
+    /// query's steps, so it stays comparable as batch throughput but is
+    /// not the cost of one sweep (see [`BatchStats::sweeps`]).
     pub kernel_ns_per_state: f64,
     /// How many times a value plane had to allocate across the whole
     /// batch. After the first query sizes the planes, further same-model
@@ -710,13 +798,24 @@ impl<'a> ReachBatch<'a> {
     /// corresponding single-query [`timed_reachability_par`] call (and
     /// hence to the sequential engine).
     ///
+    /// On the fused kernel, two or more queries with `t > 0` run as lanes
+    /// of one step loop over a goal-folded copy of the model, at most
+    /// [`LANES`] at a time: the model is streamed once per step for every
+    /// active query, and goal states cost one slot. Each lane performs
+    /// its query's scalar arithmetic, so no bit changes.
+    ///
     /// # Errors
     ///
     /// See [`crate::reachability::timed_reachability`].
     pub fn run(&self) -> Result<BatchResult, ReachError> {
         let pre_start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
         let pre_span = unicon_obs::open_span("precompute");
-        let pre = Precompute::new(self.ctmdp, &self.goal)?;
+        // A laned batch sweeps its own folded layout, never the states'.
+        let pre = if self.laned() {
+            Precompute::csr_only(self.ctmdp, &self.goal)?
+        } else {
+            Precompute::new(self.ctmdp, &self.goal)?
+        };
         let _ = unicon_obs::close_span(pre_span);
         let precompute_time = pre_start.elapsed();
         let mut cache = WeightCache::new();
@@ -744,6 +843,13 @@ impl<'a> ReachBatch<'a> {
         self.run_inner(&engine.pre, cache, Duration::ZERO)
     }
 
+    /// Whether the queries run as lanes: two or more with `t > 0`, on
+    /// the fused kernel. (Lanes need a nonzero rate too; at rate 0 every
+    /// answer is the indicator and nothing is swept.)
+    fn laned(&self) -> bool {
+        self.kernel == Kernel::Fused && self.queries.iter().filter(|q| q.t != 0.0).count() >= 2
+    }
+
     /// The shared driver behind [`ReachBatch::run`] and
     /// [`ReachBatch::run_with_engine`]: `pre` may be freshly built or a
     /// long-lived shared precomputation, `cache` a per-run or cross-run
@@ -759,66 +865,32 @@ impl<'a> ReachBatch<'a> {
             validate_time(q.t)?;
         }
         let threads = self.workers();
-
-        let opts_base = ReachOptions::default()
-            .with_epsilon(self.epsilon)
-            .with_kernel(self.kernel);
         // The cache may be shared across many runs (a serve session);
         // stats and counter events report this run's contribution only.
         let (hits0, misses0) = (cache.hits(), cache.misses());
-        let mut results = Vec::with_capacity(self.queries.len());
-        let mut query_stats = Vec::with_capacity(self.queries.len());
-        let mut weights_time = Duration::ZERO;
-        let mut iterate_time = Duration::ZERO;
-        let mut total_iterations = 0;
-        // One pair of planes for the whole batch: the first query sizes
-        // it, every later query runs allocation-free.
+        // One pair of planes for the whole batch: the first query or lane
+        // group sizes it, every later one runs allocation-free.
         let mut planes = Planes::default();
+        let pass = if self.laned() && pre.rate != 0.0 {
+            self.run_lanes(pre, cache, threads, &mut planes)
+        } else {
+            self.run_each(pre, cache, threads, &mut planes)
+        };
 
-        for (qi, q) in self.queries.iter().enumerate() {
-            let result = if q.t == 0.0 || pre.rate == 0.0 {
-                indicator_result(&self.goal, pre.rate)
-            } else {
-                let query_span = unicon_obs::span("query");
-                let w_start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
-                let weights_span = unicon_obs::span("weights");
-                let cached = cache.get(pre.rate, q.t, self.epsilon).clone();
-                drop(weights_span);
-                weights_time += w_start.elapsed();
-                unicon_obs::emit(unicon_obs::Class::Iter, || unicon_obs::Event::QueryStart {
-                    query: qi,
-                    t: q.t,
-                    lambda: cached.fg.lambda(),
-                    left: cached.fg.left_truncation(self.epsilon),
-                    right: cached.truncation,
-                });
-                let opts = opts_base.with_objective(q.objective);
-                let result = run_query(
-                    self.ctmdp,
-                    pre,
-                    &self.goal,
-                    &cached.fg,
-                    cached.truncation,
-                    &opts,
-                    threads,
-                    qi,
-                    Instant::now(), // det-lint: allow(clock): event timestamp only.
-                    &mut planes,
-                );
-                drop(query_span);
-                result
-            };
-            iterate_time += result.runtime;
-            total_iterations += result.iterations;
-            query_stats.push(QueryStats {
+        let query_stats: Vec<QueryStats> = self
+            .queries
+            .iter()
+            .zip(&pass.results)
+            .map(|(q, r)| QueryStats {
                 t: q.t,
                 objective: q.objective,
-                iterations: result.iterations,
-                wall: result.runtime,
-                checksum: chunked_stable_sum(&result.values, CHECKSUM_BLOCK),
-            });
-            results.push(result);
-        }
+                iterations: r.iterations,
+                wall: r.runtime,
+                checksum: chunked_stable_sum(&r.values, CHECKSUM_BLOCK),
+            })
+            .collect();
+        // det-lint: allow(float-sum): step counts, integers.
+        let total_iterations = pass.results.iter().map(|r| r.iterations).sum();
 
         unicon_obs::emit(unicon_obs::Class::Metric, || unicon_obs::Event::Counter {
             name: "weight_cache_hits",
@@ -833,7 +905,7 @@ impl<'a> ReachBatch<'a> {
         let kernel_ns_per_state = if total_iterations == 0 || n == 0 {
             0.0
         } else {
-            iterate_time.as_nanos() as f64 / (total_iterations as f64 * n as f64)
+            pass.iterate_time.as_nanos() as f64 / (total_iterations as f64 * n as f64)
         };
         unicon_obs::emit(unicon_obs::Class::Metric, || unicon_obs::Event::Gauge {
             name: "reach_kernel_ns_per_state",
@@ -841,16 +913,17 @@ impl<'a> ReachBatch<'a> {
         });
 
         Ok(BatchResult {
-            results,
+            results: pass.results,
             stats: BatchStats {
                 threads_requested: self.threads,
                 threads_effective: threads,
-                precompute_time,
-                weights_time,
-                iterate_time,
+                precompute_time: precompute_time + pass.fold_time,
+                weights_time: pass.weights_time,
+                iterate_time: pass.iterate_time,
                 cache_hits: cache.hits() - hits0,
                 cache_misses: cache.misses() - misses0,
                 total_iterations,
+                sweeps: pass.sweeps,
                 kernel: self.kernel,
                 kernel_ns_per_state,
                 buffer_allocs: planes.allocs,
@@ -858,6 +931,300 @@ impl<'a> ReachBatch<'a> {
             },
         })
     }
+
+    /// Runs the queries one after another, each over the n states.
+    fn run_each(
+        &self,
+        pre: &Precompute,
+        cache: &mut WeightCache,
+        threads: usize,
+        planes: &mut Planes,
+    ) -> Pass {
+        let opts_base = ReachOptions::default()
+            .with_epsilon(self.epsilon)
+            .with_kernel(self.kernel);
+        let mut pass = Pass::default();
+        for (qi, q) in self.queries.iter().enumerate() {
+            let result = if q.t == 0.0 || pre.rate == 0.0 {
+                indicator_result(&self.goal, pre.rate)
+            } else {
+                let query_span = unicon_obs::span("query");
+                let w_start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
+                let weights_span = unicon_obs::span("weights");
+                let cached = cache.get(pre.rate, q.t, self.epsilon).clone();
+                drop(weights_span);
+                pass.weights_time += w_start.elapsed();
+                self.emit_query_start(qi, &cached);
+                let opts = opts_base.with_objective(q.objective);
+                let result = run_query(
+                    self.ctmdp,
+                    pre,
+                    &self.goal,
+                    &cached.fg,
+                    cached.truncation,
+                    &opts,
+                    threads,
+                    qi,
+                    Instant::now(), // det-lint: allow(clock): event timestamp only.
+                    planes,
+                );
+                drop(query_span);
+                result
+            };
+            pass.iterate_time += result.runtime;
+            pass.sweeps += result.iterations;
+            pass.results.push(result);
+        }
+        pass
+    }
+
+    /// Runs the queries with `t > 0` as lanes of one step loop over the
+    /// goal-folded layout, at most [`LANES`] per pass. Lanes are sorted
+    /// by iteration count, descending, ties in batch order, so a lane
+    /// joins at its own first step and the lanes a step advances are a
+    /// prefix; until it joins, a lane is never written and reads the
+    /// zeros its planes start with, the scalar engine's `q_{k+1} = 0`.
+    /// Queries with `t = 0` get the indicator and no lane.
+    ///
+    /// Several workers first split the lanes: see [`lane_parts`].
+    fn run_lanes(
+        &self,
+        pre: &Precompute,
+        cache: &mut WeightCache,
+        workers: usize,
+        planes: &mut Planes,
+    ) -> Pass {
+        let _query_span = unicon_obs::span("query");
+        let mut pass = Pass::default();
+        let fold_start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
+        let fold_span = unicon_obs::span("fold");
+        let folded = Folded::new(self.ctmdp, pre, &self.goal);
+        drop(fold_span);
+        pass.fold_time = fold_start.elapsed();
+
+        let w_start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
+        let weights_span = unicon_obs::span("weights");
+        let weights: Vec<Option<CachedWeights>> = self
+            .queries
+            .iter()
+            .map(|q| (q.t != 0.0).then(|| cache.get(pre.rate, q.t, self.epsilon).clone()))
+            .collect();
+        drop(weights_span);
+        pass.weights_time = w_start.elapsed();
+        let mut lanes = Vec::new();
+        for (qi, w) in weights.iter().enumerate() {
+            if let Some(w) = w {
+                self.emit_query_start(qi, w);
+                lanes.push(Lane {
+                    fg: &w.fg,
+                    k: w.truncation,
+                    qi,
+                });
+            }
+        }
+        lanes.sort_by_key(|l| Reverse(l.k));
+
+        let parts = lane_parts(&lanes, workers);
+        let slots = folded.groups.num_groups();
+        let lens: Vec<usize> = parts
+            .iter()
+            .map(|(lanes, _)| slots * lanes.len().min(LANES))
+            .collect();
+        let pairs = planes.split(&lens);
+        let metrics_live = unicon_obs::live(unicon_obs::Class::Metric);
+        let before = metrics_live.then(|| pre.timing.snapshot());
+        let part = Part {
+            batch: self,
+            pre,
+            folded: &folded,
+            timed: metrics_live,
+        };
+        // Telemetry collection and request ids are thread-local: while
+        // iteration telemetry is live, the parts run on this thread.
+        let side_by_side = parts.len() > 1 && !unicon_obs::live(unicon_obs::Class::Iter);
+        let mut runs = parts
+            .iter()
+            .zip(pairs)
+            .map(|((lanes, workers), pair)| (lanes.as_slice(), *workers, pair));
+        let start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
+        let answers: Vec<Answers> = if side_by_side {
+            std::thread::scope(|scope| {
+                let part = &part;
+                let (lanes, workers, pair) = runs.next().expect("at least one part");
+                let others: Vec<_> = runs
+                    .map(|(lanes, workers, pair)| {
+                        scope.spawn(move || part.run(lanes, workers, pair))
+                    })
+                    .collect();
+                let mut answers = vec![part.run(lanes, workers, pair)];
+                for h in others {
+                    answers.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+                }
+                answers
+            })
+        } else {
+            runs.map(|(lanes, workers, pair)| part.run(lanes, workers, pair))
+                .collect()
+        };
+        pass.iterate_time = start.elapsed();
+
+        let mut results: Vec<Option<ReachResult>> = vec![None; self.queries.len()];
+        let mut walls = Vec::new();
+        for answers in answers {
+            pass.sweeps += answers.sweeps;
+            walls.extend(answers.walls);
+            for (qi, r) in answers.results {
+                results[qi] = Some(r);
+            }
+        }
+        if let Some(before) = &before {
+            emit_kernel_timing(pre, before);
+            // One run of the model per lane group, so one observation.
+            for wall in walls {
+                unicon_obs::observe(
+                    "reach_query_ns",
+                    u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
+                );
+            }
+        }
+        pass.results = results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|| indicator_result(&self.goal, pre.rate)))
+            .collect();
+        pass
+    }
+
+    /// Emits query `qi`'s start record.
+    fn emit_query_start(&self, qi: usize, w: &CachedWeights) {
+        unicon_obs::emit(unicon_obs::Class::Iter, || unicon_obs::Event::QueryStart {
+            query: qi,
+            t: self.queries[qi].t,
+            lambda: w.fg.lambda(),
+            left: w.fg.left_truncation(self.epsilon),
+            right: w.truncation,
+        });
+    }
+}
+
+/// Splits the lanes of a laned batch, `k` descending, across `workers`:
+/// `(lanes, workers)` per part, each part's lanes still `k` descending.
+///
+/// Lanes share no data, so parts run side by side with no barrier and no
+/// shared plane between them. That scales where splitting a step's slots
+/// does not: the folded planes are so small that two workers sweeping
+/// halves of one spend most of a step on the barrier and on reading
+/// slots the other just wrote. A part costs `max k + Σ k` — a sweep of
+/// the layout per step plus a lane's work per step — and each lane goes
+/// to the part it raises least. Workers beyond one per part go to the
+/// part with the most cost per worker, which splits its slots by count,
+/// as a state sweep splits its states.
+fn lane_parts<'a>(lanes: &[Lane<'a>], workers: usize) -> Vec<(Vec<Lane<'a>>, usize)> {
+    let cost = |lanes: &[Lane<'_>], k: usize| {
+        // det-lint: allow(float-sum): step counts, integers.
+        lanes.first().map_or(k, |l| l.k) + lanes.iter().map(|l| l.k).sum::<usize>() + k
+    };
+    let mut parts: Vec<(Vec<Lane<'a>>, usize)> =
+        vec![(Vec::new(), 1); workers.clamp(1, lanes.len().max(1))];
+    for &lane in lanes {
+        let best = (0..parts.len())
+            .min_by_key(|&p| cost(&parts[p].0, lane.k))
+            .expect("at least one part");
+        parts[best].0.push(lane);
+    }
+    for _ in parts.len()..workers {
+        // The first part of greatest cost per worker: `a` orders first
+        // when `ca / wa > cb / wb`, compared in integers.
+        let busiest = (0..parts.len())
+            .min_by(|&a, &b| {
+                let (ca, cb) = (cost(&parts[a].0, 0), cost(&parts[b].0, 0));
+                (cb * parts[a].1).cmp(&(ca * parts[b].1))
+            })
+            .expect("at least one part");
+        parts[busiest].1 += 1;
+    }
+    parts
+}
+
+/// What every part of a laned batch shares.
+struct Part<'a, 'b> {
+    batch: &'a ReachBatch<'b>,
+    pre: &'a Precompute,
+    folded: &'a Folded,
+    timed: bool,
+}
+
+/// One part's answers, sweep count and wall time per lane group.
+struct Answers {
+    results: Vec<(usize, ReachResult)>,
+    sweeps: usize,
+    walls: Vec<Duration>,
+}
+
+impl Part<'_, '_> {
+    /// Runs `lanes` on `workers` workers over `pair`, [`LANES`] at a time.
+    fn run(&self, lanes: &[Lane<'_>], workers: usize, pair: Pair<'_>) -> Answers {
+        let batch = self.batch;
+        let mut answers = Answers {
+            results: Vec::with_capacity(lanes.len()),
+            sweeps: 0,
+            walls: Vec::new(),
+        };
+        for group in lanes.chunks(LANES) {
+            let start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
+            let maximize: Vec<bool> = group
+                .iter()
+                .map(|l| batch.queries[l.qi].objective == Objective::Maximize)
+                .collect();
+            let sweep = Sweep {
+                kernel: Kernel::Fused,
+                ctmdp: batch.ctmdp,
+                pre: self.pre,
+                goal: &batch.goal,
+                folded: Some(self.folded),
+                maximize: &maximize,
+                timed: self.timed,
+            };
+            let steps = Steps {
+                lanes: group,
+                from: group[0].k,
+                record: false,
+                health: false,
+                panic_at: None,
+                nan_at: None,
+            };
+            let pair = pair.zeroed(self.folded.groups.num_groups() * group.len());
+            drive(&sweep, &steps, workers, pair, &mut Plain)
+                .expect("an unguarded run has no hook that fails");
+            let runtime = start.elapsed();
+            answers.sweeps += steps.from;
+            answers.walls.push(runtime);
+            for (l, lane) in group.iter().enumerate() {
+                let q1 = self.folded.expand(pair.q(1), group.len(), l);
+                answers.results.push((
+                    lane.qi,
+                    ReachResult {
+                        values: finalize_values(&batch.goal, q1),
+                        iterations: lane.k,
+                        uniform_rate: self.pre.rate,
+                        runtime,
+                        decisions: Vec::new(),
+                    },
+                ));
+            }
+        }
+        answers
+    }
+}
+
+/// What a batch's iteration produced, however its queries ran.
+#[derive(Default)]
+struct Pass {
+    /// One answer per query, in query order.
+    results: Vec<ReachResult>,
+    fold_time: Duration,
+    weights_time: Duration,
+    iterate_time: Duration,
+    sweeps: usize,
 }
 
 /// A re-entrant query engine over one `(model, goal)` pair.
@@ -1005,16 +1372,16 @@ impl ReachEngine {
         epsilon: f64,
         threads: usize,
     ) -> Result<ReachResult, ReachError> {
+        // The weights need a valid t and epsilon; the rest is checked
+        // where they are used.
         validate_time(t)?;
         validate_epsilon(epsilon)?;
-        self.check_compatible(ctmdp, &self.goal)?;
-        if t == 0.0 || self.pre.rate == 0.0 {
-            return Ok(indicator_result(&self.goal, self.pre.rate));
-        }
         let fg = FoxGlynn::new(self.pre.rate * t);
-        let k = fg.right_truncation(epsilon);
-        let weights = CachedWeights { fg, truncation: k };
-        Ok(self.run_weighted(ctmdp, t, objective, epsilon, &weights, threads))
+        let weights = CachedWeights {
+            truncation: fg.right_truncation(epsilon),
+            fg,
+        };
+        self.query_with_weights(ctmdp, t, objective, epsilon, &weights, threads)
     }
 
     /// Answers one query from pre-fetched Fox–Glynn weights — the
@@ -1043,18 +1410,6 @@ impl ReachEngine {
         if t == 0.0 || self.pre.rate == 0.0 {
             return Ok(indicator_result(&self.goal, self.pre.rate));
         }
-        Ok(self.run_weighted(ctmdp, t, objective, epsilon, weights, threads))
-    }
-
-    fn run_weighted(
-        &self,
-        ctmdp: &Ctmdp,
-        t: f64,
-        objective: Objective,
-        epsilon: f64,
-        weights: &CachedWeights,
-        threads: usize,
-    ) -> ReachResult {
         unicon_obs::emit(unicon_obs::Class::Iter, || unicon_obs::Event::QueryStart {
             query: 0,
             t,
@@ -1066,7 +1421,7 @@ impl ReachEngine {
             .with_epsilon(epsilon)
             .with_objective(objective);
         let start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
-        self.with_planes(|planes| {
+        Ok(self.with_planes(|planes| {
             run_query(
                 ctmdp,
                 &self.pre,
@@ -1079,7 +1434,7 @@ impl ReachEngine {
                 start,
                 planes,
             )
-        })
+        }))
     }
 }
 
@@ -1407,6 +1762,23 @@ mod tests {
         assert!(matches!(err, ReachError::InvalidTimeBound { t } if t.is_nan()));
         let err = ReachBatch::new(&m, &goal).query(-2.0).run().unwrap_err();
         assert!(matches!(err, ReachError::InvalidTimeBound { t } if t == -2.0));
+    }
+
+    #[test]
+    fn lane_parts_balance_cost_and_keep_k_order() {
+        let fg = FoxGlynn::new(1.0);
+        let lanes = [(2352, 2), (1223, 1), (286, 0)].map(|(k, qi)| Lane { fg: &fg, k, qi });
+        let shape = |workers| {
+            lane_parts(&lanes, workers)
+                .into_iter()
+                .map(|(lanes, w)| (lanes.iter().map(|l| l.qi).collect::<Vec<_>>(), w))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(shape(1), vec![(vec![2, 1, 0], 1)]);
+        // The longest lane alone costs more than the other two together.
+        assert_eq!(shape(2), vec![(vec![2], 1), (vec![1, 0], 1)]);
+        // One part per lane; the spare worker joins the costliest part.
+        assert_eq!(shape(4), vec![(vec![2], 2), (vec![1], 1), (vec![0], 1)]);
     }
 
     #[test]

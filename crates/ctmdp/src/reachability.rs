@@ -15,7 +15,8 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use unicon_numeric::FoxGlynn;
+use unicon_numeric::sum::combine_chunk_sums;
+use unicon_numeric::{stable_sum, FoxGlynn};
 use unicon_sparse::{plane, ClassTiming, CsrMatrix, FusedBuilder, FusedGroups, Plane};
 
 use crate::model::{Ctmdp, NotUniformError};
@@ -220,7 +221,9 @@ pub struct ReachResult {
     pub iterations: usize,
     /// The uniform rate `E`.
     pub uniform_rate: f64,
-    /// Wall-clock time of the iteration itself.
+    /// Wall-clock time of the iteration itself. For a query of a laned
+    /// [`crate::par::ReachBatch`] that is the wall time of its whole lane
+    /// group, the same for every lane of the group.
     pub runtime: std::time::Duration,
     /// When requested: `decisions[i][s]` is the index (into
     /// `transitions_from(s)`) chosen at step `i+1` (1-based step `i+1`,
@@ -248,13 +251,14 @@ pub(crate) struct Precompute {
     /// `prob_goal[rf] = R(B) / E_R`.
     pub(crate) prob_goal: Vec<f64>,
     /// The fused state-major kernel layout ([`Kernel::Fused`]): one group
-    /// per state, one row per emanating transition with its rate
-    /// function's probability row **duplicated** (un-pooled) into sweep
-    /// order, the goal coefficient inlined as the row bias, and the
-    /// goal/absorbing/single/multi class precomputed per state. The row
-    /// values are copied bit-exactly from `probs`, in row order, so the
-    /// fused kernel reproduces the reference kernel's sums bitwise.
-    pub(crate) fused: FusedGroups,
+    /// per state, one row per emanating transition referencing its rate
+    /// function's interned probability row, the goal coefficient inlined
+    /// as the row bias, and the goal/absorbing/single/multi class
+    /// precomputed per state. The row values are copied bit-exactly from
+    /// `probs`, in row order, so the fused kernel reproduces the
+    /// reference kernel's sums bitwise. `None` in a precomputation built
+    /// for a laned batch, which sweeps a [`Folded`] layout instead.
+    pub(crate) fused: Option<FusedGroups>,
     /// Cross-thread per-[`unicon_sparse::GroupClass`] time attribution,
     /// filled by the fused kernel only while metric telemetry is live.
     /// Purely observational — no value-iteration bit depends on it.
@@ -330,6 +334,14 @@ impl Precompute {
     /// Verifies uniformity and builds the shared traversal structures —
     /// including the fused kernel layout, compiled once per model.
     pub(crate) fn new(ctmdp: &Ctmdp, goal: &[bool]) -> Result<Self, ReachError> {
+        let mut pre = Self::csr_only(ctmdp, goal)?;
+        pre.fused = Some(pre.state_layout(ctmdp, goal));
+        Ok(pre)
+    }
+
+    /// [`Precompute::new`] without the fused state layout: all a laned
+    /// batch reads before it folds the goal states.
+    pub(crate) fn csr_only(ctmdp: &Ctmdp, goal: &[bool]) -> Result<Self, ReachError> {
         validate_goal(goal, ctmdp)?;
         let rate = ctmdp.uniform_rate()?;
         let rfs = ctmdp.rate_functions();
@@ -345,16 +357,32 @@ impl Precompute {
             .iter()
             .map(|rf| rf.rate_into(goal) / rf.total())
             .collect();
+        Ok(Self {
+            rate,
+            probs,
+            prob_goal,
+            fused: None,
+            timing: KernelTiming::default(),
+        })
+    }
 
+    /// Compiles the fused layout with one group per state.
+    fn state_layout(&self, ctmdp: &Ctmdp, goal: &[bool]) -> FusedGroups {
         // Intern each rate-function row once — transitions sharing a rate
         // function reference the same pooled entries, keeping the hot
         // entry pool as small as the CSR the reference kernel reads (and
         // therefore just as cache-resident). Entries are copied bit-exactly
         // from the same CSR rows the reference kernel iterates, so the two
         // kernels see identical coefficients in identical order.
-        let mut fb = FusedBuilder::with_capacity(n, n, ctmdp.num_transitions(), probs.nnz());
-        let pool_rows: Vec<_> = (0..rfs.len())
-            .map(|rf| fb.intern(prob_goal[rf], probs.row(rf).map(|(tgt, p)| (tgt as u32, p))))
+        let n = ctmdp.num_states();
+        let mut fb = FusedBuilder::with_capacity(n, n, ctmdp.num_transitions(), self.probs.nnz());
+        let pool_rows: Vec<_> = (0..self.prob_goal.len())
+            .map(|rf| {
+                fb.intern(
+                    self.prob_goal[rf],
+                    self.probs.row(rf).map(|(tgt, p)| (tgt as u32, p)),
+                )
+            })
             .collect();
         for s in 0..n as u32 {
             if goal[s as usize] {
@@ -367,15 +395,7 @@ impl Precompute {
             }
             fb.end_group();
         }
-        let fused = fb.build();
-
-        Ok(Self {
-            rate,
-            probs,
-            prob_goal,
-            fused,
-            timing: KernelTiming::default(),
-        })
+        fb.build()
     }
 
     /// Heap bytes held by the shared traversal structures (CSR rows, the
@@ -383,7 +403,83 @@ impl Precompute {
     pub(crate) fn memory_bytes(&self) -> usize {
         self.probs.memory_bytes()
             + self.prob_goal.len() * std::mem::size_of::<f64>()
-            + self.fused.memory_bytes()
+            + self.fused.as_ref().map_or(0, FusedGroups::memory_bytes)
+    }
+}
+
+/// The goal-folded layout a laned batch sweeps: the non-goal states
+/// renumbered `0..m` in state order, then one shared slot for every goal
+/// state (when there is one). A row entry into a goal state reads the
+/// slot instead, and the slot is the layout's one fixed group, written
+/// `ψ(i) + slot` per step.
+///
+/// Folding changes no bit. Every goal state starts at `q_{k+1} = +0.0`
+/// and receives the same update `ψ(i) + q_{i+1}(g)`, so all goal states
+/// hold the same value at every step — the slot's. A row therefore reads
+/// the same operands in the same order from the slot as from the states,
+/// and every non-goal state's update is the state layout's.
+#[derive(Debug)]
+pub(crate) struct Folded {
+    pub(crate) groups: FusedGroups,
+    /// The slot of each state.
+    slot: Vec<u32>,
+}
+
+impl Folded {
+    /// Folds the goal states of `pre`'s CSR rows; only the rate
+    /// functions non-goal states use are interned.
+    pub(crate) fn new(ctmdp: &Ctmdp, pre: &Precompute, goal: &[bool]) -> Self {
+        let mut slot = vec![0u32; goal.len()];
+        let mut m = 0u32;
+        for (s, _) in goal.iter().enumerate().filter(|(_, &g)| !g) {
+            slot[s] = m;
+            m += 1;
+        }
+        for (s, _) in goal.iter().enumerate().filter(|(_, &g)| g) {
+            slot[s] = m;
+        }
+        let slots = m as usize + usize::from(goal.contains(&true));
+        let mut fb = FusedBuilder::with_capacity(slots, slots, 0, 0);
+        let mut pool_rows = vec![None; pre.prob_goal.len()];
+        for s in (0..goal.len()).filter(|&s| !goal[s]) {
+            fb.begin_group();
+            for tr in ctmdp.transitions_from(s as u32) {
+                let rf = tr.rate_fn as usize;
+                let row = *pool_rows[rf].get_or_insert_with(|| {
+                    fb.intern(
+                        pre.prob_goal[rf],
+                        pre.probs.row(rf).map(|(tgt, p)| (slot[tgt], p)),
+                    )
+                });
+                fb.push_row(row);
+            }
+            fb.end_group();
+        }
+        if slots > m as usize {
+            fb.fixed_group();
+        }
+        Self {
+            // Plain weights: the value tables' lookup per entry cost the
+            // folded FTWC N=32 sweep 8–15 % on one worker and 18–22 % on
+            // two. Folds that keep most states read 4× the weight bytes;
+            // DESIGN.md records what laned batches on such models took.
+            groups: fb.build_direct(),
+            slot,
+        }
+    }
+
+    /// Lane `lane` of the interleaved plane `q` (`stride` lanes per slot)
+    /// as the n-state vector it stands for: each goal state reads the
+    /// goal slot.
+    pub(crate) fn expand<'a>(
+        &'a self,
+        q: &'a Plane,
+        stride: usize,
+        lane: usize,
+    ) -> impl Iterator<Item = f64> + 'a {
+        self.slot
+            .iter()
+            .map(move |&s| plane::get(q, s as usize * stride + lane))
     }
 }
 
@@ -427,89 +523,140 @@ pub(crate) fn step_state(
     (best, best_idx)
 }
 
-/// What every sweep of one query reads besides the value planes. All
-/// workers of the driver share one `Sweep`, so every state runs the same
-/// per-state operations whichever worker computes it.
+/// What every sweep of one run reads besides the value planes. All
+/// workers of the driver share one `Sweep`, so every group runs the same
+/// operations whichever worker computes it.
+///
+/// A run sweeps either the n states, one query on `kernel`, or — with
+/// `folded` — up to [`unicon_sparse::LANES`] queries as lanes of the
+/// goal-folded layout on the fused kernel, its planes interleaved as
+/// `[slot][lane]`.
 #[derive(Clone, Copy)]
 pub(crate) struct Sweep<'a> {
     pub(crate) kernel: Kernel,
     pub(crate) ctmdp: &'a Ctmdp,
     pub(crate) pre: &'a Precompute,
     pub(crate) goal: &'a [bool],
-    pub(crate) maximize: bool,
+    /// The laned run's layout; `None` sweeps the states.
+    pub(crate) folded: Option<&'a Folded>,
+    /// Each lane's objective, lane 0 first: one unless `folded`. Its
+    /// length is the planes' stride.
+    pub(crate) maximize: &'a [bool],
     /// Attribute kernel time per state class into `pre.timing`; decided
-    /// once per query, while metric telemetry is live.
+    /// once per run, while metric telemetry is live.
     pub(crate) timed: bool,
 }
 
+/// The one-lane objective slices.
+pub(crate) fn objective_lane(objective: Objective) -> &'static [bool] {
+    match objective {
+        Objective::Maximize => &[true],
+        Objective::Minimize => &[false],
+    }
+}
+
 impl Sweep<'_> {
-    /// One value-iteration sweep over `range`, dispatched once per call
-    /// on the selected kernel, reading `q_next` and writing `out` (the
-    /// slice of the output plane for `range`, indexed from
-    /// `range.start`). `decisions` must either be empty (recording off)
-    /// or exactly `range.len()`.
+    /// The groups a step sweeps: the states, or the folded slots.
+    pub(crate) fn groups(&self) -> usize {
+        self.folded
+            .map_or(self.goal.len(), |f| f.groups.num_groups())
+    }
+
+    /// Plane entries per group.
+    pub(crate) fn stride(&self) -> usize {
+        self.maximize.len()
+    }
+
+    /// The chunked checksum of lane `lane` of `q`, read in place as the
+    /// n-state vector it stands for: the bits
+    /// [`unicon_numeric::chunked_stable_sum`] returns for that vector.
+    pub(crate) fn checksum(&self, q: &Plane, lane: usize) -> f64 {
+        let block = crate::par::CHECKSUM_BLOCK;
+        match self.folded {
+            None => plane::chunked_sum(q, block),
+            Some(f) => {
+                let stride = self.stride();
+                combine_chunk_sums(f.slot.chunks(block).map(|c| {
+                    stable_sum(c.iter().map(|&s| plane::get(q, s as usize * stride + lane)))
+                }))
+            }
+        }
+    }
+
+    /// One value-iteration sweep over the groups `range`, reading
+    /// `q_next` and writing `out` (the slice of the output plane for
+    /// `range`, indexed from `range.start`). `psi` holds the active
+    /// lanes' Poisson weights, lane 0 first. `decisions` must either be
+    /// empty (recording off) or exactly `range.len()`; laned runs never
+    /// record.
     ///
-    /// The fused arm delegates the whole range to
-    /// [`FusedGroups::sweep_best`], whose per-group semantics mirror
-    /// [`step_state`] operation for operation: `Fixed` is the goal branch
-    /// (`psi + q_next[s]`), `Empty` the absorbing branch (`0.0`), and
-    /// active groups evaluate each transition's interned row with the
-    /// same bias-then-entries order, the same strict `>`/`<` compares,
-    /// and the same `-1.0`/`+∞` sentinels — so NaN rows keep the sentinel
-    /// and ties keep the first transition in both kernels, and the
-    /// outputs are bitwise identical.
+    /// The fused arms delegate the whole range to
+    /// [`FusedGroups::sweep_best`] or [`FusedGroups::sweep_lanes`], whose
+    /// per-group semantics mirror [`step_state`] operation for operation:
+    /// `Fixed` is the goal branch (`psi + q_next[s]`), `Empty` the
+    /// absorbing branch (`0.0`), and active groups evaluate each
+    /// transition's interned row with the same bias-then-entries order,
+    /// the same strict `>`/`<` compares, and the same `-1.0`/`+∞`
+    /// sentinels — so NaN rows keep the sentinel and ties keep the first
+    /// transition in every kernel, and the outputs are bitwise identical.
     pub(crate) fn run(
         &self,
         range: Range<usize>,
-        psi: f64,
+        psi: &[f64],
         q_next: &Plane,
         out: &Plane,
         decisions: &mut [u16],
     ) {
-        debug_assert_eq!(out.len(), range.len());
+        debug_assert_eq!(out.len(), range.len() * self.stride());
         debug_assert!(decisions.is_empty() || decisions.len() == range.len());
-        let record = !decisions.is_empty();
-        match self.kernel {
-            Kernel::Reference => {
+        // The timed walks write bitwise what the plain sweeps write (see
+        // `sweep_best_timed`), so the values never depend on which path
+        // ran — the bit-invisibility contract the CI trace-on/trace-off
+        // cmp gate pins.
+        let mut t = ClassTiming::default();
+        let (psi0, maximize0) = (psi[0], self.maximize[0]);
+        match (self.folded, self.kernel) {
+            (Some(folded), _) if self.stride() > 1 => {
+                let (groups, stride) = (&folded.groups, self.stride());
+                let maximize = &self.maximize[..psi.len()];
+                if self.timed {
+                    groups.sweep_lanes_timed(range, psi, maximize, q_next, stride, out, &mut t);
+                } else {
+                    groups.sweep_lanes(range, psi, maximize, q_next, stride, out);
+                }
+            }
+            (None, Kernel::Reference) => {
+                let record = !decisions.is_empty();
                 for (i, s) in range.enumerate() {
-                    let (v, idx) = step_state(
-                        self.ctmdp,
-                        self.pre,
-                        self.goal,
-                        s,
-                        psi,
-                        q_next,
-                        self.maximize,
-                    );
+                    let (v, idx) =
+                        step_state(self.ctmdp, self.pre, self.goal, s, psi0, q_next, maximize0);
                     plane::set(out, i, v);
                     if record {
                         decisions[i] = idx;
                     }
                 }
             }
-            Kernel::Fused => {
-                let decisions = if record { Some(decisions) } else { None };
-                let fused = &self.pre.fused;
-                // The timed walk writes bitwise what the plain sweep
-                // writes (see `sweep_best_timed`), so the values never
-                // depend on which path ran — the bit-invisibility
-                // contract the CI trace-on/trace-off cmp gate pins.
+            (folded, _) => {
+                // One lane: the scalar fused sweep, of the folded layout
+                // (a lane group of one) or of the states.
+                let groups = match folded {
+                    Some(f) => &f.groups,
+                    None => self
+                        .pre
+                        .fused
+                        .as_ref()
+                        .expect("a state sweep runs on a full precomputation"),
+                };
+                let decisions = (!decisions.is_empty()).then_some(decisions);
                 if self.timed {
-                    let mut t = ClassTiming::default();
-                    fused.sweep_best_timed(
-                        range,
-                        psi,
-                        q_next,
-                        self.maximize,
-                        out,
-                        decisions,
-                        &mut t,
-                    );
-                    self.pre.timing.add(&t);
+                    groups.sweep_best_timed(range, psi0, q_next, maximize0, out, decisions, &mut t);
                 } else {
-                    fused.sweep_best(range, psi, q_next, self.maximize, out, decisions);
+                    groups.sweep_best(range, psi0, q_next, maximize0, out, decisions);
                 }
             }
+        }
+        if self.timed {
+            self.pre.timing.add(&t);
         }
     }
 }
@@ -526,18 +673,13 @@ pub(crate) fn indicator_result(goal: &[bool], rate: f64) -> ReachResult {
     }
 }
 
-/// Clamps the iterated vector into probabilities and pins goal states to 1
-/// — the common epilogue of every engine.
-pub(crate) fn finalize_values(goal: &[bool], q1: &Plane) -> Vec<f64> {
+/// Clamps the iterated vector `q1`, one value per state, into
+/// probabilities and pins goal states to 1 — the common epilogue of every
+/// engine.
+pub(crate) fn finalize_values(goal: &[bool], q1: impl IntoIterator<Item = f64>) -> Vec<f64> {
     goal.iter()
-        .enumerate()
-        .map(|(s, &g)| {
-            if g {
-                1.0
-            } else {
-                plane::get(q1, s).clamp(0.0, 1.0)
-            }
-        })
+        .zip(q1)
+        .map(|(&g, v)| if g { 1.0 } else { v.clamp(0.0, 1.0) })
         .collect()
 }
 
@@ -578,12 +720,21 @@ pub fn timed_reachability(
 /// bound, observed live. (The raw iterate difference `‖q_i − q_{i+1}‖`
 /// is *not* a convergence certificate here: goal states carry a
 /// constant offset below the Fox–Glynn window, so it plateaus.)
-pub(crate) fn emit_iteration(qi: usize, step: usize, fg: &FoxGlynn, k: usize, new: &Plane) {
+///
+/// `sum` computes the chunked checksum of the fresh iterate, only while
+/// iteration telemetry is live.
+pub(crate) fn emit_iteration(
+    qi: usize,
+    step: usize,
+    fg: &FoxGlynn,
+    k: usize,
+    sum: impl FnOnce() -> f64,
+) {
     if !unicon_obs::live(unicon_obs::Class::Iter) {
         return;
     }
     let residual = (1.0 - fg.tail_from(step)) + fg.tail_from(k + 1);
-    let checksum = plane::chunked_sum(new, crate::par::CHECKSUM_BLOCK).to_bits();
+    let checksum = sum().to_bits();
     unicon_obs::emit(unicon_obs::Class::Iter, || {
         unicon_obs::Event::ReachIteration {
             query: qi,
@@ -690,6 +841,7 @@ mod tests {
     use unicon_ctmc::Ctmc;
     use unicon_numeric::assert_close;
     use unicon_numeric::special::exponential_cdf;
+    use unicon_sparse::GroupClass;
 
     /// A CTMDP with exactly one transition per state, mirroring a CTMC.
     fn chain_as_ctmdp() -> (Ctmdp, Ctmc) {
@@ -700,6 +852,38 @@ mod tests {
         b.transition(2, "a", &[(2, 2.0)]);
         let ctmc = Ctmc::from_rates(3, 0, [(0, 1, 1.0), (0, 0, 1.0), (1, 2, 2.0), (2, 2, 2.0)]);
         (b.build(), ctmc)
+    }
+
+    /// Non-goal states keep their order; every goal state maps to the one
+    /// fixed slot after them, and rows read it in their place.
+    #[test]
+    fn folding_keeps_non_goal_states_and_one_goal_slot() {
+        let (m, _) = chain_as_ctmdp();
+        let goal = [false, true, true];
+        let pre = Precompute::csr_only(&m, &goal).unwrap();
+        assert!(pre.fused.is_none());
+        let folded = Folded::new(&m, &pre, &goal);
+        let g = &folded.groups;
+        assert_eq!(g.num_groups(), 2);
+        assert_eq!(g.classes(), &[GroupClass::Single, GroupClass::Fixed]);
+        // State 0's row: half back to itself, half into the goal slot.
+        let row = g.pool_rows(0)[0] as usize;
+        assert_eq!(
+            g.pool_entries(row).collect::<Vec<_>>(),
+            vec![(0, 0.5), (1, 0.5)]
+        );
+        assert_eq!(g.pool_bias(row), 0.5);
+        let q = plane::from_slice(&[0.25, 0.75]);
+        assert_eq!(
+            folded.expand(&q, 1, 0).collect::<Vec<_>>(),
+            vec![0.25, 0.75, 0.75]
+        );
+        let no_goal = Folded::new(&m, &pre, &[false; 3]);
+        assert!(no_goal
+            .groups
+            .classes()
+            .iter()
+            .all(|&c| c != GroupClass::Fixed));
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! (XorShift64-seeded, so every run sees the same models).
 
 use unicon_ctmdp::par::{
-    timed_reachability_par, timed_reachability_workers, ReachBatch, ReachEngine,
+    timed_reachability_par, timed_reachability_workers, ReachBatch, ReachEngine, CHECKSUM_BLOCK,
 };
 use unicon_ctmdp::reachability::{timed_reachability, Objective, ReachOptions};
 use unicon_ctmdp::{Ctmdp, CtmdpBuilder};
+use unicon_numeric::chunked_stable_sum;
 use unicon_numeric::rng::{Rng, XorShift64};
 
 /// Builds a random uniform CTMDP: every rate function distributes
@@ -277,4 +278,213 @@ fn engine_keeps_one_counted_pair_of_planes_under_concurrency() {
     assert!(allocs >= 2);
     engine.query(&m, 0.8, Objective::Maximize, 1e-9, 1).unwrap();
     assert_eq!(engine.buffer_allocs(), allocs, "the kept pair serves it");
+}
+
+/// Runs `queries` as one batch on exactly 1, 2 and 8 workers and holds
+/// every answer to its query run alone: values, iteration count and
+/// checksum, bit for bit. On the fused kernel a batch with two or more
+/// bounds above zero runs them as lanes over the goal-folded model, split
+/// across the workers by query first and by slot after.
+fn assert_batch_matches_singles(
+    m: &Ctmdp,
+    goal: &[bool],
+    queries: &[(f64, Objective)],
+    label: &str,
+) {
+    let eps = 1e-9;
+    let singles: Vec<_> = queries
+        .iter()
+        .map(|&(t, objective)| {
+            let opts = ReachOptions::default()
+                .with_epsilon(eps)
+                .with_objective(objective);
+            timed_reachability(m, goal, t, &opts).unwrap()
+        })
+        .collect();
+    for workers in [1, 2, 8] {
+        let batch = queries.iter().fold(
+            ReachBatch::new(m, goal)
+                .with_epsilon(eps)
+                .with_exact_workers(workers),
+            |b, &(t, objective)| b.query_with(t, objective),
+        );
+        let out = batch.run().unwrap();
+        assert_eq!(out.results.len(), queries.len(), "{label}");
+        for (i, ((r, q), single)) in out
+            .results
+            .iter()
+            .zip(&out.stats.queries)
+            .zip(&singles)
+            .enumerate()
+        {
+            let at = format!("{label} workers={workers} query {i} {:?}", queries[i]);
+            assert_eq!(bits(&r.values), bits(&single.values), "{at}");
+            assert_eq!(r.iterations, single.iterations, "{at}");
+            assert_eq!(q.iterations, single.iterations, "{at}");
+            assert_eq!(
+                q.checksum.to_bits(),
+                chunked_stable_sum(&single.values, CHECKSUM_BLOCK).to_bits(),
+                "{at}"
+            );
+        }
+        assert_eq!(
+            out.stats.total_iterations,
+            singles.iter().map(|s| s.iterations).sum::<usize>(),
+            "{label}"
+        );
+    }
+}
+
+/// Random batches of 2 to 9 queries — mixed objectives, repeated bounds,
+/// zero bounds — on random models: some fill one lane group, some two.
+#[test]
+fn laned_batches_are_bitwise_equal_to_their_single_queries() {
+    const BOUNDS: [f64; 6] = [0.0, 0.3, 1.0, 1.0, 2.5, 4.0];
+    let mut rng = XorShift64::seed_from_u64(0x1a4e_5eed);
+    for seed in 0..12 {
+        let n = 5 + rng.random_range(40);
+        let m = random_uniform_ctmdp(n, 100 + seed);
+        let goal = random_goal(n, 100 + seed);
+        let queries: Vec<(f64, Objective)> = (0..2 + rng.random_range(8))
+            .map(|_| {
+                let objective = if rng.random_range(2) == 0 {
+                    Objective::Maximize
+                } else {
+                    Objective::Minimize
+                };
+                (BOUNDS[rng.random_range(BOUNDS.len())], objective)
+            })
+            .collect();
+        assert_batch_matches_singles(&m, &goal, &queries, &format!("seed {seed} n={n}"));
+    }
+}
+
+/// The models folding special-cases: no goal state (no goal slot), every
+/// state a goal (nothing but the slot), a state whose only successor is a
+/// goal state (a row that reads the slot alone), and an absorbing
+/// non-goal state.
+#[test]
+fn laned_batches_fold_edge_models_bitwise() {
+    let queries = [
+        (0.5, Objective::Maximize),
+        (2.0, Objective::Minimize),
+        (2.0, Objective::Maximize),
+        (0.0, Objective::Minimize),
+    ];
+    let m = random_uniform_ctmdp(20, 41);
+    assert_batch_matches_singles(&m, &[false; 20], &queries, "no goal");
+    assert_batch_matches_singles(&m, &[true; 20], &queries, "all goal");
+
+    let mut b = CtmdpBuilder::new(5, 0);
+    b.transition(0, "go", &[(1, 2.0)]); // only successor: a goal state
+    b.transition(0, "stay", &[(0, 1.0), (2, 1.0)]);
+    b.transition(1, "loop", &[(1, 2.0)]);
+    b.transition(2, "a", &[(3, 1.0), (4, 1.0)]);
+    b.transition(3, "to_goal", &[(4, 2.0)]); // a second goal, same slot
+    let m = b.build(); // state 4 has no transitions
+    assert_batch_matches_singles(
+        &m,
+        &[false, true, false, false, true],
+        &queries,
+        "goal-only row",
+    );
+    assert_batch_matches_singles(
+        &m,
+        &[false, true, false, false, false],
+        &queries,
+        "absorbing",
+    );
+}
+
+/// More than four lanes run as two groups, one after another on one
+/// worker, and share one pair of planes whether one worker runs them or
+/// the workers split them by query: the `buffer_allocs` probe of a laned
+/// batch.
+#[test]
+fn laned_batch_groups_share_one_pair_of_planes() {
+    let n = 30;
+    let m = random_uniform_ctmdp(n, 29);
+    let goal = random_goal(n, 29);
+    let bounds = [0.4, 3.0, 1.2, 2.2, 0.8, 1.6];
+    let queries: Vec<_> = bounds.iter().map(|&t| (t, Objective::Maximize)).collect();
+    assert_batch_matches_singles(&m, &goal, &queries, "six lanes");
+    for workers in [1, 3, 8] {
+        let batch = bounds.iter().fold(
+            ReachBatch::new(&m, &goal).with_exact_workers(workers),
+            |b, &t| b.query(t),
+        );
+        let out = batch.run().unwrap();
+        assert_eq!(out.stats.buffer_allocs, 2, "workers={workers}");
+        if workers == 1 {
+            // Lanes run k descending: the four longest, then the rest.
+            let mut k: Vec<usize> = out.results.iter().map(|r| r.iterations).collect();
+            k.sort_unstable_by(|a, b| b.cmp(a));
+            assert_eq!(out.stats.sweeps, k[0] + k[4]);
+        }
+    }
+}
+
+/// A laned batch reports each query's iteration records exactly as the
+/// query run alone does: the same steps, Poisson weights, residuals and
+/// checksums of the n-state iterate, however the lanes interleave them —
+/// over one checksum block and over several.
+#[test]
+fn laned_iteration_records_match_single_queries() {
+    for n in [25, 3 * CHECKSUM_BLOCK + 7] {
+        let m = random_uniform_ctmdp(n, 31);
+        let goal = random_goal(n, 31);
+        assert_laned_records_match(&m, &goal);
+    }
+}
+
+fn assert_laned_records_match(m: &Ctmdp, goal: &[bool]) {
+    let queries = [
+        (1.5, Objective::Maximize),
+        (0.5, Objective::Minimize),
+        (3.0, Objective::Minimize),
+    ];
+    let records = |events: Vec<unicon_obs::Event>| {
+        let mut rows: Vec<_> = events
+            .into_iter()
+            .filter_map(|ev| match ev {
+                unicon_obs::Event::ReachIteration {
+                    query,
+                    step,
+                    psi,
+                    residual,
+                    checksum,
+                } => Some((query, step, psi.to_bits(), residual.to_bits(), checksum)),
+                _ => None,
+            })
+            .collect();
+        rows.sort_by_key(|&(query, step, ..)| (query, std::cmp::Reverse(step)));
+        rows
+    };
+    let (_, events) = unicon_obs::collect(|| {
+        queries
+            .iter()
+            .fold(
+                ReachBatch::new(m, goal).with_exact_workers(2),
+                |b, &(t, o)| b.query_with(t, o),
+            )
+            .run()
+            .unwrap()
+    });
+    let laned = records(events);
+    let mut alone = Vec::new();
+    for (qi, &(t, objective)) in queries.iter().enumerate() {
+        let (_, events) = unicon_obs::collect(|| {
+            ReachBatch::new(m, goal)
+                .query_with(t, objective)
+                .run()
+                .unwrap()
+        });
+        alone.extend(
+            records(events)
+                .into_iter()
+                .map(|r| (qi, r.1, r.2, r.3, r.4)),
+        );
+    }
+    assert!(!alone.is_empty());
+    assert_eq!(laned, alone, "n={}", goal.len());
 }

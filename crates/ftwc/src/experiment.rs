@@ -6,7 +6,7 @@ use unicon_core::{PreparedModel, Refiner};
 use unicon_ctmc::transient::{self, TransientOptions};
 use unicon_ctmdp::export;
 use unicon_ctmdp::par::BatchResult;
-use unicon_ctmdp::reachability::{Kernel, ReachResult};
+use unicon_ctmdp::reachability::{Kernel, Objective, ReachResult};
 use unicon_imc::audit::{with_recording, Obligation};
 
 use crate::compositional::{self, BuildTimings};
@@ -191,12 +191,20 @@ pub fn reach_bench(
     epsilon: f64,
     threads: usize,
 ) -> ReachBench {
-    reach_bench_with_kernel(params, time_bounds, epsilon, threads, Kernel::default())
+    reach_bench_with_kernel(
+        params,
+        time_bounds,
+        epsilon,
+        threads,
+        Kernel::default(),
+        Objective::Maximize,
+    )
 }
 
-/// [`reach_bench`] with an explicit value-iteration kernel — the
-/// differential-benchmarking entry behind `unicon reach --ftwc --kernel`.
-/// Both kernels return bitwise-identical values; only the timings differ.
+/// [`reach_bench`] with an explicit value-iteration kernel and objective
+/// — the differential-benchmarking entry behind
+/// `unicon reach --ftwc --kernel [--min]`. Both kernels return
+/// bitwise-identical values; only the timings differ.
 ///
 /// # Panics
 ///
@@ -207,6 +215,7 @@ pub fn reach_bench_with_kernel(
     epsilon: f64,
     threads: usize,
     kernel: Kernel,
+    objective: Objective,
 ) -> ReachBench {
     let (prepared, build_time) = prepare(params);
 
@@ -216,7 +225,7 @@ pub fn reach_bench_with_kernel(
         .with_threads(threads)
         .with_kernel(kernel);
     for &t in time_bounds {
-        batch = batch.query(t);
+        batch = batch.query_with(t, objective);
     }
     let batch = batch.run().expect("FTWC CTMDP is uniform");
     ReachBench {

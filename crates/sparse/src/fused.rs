@@ -22,12 +22,18 @@
 //!   to `u16` when the column space allows it, and weights/biases
 //!   dedupe into a cache-resident `f64` table indexed by `u16` when
 //!   they take few enough distinct values — both with transparent
-//!   wide/direct fallbacks chosen per model at build time. A table
+//!   wide/direct fallbacks chosen per model at build time
+//!   ([`FusedBuilder::build_direct`] keeps values uncompressed). A table
 //!   lookup returns the exact stored bits, so compression is invisible
 //!   to the arithmetic;
 //! * the whole sweep ([`FusedGroups::sweep_best`]) is one pass in group
 //!   order, monomorphized per storage combination, so the per-entry
-//!   loop carries no representation branches.
+//!   loop carries no representation branches;
+//! * [`FusedGroups::sweep_lanes`] runs the same pass for up to [`LANES`]
+//!   independent problems at once over planes interleaved as
+//!   `[group][lane]`: each entry is streamed once and updates every
+//!   active lane, and each lane performs exactly the single-lane
+//!   operations in exactly their order.
 //!
 //! The evaluation order inside a row — bias term first, then the
 //! entries in storage order — is part of the layout's contract: callers
@@ -42,6 +48,10 @@ use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use crate::plane::{self, Plane};
+
+/// The most lanes one [`FusedGroups::sweep_lanes`] call advances — the
+/// widest interleaved plane stride.
+pub const LANES: usize = 4;
 
 /// Precomputed class of one group — the byte the kernel dispatches on
 /// instead of re-deriving per-sweep branches.
@@ -467,8 +477,32 @@ impl FusedGroups {
         mut decisions: Option<&mut [u16]>,
         timing: &mut ClassTiming,
     ) {
-        assert!(groups.end <= self.num_groups(), "group range out of bounds");
         let base = groups.start;
+        self.time_by_class(groups, 1, timing, |r| {
+            self.sweep_best(
+                r.clone(),
+                scale,
+                x,
+                maximize,
+                &out[r.start - base..r.end - base],
+                decisions
+                    .as_deref_mut()
+                    .map(|d| &mut d[r.start - base..r.end - base]),
+            );
+        });
+    }
+
+    /// Splits `groups` at the exact-class run boundaries and runs `sweep`
+    /// on each piece between two clock reads, attributing the time, and
+    /// `per_group` units for each group of the piece, to its class.
+    fn time_by_class(
+        &self,
+        groups: Range<usize>,
+        per_group: u64,
+        timing: &mut ClassTiming,
+        mut sweep: impl FnMut(Range<usize>),
+    ) {
+        assert!(groups.end <= self.num_groups(), "group range out of bounds");
         let mut ri = self
             .class_runs
             .partition_point(|&(end, _)| (end as usize) <= groups.start);
@@ -477,25 +511,136 @@ impl FusedGroups {
             let (run_end, class) = self.class_runs[ri];
             let end = (run_end as usize).min(groups.end);
             // det-lint: allow(clock): timing attribution only — the swept
-            // values are produced by the deterministic sweep_best call
-            // between the two clock reads and never depend on them.
+            // values are produced by the deterministic sweep between the
+            // two clock reads and never depend on them.
             let t0 = Instant::now();
-            self.sweep_best(
-                g..end,
-                scale,
-                x,
-                maximize,
-                &out[g - base..end - base],
-                decisions
-                    .as_deref_mut()
-                    .map(|d| &mut d[g - base..end - base]),
-            );
+            sweep(g..end);
             let dt = t0.elapsed();
             let ci = class as usize;
             timing.ns[ci] += u64::try_from(dt.as_nanos()).unwrap_or(u64::MAX);
-            timing.groups[ci] += (end - g) as u64;
+            timing.groups[ci] += (end - g) as u64 * per_group;
             g = end;
             ri += 1;
+        }
+    }
+
+    /// [`FusedGroups::sweep_best`] for `psi.len()` independent lanes at
+    /// once. Planes are interleaved as `[group][lane]` with `stride`
+    /// entries per group: lane `l` of group `g` is entry `g * stride + l`
+    /// of `x`, and entry `(g - groups.start) * stride + l` of `out`.
+    /// Lane `l` is swept with scale `psi[l]` and objective
+    /// `maximize[l]`; lanes `psi.len()..stride` are neither read nor
+    /// written. No decisions are recorded.
+    ///
+    /// Each lane performs exactly the operations of a single-lane
+    /// [`FusedGroups::sweep_best`] in exactly its order — the bias term
+    /// first, then the entries in storage order, strict compares against
+    /// the same sentinels — so lane `l`'s output is bitwise what
+    /// `sweep_best` writes for that lane's plane alone. The lanes only
+    /// share the stream of the layout: every entry is read once and
+    /// updates every lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `groups` is out of range, `psi` and `maximize` differ in
+    /// length, more lanes are active than `stride` holds, `stride`
+    /// exceeds [`LANES`], or a plane is too short.
+    pub fn sweep_lanes(
+        &self,
+        groups: Range<usize>,
+        psi: &[f64],
+        maximize: &[bool],
+        x: &Plane,
+        stride: usize,
+        out: &Plane,
+    ) {
+        assert!(groups.end <= self.num_groups(), "group range out of bounds");
+        assert_eq!(psi.len(), maximize.len(), "one objective per lane");
+        assert!(
+            psi.len() <= stride && stride <= LANES,
+            "{} lanes do not fit a stride of {stride} (at most {LANES})",
+            psi.len()
+        );
+        let lanes = LaneArgs {
+            groups,
+            x,
+            stride,
+            out,
+        };
+        match psi.len() {
+            0 => {}
+            1 => self.lanes_by_storage::<1>(lanes, psi, maximize),
+            2 => self.lanes_by_storage::<2>(lanes, psi, maximize),
+            3 => self.lanes_by_storage::<3>(lanes, psi, maximize),
+            _ => self.lanes_by_storage::<4>(lanes, psi, maximize),
+        }
+    }
+
+    /// [`FusedGroups::sweep_lanes`] with per-[`GroupClass`] time
+    /// attribution accumulated into `timing`, one group counted once per
+    /// active lane. As with [`FusedGroups::sweep_best_timed`], the output
+    /// is byte-for-byte what the untimed sweep writes.
+    ///
+    /// # Panics
+    ///
+    /// As [`FusedGroups::sweep_lanes`].
+    #[allow(clippy::too_many_arguments)] // sweep_lanes's signature plus the timing accumulator
+    pub fn sweep_lanes_timed(
+        &self,
+        groups: Range<usize>,
+        psi: &[f64],
+        maximize: &[bool],
+        x: &Plane,
+        stride: usize,
+        out: &Plane,
+        timing: &mut ClassTiming,
+    ) {
+        let base = groups.start;
+        self.time_by_class(groups, psi.len() as u64, timing, |r| {
+            let out = &out[(r.start - base) * stride..(r.end - base) * stride];
+            self.sweep_lanes(r, psi, maximize, x, stride, out);
+        });
+    }
+
+    /// One dispatch per call on the storage combination, as in
+    /// [`FusedGroups::sweep_best`], for `A` active lanes.
+    fn lanes_by_storage<const A: usize>(
+        &self,
+        lanes: LaneArgs<'_>,
+        psi: &[f64],
+        maximize: &[bool],
+    ) {
+        let psi: [f64; A] = psi.try_into().expect("one scale per active lane");
+        let maximize: [bool; A] = maximize.try_into().expect("one objective per active lane");
+        match (&self.col, &self.weight) {
+            (ColData::Narrow(c), ValData::Indexed { idx, table }) => {
+                sweep_lanes_generic(
+                    self,
+                    c,
+                    idx,
+                    |ix| table[usize::from(ix)],
+                    lanes,
+                    psi,
+                    maximize,
+                );
+            }
+            (ColData::Narrow(c), ValData::Direct(w)) => {
+                sweep_lanes_generic(self, c, w, |w| w, lanes, psi, maximize);
+            }
+            (ColData::Wide(c), ValData::Indexed { idx, table }) => {
+                sweep_lanes_generic(
+                    self,
+                    c,
+                    idx,
+                    |ix| table[usize::from(ix)],
+                    lanes,
+                    psi,
+                    maximize,
+                );
+            }
+            (ColData::Wide(c), ValData::Direct(w)) => {
+                sweep_lanes_generic(self, c, w, |w| w, lanes, psi, maximize);
+            }
         }
     }
 
@@ -586,6 +731,102 @@ fn sweep_best_generic<C: Copy + Into<u32>, R: Copy>(
                     plane::set(out, s - base, best);
                     if let Some(d) = decisions.as_deref_mut() {
                         d[s - base] = best_idx;
+                    }
+                }
+            }
+        }
+        g = end;
+        ri += 1;
+    }
+}
+
+/// The group range and interleaved planes of one lane sweep.
+struct LaneArgs<'a> {
+    groups: Range<usize>,
+    x: &'a Plane,
+    stride: usize,
+    out: &'a Plane,
+}
+
+/// The lane sweep body, monomorphized per storage combination (as
+/// [`sweep_best_generic`]) and per active lane count `A`, so the
+/// per-lane loops have a fixed trip count. Per lane it is
+/// `sweep_best_generic`'s loop without decisions: the objective is a
+/// per-lane select instead of a per-sweep constant.
+#[inline(never)]
+fn sweep_lanes_generic<const A: usize, C: Copy + Into<u32>, R: Copy>(
+    f: &FusedGroups,
+    col: &[C],
+    wraw: &[R],
+    wmap: impl Fn(R) -> f64 + Copy,
+    lanes: LaneArgs<'_>,
+    psi: [f64; A],
+    maximize: [bool; A],
+) {
+    let LaneArgs {
+        groups,
+        x,
+        stride,
+        out,
+    } = lanes;
+    let base = groups.start;
+    let sentinel: [f64; A] =
+        std::array::from_fn(|l| if maximize[l] { -1.0 } else { f64::INFINITY });
+    let lane_out = |s: usize| &out[(s - base) * stride..][..A];
+    let mut ri = f
+        .runs
+        .partition_point(|&(end, _)| (end as usize) <= groups.start);
+    let mut g = groups.start;
+    while g < groups.end {
+        let (run_end, kind) = f.runs[ri];
+        let end = (run_end as usize).min(groups.end);
+        match kind {
+            RunKind::Fixed => {
+                for s in g..end {
+                    let xs = &x[s * stride..][..A];
+                    for ((o, xi), p) in lane_out(s).iter().zip(xs).zip(psi) {
+                        let xi = f64::from_bits(xi.load(Ordering::Relaxed));
+                        o.store((p + xi).to_bits(), Ordering::Relaxed);
+                    }
+                }
+            }
+            RunKind::Empty => {
+                for s in g..end {
+                    for o in lane_out(s) {
+                        o.store(0.0f64.to_bits(), Ordering::Relaxed);
+                    }
+                }
+            }
+            RunKind::Active => {
+                for s in g..end {
+                    let rlo = f.group_ptr[s] as usize;
+                    let rhi = f.group_ptr[s + 1] as usize;
+                    let mut best = sentinel;
+                    for &p in &f.row_pool[rlo..rhi] {
+                        let p = p as usize;
+                        let (lo, hi) = (f.pool_ptr[p] as usize, f.pool_ptr[p + 1] as usize);
+                        let bias = f.bias.at(p);
+                        let mut v: [f64; A] = std::array::from_fn(|l| psi[l] * bias);
+                        for (&c, &w) in col[lo..hi].iter().zip(&wraw[lo..hi]) {
+                            let w = wmap(w);
+                            let xs = &x[c.into() as usize * stride..][..A];
+                            for (vl, xl) in v.iter_mut().zip(xs) {
+                                *vl += w * f64::from_bits(xl.load(Ordering::Relaxed));
+                            }
+                        }
+                        for l in 0..A {
+                            let better = if maximize[l] {
+                                v[l] > best[l]
+                            } else {
+                                v[l] < best[l]
+                            };
+                            if better {
+                                best[l] = v[l];
+                            }
+                        }
+                    }
+                    for (o, b) in lane_out(s).iter().zip(best) {
+                        o.store(b.to_bits(), Ordering::Relaxed);
                     }
                 }
             }
@@ -739,6 +980,22 @@ impl FusedBuilder {
     /// Panics if a group is still open.
     #[must_use]
     pub fn build(self) -> FusedGroups {
+        self.finish(compress_vals)
+    }
+
+    /// [`FusedBuilder::build`] with weights and biases stored as plain
+    /// `f64`s, so an entry costs no table lookup: for a sweep bound by
+    /// that dependent lookup rather than by the extra bytes read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a group is still open.
+    #[must_use]
+    pub fn build_direct(self) -> FusedGroups {
+        self.finish(ValData::Direct)
+    }
+
+    fn finish(self, vals: fn(Vec<f64>) -> ValData) -> FusedGroups {
         assert!(!self.open, "close the open group before building");
         let mut runs: Vec<(u32, RunKind)> = Vec::new();
         let mut class_runs: Vec<(u32, GroupClass)> = Vec::new();
@@ -766,9 +1023,9 @@ impl FusedBuilder {
             group_ptr: self.group_ptr,
             row_pool: self.row_pool,
             pool_ptr: self.pool_ptr,
-            bias: compress_vals(self.bias),
+            bias: vals(self.bias),
             col,
-            weight: compress_vals(self.weight),
+            weight: vals(self.weight),
         }
     }
 }
@@ -805,6 +1062,10 @@ mod tests {
     }
 
     fn sample() -> FusedGroups {
+        sample_builder().build()
+    }
+
+    fn sample_builder() -> FusedBuilder {
         let mut b = FusedBuilder::with_capacity(4, 4, 3, 5);
         b.fixed_group(); // group 0
         let shared = b.intern(0.25, [(0, 0.5), (3, 0.5)]);
@@ -817,7 +1078,7 @@ mod tests {
         b.begin_group(); // group 3: single row sharing group 1's pool row
         b.push_row(shared);
         b.end_group();
-        b.build()
+        b
     }
 
     #[test]
@@ -901,20 +1162,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sweep_best_subranges_agree_with_full_sweep() {
-        // Many groups with varied classes and row lengths; every split
-        // point must reproduce the full sweep bitwise — the property the
-        // parallel engine relies on.
-        let mut b = FusedBuilder::with_capacity(16, 12, 24, 96);
-        let mut rng = 0x2545_f491_4f6c_dd1du64;
+    /// Many groups with varied classes and row lengths: every fourth
+    /// group fixed, every fourth empty, the rest one to three rows of one
+    /// to four entries into 16 columns.
+    fn varied(groups: u64, mut rng: u64) -> FusedBuilder {
+        let mut b = FusedBuilder::with_capacity(16, groups as usize, 24, 96);
         let mut next = || {
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
             rng
         };
-        for g in 0..12u64 {
+        for g in 0..groups {
             match g % 4 {
                 0 => b.fixed_group(),
                 1 => {
@@ -934,7 +1193,14 @@ mod tests {
                 }
             }
         }
-        let f = b.build();
+        b
+    }
+
+    #[test]
+    fn sweep_best_subranges_agree_with_full_sweep() {
+        // Every split point must reproduce the full sweep bitwise — the
+        // property the parallel engine relies on.
+        let f = varied(12, 0x2545_f491_4f6c_dd1d).build();
         let x: Vec<f64> = (0..16).map(|i| f64::from(i) * 0.37 + 0.01).collect();
         let mut full = vec![0.0; 12];
         let mut full_dec = vec![0u16; 12];
@@ -1060,6 +1326,19 @@ mod tests {
     }
 
     #[test]
+    fn build_direct_stores_plain_values() {
+        let f = sample_builder().build_direct();
+        assert!(matches!(f.weight, ValData::Direct(_)));
+        assert!(matches!(f.bias, ValData::Direct(_)));
+        assert!(matches!(sample().weight, ValData::Indexed { .. }));
+        assert_eq!(f.pool_bias(0), 0.25);
+        assert_eq!(
+            f.pool_entries(0).collect::<Vec<_>>(),
+            vec![(0, 0.5), (3, 0.5)]
+        );
+    }
+
+    #[test]
     fn value_compression_preserves_exact_bits() {
         // Values engineered to collide in magnitude but differ in bits:
         // 0.0 vs -0.0 and two NaNs with different payloads.
@@ -1102,5 +1381,131 @@ mod tests {
     fn out_of_range_columns_are_rejected() {
         let mut b = FusedBuilder::with_capacity(2, 1, 1, 1);
         b.intern(0.0, [(2, 1.0)]);
+    }
+
+    /// Ties, a NaN row before a finite one, and an all-NaN group.
+    fn ties_and_nans() -> FusedBuilder {
+        let mut b = FusedBuilder::with_capacity(3, 3, 5, 5);
+        b.begin_group();
+        b.push_row_inline(0.5, [(0, 1.0)]);
+        b.push_row_inline(0.5, [(0, 1.0)]);
+        b.end_group();
+        b.begin_group();
+        b.push_row_inline(f64::NAN, [(0, 1.0)]);
+        b.push_row_inline(0.25, [(1, 1.0)]);
+        b.end_group();
+        b.begin_group();
+        b.push_row_inline(f64::NAN, [(2, 1.0)]);
+        b.end_group();
+        b
+    }
+
+    /// Lane `l`'s plane over `cols` columns.
+    fn lane_x(cols: usize, l: usize) -> Vec<f64> {
+        (0..cols)
+            .map(|i| (i as f64 * 0.37 + 0.01) / (l as f64 + 1.0))
+            .collect()
+    }
+
+    /// Interleaves one plane per lane as `[column][lane]`.
+    fn interleave(lanes: &[Vec<f64>]) -> Vec<f64> {
+        let cols = lanes[0].len();
+        (0..cols * lanes.len())
+            .map(|i| lanes[i % lanes.len()][i / lanes.len()])
+            .collect()
+    }
+
+    /// Every stride and active lane count, with mixed objectives, over
+    /// the whole range and every split of it, compressed and direct: each
+    /// active lane is bitwise the single-lane sweep of its own plane over
+    /// the compressed layout, and no inactive lane is written.
+    #[test]
+    fn sweep_lanes_is_each_lanes_single_sweep_bitwise() {
+        const MARK: f64 = 7.5;
+        let builders: [fn() -> FusedBuilder; 4] = [
+            sample_builder,
+            ties_and_nans,
+            || varied(13, 0x9e37_79b9_7f4a_7c15),
+            || varied(4, 7),
+        ];
+        for (f, lanes) in builders.iter().flat_map(|b| {
+            [
+                (b().build(), b().build()),
+                (b().build(), b().build_direct()),
+            ]
+        }) {
+            let (n, cols) = (f.num_groups(), f.cols().max(f.num_groups()));
+            for stride in 1..=LANES {
+                let planes: Vec<Vec<f64>> = (0..stride).map(|l| lane_x(cols, l)).collect();
+                let x = plane::from_slice(&interleave(&planes));
+                for active in 0..=stride {
+                    let psi: Vec<f64> = (0..active).map(|l| 0.3 + 0.2 * l as f64).collect();
+                    let maximize: Vec<bool> = (0..active).map(|l| (l + stride) % 2 == 0).collect();
+                    let mut expected = Vec::new();
+                    for l in 0..active {
+                        let mut single = vec![0.0; n];
+                        sweep(&f, 0..n, psi[l], &planes[l], maximize[l], &mut single, None);
+                        expected.push(single);
+                    }
+                    for split in 0..=n {
+                        let out = plane::from_slice(&vec![MARK; n * stride]);
+                        lanes.sweep_lanes(
+                            0..split,
+                            &psi,
+                            &maximize,
+                            &x,
+                            stride,
+                            &out[..split * stride],
+                        );
+                        lanes.sweep_lanes(
+                            split..n,
+                            &psi,
+                            &maximize,
+                            &x,
+                            stride,
+                            &out[split * stride..],
+                        );
+                        for g in 0..n {
+                            for l in 0..stride {
+                                let got = plane::get(&out, g * stride + l);
+                                let want = expected.get(l).map_or(MARK, |e| e[g]);
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "stride {stride} active {active} split {split} group {g} lane {l}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn timed_lane_sweep_is_bitwise_identical_and_counts_lanes() {
+        let f = sample();
+        let planes: Vec<Vec<f64>> = (0..3).map(|l| lane_x(4, l)).collect();
+        let x = plane::from_slice(&interleave(&planes));
+        let (psi, maximize) = ([0.7, 0.4], [true, false]);
+        let plain = plane::from_slice(&[0.0; 12]);
+        f.sweep_lanes(0..4, &psi, &maximize, &x, 3, &plain);
+        let timed = plane::from_slice(&[0.0; 12]);
+        let mut timing = ClassTiming::default();
+        f.sweep_lanes_timed(0..4, &psi, &maximize, &x, 3, &timed, &mut timing);
+        assert_eq!(plane::to_vec(&timed), plane::to_vec(&plain));
+        // One group per class, counted once per active lane.
+        assert_eq!(timing.groups, [2, 2, 2, 2]);
+        let part = plane::from_slice(&[0.0; 6]);
+        f.sweep_lanes_timed(1..3, &psi, &maximize, &x, 3, &part, &mut timing);
+        assert_eq!(timing.groups, [2, 4, 2, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit")]
+    fn more_lanes_than_the_stride_are_rejected() {
+        let f = sample();
+        let x = plane::from_slice(&[0.0; 4]);
+        f.sweep_lanes(0..4, &[1.0, 1.0], &[true, true], &x, 1, &x);
     }
 }

@@ -36,5 +36,5 @@ pub mod plane;
 pub use chunk::{assign_blocks, fixed_blocks, RowChunk};
 pub use coo::CooBuilder;
 pub use csr::{CsrMatrix, RowIter};
-pub use fused::{ClassTiming, FusedBuilder, FusedGroups, GroupClass, PoolRow};
+pub use fused::{ClassTiming, FusedBuilder, FusedGroups, GroupClass, PoolRow, LANES};
 pub use plane::Plane;

@@ -495,17 +495,21 @@ pub fn transform(imc: &Imc) -> Result<TransformOutput, TransformError> {
         })
         .collect();
 
-    unicon_imc::audit::record(
-        "transform",
-        unicon_imc::audit::lemma::THEOREM1,
-        View::Closed,
-        &[imc],
-        &strictly_alternating,
-        unicon_imc::audit::Witness::Transform {
-            ctmdp_fingerprint: ctmdp.fingerprint(),
-            rate: ctmdp.uniform_rate().ok(),
-        },
-    );
+    // The witness fingerprints the whole CTMDP: build it only for a
+    // ledger that keeps it.
+    if unicon_imc::audit::is_recording() {
+        unicon_imc::audit::record(
+            "transform",
+            unicon_imc::audit::lemma::THEOREM1,
+            View::Closed,
+            &[imc],
+            &strictly_alternating,
+            unicon_imc::audit::Witness::Transform {
+                ctmdp_fingerprint: ctmdp.fingerprint(),
+                rate: ctmdp.uniform_rate().ok(),
+            },
+        );
+    }
 
     let (markov_states, interactive_states, _, _) = strictly_alternating.kind_counts();
     let stats = TransformStats {

@@ -674,6 +674,11 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, CliError> {
         .map_or(Ok(0), |s| parse_usize("--threads", s))?;
     let kernel = kernel_or_default(&cli)?;
     let guard = guard_spec(&cli)?;
+    let objective = if cli.has("--min") {
+        Objective::Minimize
+    } else {
+        Objective::Maximize
+    };
 
     if let Some(nspec) = cli.value("--ftwc") {
         let n = parse_usize("--ftwc", nspec)?;
@@ -687,6 +692,7 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, CliError> {
                         epsilon,
                         threads,
                         kernel,
+                        objective,
                     )
                 });
                 let initial = bench.initial;
@@ -708,7 +714,7 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, CliError> {
                     .with_threads(threads)
                     .with_kernel(kernel);
                 for &t in &bounds {
-                    batch = batch.query(t);
+                    batch = batch.query_with(t, objective);
                 }
                 let meta = format!(
                     "\"case_study\":\"ftwc\",\"n\":{n},\"states\":{}",
@@ -738,11 +744,6 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, CliError> {
             out.goal_vector_exact(&goal)
         } else {
             out.goal_vector(&goal)
-        };
-        let objective = if cli.has("--min") {
-            Objective::Minimize
-        } else {
-            Objective::Maximize
         };
         let mut batch = ReachBatch::new(&out.ctmdp, &cgoal)
             .with_epsilon(epsilon)
@@ -880,28 +881,35 @@ fn run_collected<T>(cli: &Cli<'_>, f: impl FnOnce() -> T) -> (T, Vec<obs::Event>
 
 /// Writes the `--residuals-out` CSV: one row per value-iteration step,
 /// with the convergence residual (unprocessed Poisson mass) and the
-/// deterministic value checksum of the step's iterate.
+/// deterministic value checksum of the step's iterate. Rows are grouped
+/// by query, steps descending: a laned batch reports its queries' steps
+/// interleaved, and the file must not depend on how the queries ran.
 fn write_residuals(cli: &Cli<'_>, events: &[obs::Event], bounds: &[f64]) -> Result<(), CliError> {
     let Some(path) = cli.value("--residuals-out") else {
         return Ok(());
     };
+    let mut rows: Vec<_> = events
+        .iter()
+        .filter_map(|ev| match ev {
+            obs::Event::ReachIteration {
+                query,
+                step,
+                psi,
+                residual,
+                checksum,
+            } => Some((*query, *step, *psi, *residual, *checksum)),
+            _ => None,
+        })
+        .collect();
+    rows.sort_by_key(|&(query, step, ..)| (query, std::cmp::Reverse(step)));
     let mut csv = String::from("query,t,step,psi,residual,checksum\n");
-    for ev in events {
-        if let obs::Event::ReachIteration {
-            query,
-            step,
-            psi,
-            residual,
-            checksum,
-        } = ev
-        {
-            let t = bounds.get(*query).copied().unwrap_or(f64::NAN);
-            writeln!(
-                csv,
-                "{query},{t},{step},{psi:e},{residual:e},{checksum:016x}"
-            )
-            .expect("writing to a String cannot fail");
-        }
+    for (query, step, psi, residual, checksum) in rows {
+        let t = bounds.get(query).copied().unwrap_or(f64::NAN);
+        writeln!(
+            csv,
+            "{query},{t},{step},{psi:e},{residual:e},{checksum:016x}"
+        )
+        .expect("writing to a String cannot fail");
     }
     std::fs::write(path, csv).map_err(|e| runtime(format!("cannot write {path}: {e}")))?;
     obs::info(|| format!("wrote {path}"));
@@ -1053,7 +1061,14 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, CliError> {
         .map_or(Ok(10), |s| parse_usize("--top", s))?;
 
     let (bench, events) = obs::collect(|| {
-        experiment::reach_bench_with_kernel(&FtwcParams::new(n), &bounds, epsilon, threads, kernel)
+        experiment::reach_bench_with_kernel(
+            &FtwcParams::new(n),
+            &bounds,
+            epsilon,
+            threads,
+            kernel,
+            Objective::Maximize,
+        )
     });
     let tree = obs::profile::SpanTree::build(&events);
     if tree.is_empty() {

@@ -403,3 +403,60 @@ fn ftwc_subcommand_runs() {
     assert!(text.contains("FTWC N=1"));
     assert!(text.contains("premium lost"));
 }
+
+/// `reach --residuals-out` writes a batch's rows grouped by query, steps
+/// descending, and each query's rows are those of a run with its bound
+/// alone, apart from the query column — however the batch iterates its
+/// queries (one by one, or as lanes of one step loop).
+#[test]
+fn residuals_rows_match_single_bound_runs() {
+    let dir = std::env::temp_dir();
+    let run = |bounds: &str, tag: &str| {
+        let path = dir.join(format!(
+            "unicon_cli_residuals_{tag}_{}.csv",
+            std::process::id()
+        ));
+        let out = unicon()
+            .args([
+                "reach",
+                "--ftwc",
+                "1",
+                "--time-bounds",
+                bounds,
+                "--residuals-out",
+            ])
+            .arg(&path)
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let csv = std::fs::read_to_string(&path).expect("residuals written");
+        std::fs::remove_file(&path).ok();
+        let mut lines = csv.lines().map(str::to_string);
+        assert_eq!(
+            lines.next().as_deref(),
+            Some("query,t,step,psi,residual,checksum")
+        );
+        lines
+            .map(|l| {
+                let (query, rest) = l.split_once(',').expect("a query column");
+                (
+                    query.parse::<usize>().expect("a query index"),
+                    rest.to_string(),
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    let batch = run("1,5,10", "batch");
+    let mut expected = Vec::new();
+    for (qi, t) in ["1", "5", "10"].into_iter().enumerate() {
+        let alone = run(t, t);
+        assert!(alone.len() > 1, "t = {t}");
+        assert!(alone.iter().all(|(query, _)| *query == 0));
+        expected.extend(alone.into_iter().map(|(_, rest)| (qi, rest)));
+    }
+    assert_eq!(batch, expected);
+}
