@@ -273,6 +273,7 @@ for needle in \
     'unicon_serve_request_run_ns_count 13\n' \
     'unicon_serve_build_ns_count 1\n' \
     'unicon_reach_query_ns_count 4\n' \
+    'unicon_reach_iterations_total 686\n' \
     'unicon_kernel_fixed_ps_per_state_count 4\n' \
     'unicon_kernel_single_ps_per_state_count 4\n' \
     'unicon_kernel_multi_ps_per_state_count 4\n' \

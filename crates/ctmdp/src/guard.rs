@@ -1191,12 +1191,14 @@ fn run_guarded_inner(
         // and additionally types the underflow regime.
         let cached = FoxGlynn::try_weights(pre.rate * query.t, batch.epsilon)?;
         let (fg, k) = (cached.fg, cached.truncation);
-        unicon_obs::emit(unicon_obs::Class::Iter, || unicon_obs::Event::QueryStart {
-            query: qi,
-            t: query.t,
-            lambda: fg.lambda(),
-            left: fg.left_truncation(batch.epsilon),
-            right: k,
+        unicon_obs::emit(unicon_obs::Class::Metric, || {
+            unicon_obs::Event::QueryStart {
+                query: qi,
+                t: query.t,
+                lambda: fg.lambda(),
+                left: fg.left_truncation(batch.epsilon),
+                right: k,
+            }
         });
 
         // q_{k+1} = 0, or the checkpoint's q_{current_i}, exact bits.

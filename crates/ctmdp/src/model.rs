@@ -135,19 +135,36 @@ pub struct Ctmdp {
 }
 
 impl Ctmdp {
-    pub(crate) fn from_raw(
+    /// Builds a CTMDP from checked parts: an action table, a rate-function
+    /// pool, and the transitions of state `s` at
+    /// `transitions[offsets[s]..offsets[s + 1]]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_states == 0`, the initial state, a rate-function
+    /// target, an action or a pool index is out of bounds, or `offsets` is
+    /// not a non-decreasing run of `num_states + 1` offsets from 0 to
+    /// `transitions.len()`.
+    pub fn from_parts(
         actions: ActionTable,
         num_states: usize,
         initial: u32,
         rate_functions: Vec<RateFunction>,
-        per_state: Vec<Vec<TransitionRef>>,
+        transitions: Vec<TransitionRef>,
+        offsets: Vec<usize>,
     ) -> Self {
         assert!(num_states > 0, "a CTMDP needs at least one state");
         assert!(
             (initial as usize) < num_states,
             "initial state out of bounds"
         );
-        assert_eq!(per_state.len(), num_states, "per-state list mismatch");
+        assert_eq!(offsets.len(), num_states + 1, "per-state offsets mismatch");
+        assert!(
+            offsets[0] == 0
+                && offsets.windows(2).all(|w| w[0] <= w[1])
+                && offsets[num_states] == transitions.len(),
+            "per-state offsets must run from 0 to the transition count"
+        );
         for rf in &rate_functions {
             for &(t, _) in rf.targets() {
                 assert!(
@@ -156,17 +173,15 @@ impl Ctmdp {
                 );
             }
         }
-        let mut offsets = vec![0usize; num_states + 1];
-        let mut transitions = Vec::new();
-        for (s, list) in per_state.iter().enumerate() {
-            for tr in list {
-                assert!(
-                    (tr.rate_fn as usize) < rate_functions.len(),
-                    "rate-function index out of bounds"
-                );
-                transitions.push(*tr);
-            }
-            offsets[s + 1] = transitions.len();
+        for tr in &transitions {
+            assert!(
+                (tr.rate_fn as usize) < rate_functions.len(),
+                "rate-function index out of bounds"
+            );
+            assert!(
+                tr.action.index() < actions.len(),
+                "transition action out of bounds"
+            );
         }
         Self {
             actions,
@@ -397,12 +412,18 @@ impl CtmdpBuilder {
 
     /// Finalizes the CTMDP.
     pub fn build(self) -> Ctmdp {
-        Ctmdp::from_raw(
+        let mut offsets = Vec::with_capacity(self.num_states + 1);
+        offsets.push(0);
+        for list in &self.per_state {
+            offsets.push(offsets[offsets.len() - 1] + list.len());
+        }
+        Ctmdp::from_parts(
             self.actions,
             self.num_states,
             self.initial,
             self.rate_functions,
-            self.per_state,
+            self.per_state.concat(),
+            offsets,
         )
     }
 }

@@ -370,6 +370,8 @@ struct Pool<'a> {
     failure: Mutex<Option<(usize, Failure)>>,
     /// The step after whose barrier workers `1..` stop (0: none).
     stop_after: AtomicUsize,
+    /// Lane steps worker 0 has passed to iteration telemetry.
+    lane_steps: AtomicUsize,
 }
 
 impl Pool<'_> {
@@ -491,9 +493,11 @@ impl Pool<'_> {
                 }
             }
             let q = self.planes.q(i);
-            for (l, lane) in self.steps.active(i).iter().enumerate() {
+            let active = self.steps.active(i);
+            for (l, lane) in active.iter().enumerate() {
                 emit_iteration(lane.qi, i, lane.fg, lane.k, || self.sweep.checksum(q, l));
             }
+            self.lane_steps.fetch_add(active.len(), Ordering::Relaxed);
             let go = sup.proceed(i, q);
             if !matches!(go, Ok(true)) {
                 if workers > 1 && i > 1 {
@@ -540,6 +544,7 @@ pub(crate) fn drive(
         failed_at: AtomicUsize::new(0),
         failure: Mutex::new(None),
         stop_after: AtomicUsize::new(0),
+        lane_steps: AtomicUsize::new(0),
     };
     let (lead, rows) = std::thread::scope(|scope| {
         let (pool, ranges) = (&pool, &ranges);
@@ -559,6 +564,15 @@ pub(crate) fn drive(
             .collect();
         (lead, rows)
     });
+    // One count per run, so that a metrics registry needs no iteration
+    // records: it counts steps without the checksum each record carries.
+    let lane_steps = pool.lane_steps.load(Ordering::Relaxed);
+    if lane_steps > 0 {
+        unicon_obs::emit(unicon_obs::Class::Metric, || unicon_obs::Event::Counter {
+            name: "reach_iterations",
+            value: lane_steps as u64,
+        });
+    }
     let (workers, lead_rows) = lead?;
     let decisions = if steps.record {
         stitch(steps.from, std::iter::once(lead_rows).chain(rows))
@@ -1096,12 +1110,14 @@ impl<'a> ReachBatch<'a> {
 
     /// Emits query `qi`'s start record.
     fn emit_query_start(&self, qi: usize, w: &CachedWeights) {
-        unicon_obs::emit(unicon_obs::Class::Iter, || unicon_obs::Event::QueryStart {
-            query: qi,
-            t: self.queries[qi].t,
-            lambda: w.fg.lambda(),
-            left: w.fg.left_truncation(self.epsilon),
-            right: w.truncation,
+        unicon_obs::emit(unicon_obs::Class::Metric, || {
+            unicon_obs::Event::QueryStart {
+                query: qi,
+                t: self.queries[qi].t,
+                lambda: w.fg.lambda(),
+                left: w.fg.left_truncation(self.epsilon),
+                right: w.truncation,
+            }
         });
     }
 }
@@ -1410,12 +1426,14 @@ impl ReachEngine {
         if t == 0.0 || self.pre.rate == 0.0 {
             return Ok(indicator_result(&self.goal, self.pre.rate));
         }
-        unicon_obs::emit(unicon_obs::Class::Iter, || unicon_obs::Event::QueryStart {
-            query: 0,
-            t,
-            lambda: weights.fg.lambda(),
-            left: weights.fg.left_truncation(epsilon),
-            right: weights.truncation,
+        unicon_obs::emit(unicon_obs::Class::Metric, || {
+            unicon_obs::Event::QueryStart {
+                query: 0,
+                t,
+                lambda: weights.fg.lambda(),
+                left: weights.fg.left_truncation(epsilon),
+                right: weights.truncation,
+            }
         });
         let opts = ReachOptions::default()
             .with_epsilon(epsilon)

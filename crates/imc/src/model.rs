@@ -165,6 +165,32 @@ impl Imc {
         }
     }
 
+    /// Builds an IMC from checked parts: an action table and transition
+    /// lists over `0..num_states` whose actions the table holds. The
+    /// lists are put in the canonical order [`ImcBuilder::build`] gives
+    /// them (interactive transitions deduplicated), so lists already in
+    /// that order cost one pass to confirm.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-bounds state or action, or a rate that is not
+    /// finite and positive.
+    pub fn from_parts(
+        actions: ActionTable,
+        num_states: usize,
+        initial: u32,
+        interactive: Vec<Transition>,
+        markov: Vec<MarkovTransition>,
+    ) -> Self {
+        for t in &interactive {
+            assert!(
+                t.action.index() < actions.len(),
+                "interactive transition {t:?} names an action outside the table"
+            );
+        }
+        Self::from_raw(actions, num_states, initial, interactive, markov)
+    }
+
     /// Embeds an LTS as an IMC without Markov transitions — uniform with
     /// rate `E = 0` by definition.
     pub fn from_lts(lts: &Lts) -> Self {

@@ -16,10 +16,13 @@
 //!
 //! * emission sites only **read** engine state (residuals, checksums);
 //!   no instrumented code path writes into the numeric pipeline;
-//! * `Instant` is read **only at span boundaries** ([`open_span`] /
+//! * `Instant` is read at span boundaries ([`open_span`] /
 //!   [`close_span`]), never inside a per-iteration event — iteration
-//!   records are timestamp-free, so tracing adds no clock reads to the
-//!   hot loop;
+//!   records are timestamp-free. The hot loop does read the clock while a
+//!   sink wants [`Class::Metric`]: the reach engine then times its kernel
+//!   per class, one clock read per class run per worker per step, and
+//!   `unicon serve` and `unicon metrics` always install such a sink (the
+//!   metrics [`Registry`]). The readings only feed observations;
 //! * when no installed sink is interested in a [`Class`] (and no
 //!   thread-local collector is active), [`live`] is a single relaxed
 //!   atomic load plus a thread-local flag check, and [`emit`] never

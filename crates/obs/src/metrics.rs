@@ -8,7 +8,7 @@ use std::sync::Mutex;
 
 use crate::hist::Histogram;
 use crate::sink::Sink;
-use crate::Event;
+use crate::{Class, Event};
 
 /// `(metric name, label set)` — the label set is pre-rendered
 /// (`key="value"`), empty for unlabeled samples. `BTreeMap` keys give
@@ -235,13 +235,21 @@ fn render_sample(name: &str, labels: &str, value: &str) -> String {
 }
 
 impl Sink for Registry {
+    /// Every class but [`Class::Iter`]: an iteration record costs a
+    /// checksum of the whole value plane per step, and the registry would
+    /// only count it. The reach engine reports the steps of each run as
+    /// one `reach_iterations` counter instead.
+    fn interest(&self) -> u32 {
+        Class::all_mask() & !Class::Iter.bit()
+    }
+
     fn record(&self, event: &Event) {
         self.with_inner(|inner| {
             let count = |m: &mut BTreeMap<SeriesKey, u64>, name: &str, labels: String, add: u64| {
                 *m.entry((name.to_string(), labels)).or_insert(0) += add;
             };
             match event {
-                Event::SpanOpen { .. } => {}
+                Event::SpanOpen { .. } | Event::ReachIteration { .. } => {}
                 Event::SpanClose { name, nanos, .. } => {
                     count(
                         &mut inner.counters,
@@ -278,14 +286,6 @@ impl Sink for Registry {
                     inner
                         .gauges
                         .insert((format!("unicon_{name}"), String::new()), *value);
-                }
-                Event::ReachIteration { .. } => {
-                    count(
-                        &mut inner.counters,
-                        "unicon_reach_iterations_total",
-                        String::new(),
-                        1,
-                    );
                 }
                 Event::QueryStart {
                     lambda,
@@ -399,12 +399,9 @@ mod tests {
             name: "serve_active_queries",
             value: 1.0,
         });
-        reg.record(&Event::ReachIteration {
-            query: 0,
-            step: 2,
-            psi: 0.1,
-            residual: 1e-3,
-            checksum: 1,
+        reg.record(&Event::Counter {
+            name: "reach_iterations",
+            value: 1,
         });
         reg.record(&Event::QueryStart {
             query: 0,

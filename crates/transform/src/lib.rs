@@ -25,6 +25,12 @@
 //! measures; the tests validate it against the CTMC oracle on deterministic
 //! models and by Monte-Carlo simulation on nondeterministic ones.
 //!
+//! [`transform`] runs the whole trajectory in one pass over index arrays,
+//! without building the intermediate IMCs. Its output is bit-identical to
+//! running the step functions one after another, which the hidden
+//! `transform_stepwise` does: the differential tests and the certificate
+//! checker of `unicon-verify` replay it as the one pass's oracle.
+//!
 //! # Examples
 //!
 //! ```
@@ -44,11 +50,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod onepass;
 mod steps;
 
+pub use onepass::{transform, transform_one_pass};
 pub use steps::{
     is_strictly_alternating, make_alternating, make_interactive_alternating,
     make_interactive_alternating_with_map, make_markov_alternating,
-    make_markov_alternating_with_entries, to_ctmdp, to_ctmdp_with_map, transform, TransformError,
-    TransformOutput, TransformStats,
+    make_markov_alternating_with_entries, to_ctmdp, to_ctmdp_with_map, transform_stepwise,
+    TransformError, TransformOutput, TransformStats,
 };

@@ -69,7 +69,7 @@ pub struct TransformStats {
     pub transform_time: Duration,
 }
 
-/// Result of [`transform`].
+/// Result of [`transform`](crate::transform).
 #[derive(Debug, Clone)]
 pub struct TransformOutput {
     /// The extracted CTMDP.
@@ -441,8 +441,15 @@ pub fn to_ctmdp_with_map(imc: &Imc) -> (Ctmdp, Vec<u32>) {
     (b.build(), imc_of_ctmdp)
 }
 
-/// The full trajectory: steps (1)–(3) plus the CTMDP extraction, with
+/// The full trajectory run step by step: steps (1)–(3) plus the CTMDP
+/// extraction, each through the public step functions above, with
 /// Table-1 statistics.
+///
+/// This is the oracle of [`crate::transform`], which computes the same
+/// output bit for bit in one pass over index arrays. Tests and the
+/// certificate checker replay it; at run time it runs only where the one
+/// pass finds a reachable interactive cycle or dead end, to report the
+/// error.
 ///
 /// If the initial state is a Markov state after step (1), a fresh
 /// interactive initial state with a τ transition to it is introduced
@@ -451,7 +458,8 @@ pub fn to_ctmdp_with_map(imc: &Imc) -> (Ctmdp, Vec<u32>) {
 /// # Errors
 ///
 /// See [`make_interactive_alternating`].
-pub fn transform(imc: &Imc) -> Result<TransformOutput, TransformError> {
+#[doc(hidden)]
+pub fn transform_stepwise(imc: &Imc) -> Result<TransformOutput, TransformError> {
     let start = Instant::now();
     // Step (1): urgency cut + restriction, tracking origins.
     let (mut m, mut origin) = imc
@@ -494,7 +502,27 @@ pub fn transform(imc: &Imc) -> Result<TransformOutput, TransformError> {
             c
         })
         .collect();
+    Ok(finish(
+        imc,
+        ctmdp,
+        strictly_alternating,
+        ctmdp_state_origin,
+        ctmdp_zero_closure,
+        start,
+    ))
+}
 
+/// Records the transformation's audit obligation and assembles its
+/// output with Table-1 statistics; `start` is when the transformation
+/// began.
+pub(crate) fn finish(
+    imc: &Imc,
+    ctmdp: Ctmdp,
+    strictly_alternating: Imc,
+    ctmdp_state_origin: Vec<u32>,
+    ctmdp_zero_closure: Vec<Vec<u32>>,
+    start: Instant,
+) -> TransformOutput {
     // The witness fingerprints the whole CTMDP: build it only for a
     // ledger that keeps it.
     if unicon_imc::audit::is_recording() {
@@ -520,13 +548,13 @@ pub fn transform(imc: &Imc) -> Result<TransformOutput, TransformError> {
         memory_bytes: ctmdp.memory_bytes(),
         transform_time: start.elapsed(),
     };
-    Ok(TransformOutput {
+    TransformOutput {
         ctmdp,
         strictly_alternating,
         ctmdp_state_origin,
         ctmdp_zero_closure,
         stats,
-    })
+    }
 }
 
 /// Adds a fresh interactive initial state `init' --τ--> s₀`.
@@ -562,6 +590,7 @@ fn rebuild(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transform;
     use unicon_ctmc::transient::{self, TransientOptions};
     use unicon_ctmc::Ctmc;
     use unicon_ctmdp::reachability::{timed_reachability, ReachOptions};

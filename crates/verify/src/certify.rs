@@ -8,9 +8,10 @@
 //!
 //! * **Replay**: `hide`, `relabel` and `parallel` are re-executed from the
 //!   recorded inputs and the result compared to the recorded output by
-//!   structural fingerprint; `transform` is replayed through the full
-//!   uIMC → uCTMDP trajectory and cross-checked against the witness CTMDP
-//!   fingerprint.
+//!   structural fingerprint; `transform` is replayed step by step through
+//!   the full uIMC → uCTMDP trajectory (`transform_stepwise`, the oracle of
+//!   the one-pass `transform` that recorded the obligation) and
+//!   cross-checked against the witness CTMDP fingerprint.
 //! * **Independent recomputation**: a `minimize` obligation's quotient map
 //!   is checked for well-formedness and label refinement, its quotient is
 //!   rebuilt, and the partition itself is recomputed with the *reference*
@@ -346,7 +347,7 @@ fn claim_failures(ob: &Obligation, report: &mut Report) -> Vec<String> {
             if !unicon_transform::is_strictly_alternating(&ob.output) {
                 f.push("transform output is not strictly alternating".into());
             }
-            match unicon_transform::transform(&ob.inputs[0]) {
+            match unicon_transform::transform_stepwise(&ob.inputs[0]) {
                 Ok(replay) => {
                     if replay.strictly_alternating.fingerprint() != ob.output.fingerprint() {
                         f.push(

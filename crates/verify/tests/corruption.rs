@@ -16,9 +16,9 @@ use unicon_numeric::rng::{Rng, XorShift64};
 use unicon_verify::certify;
 
 /// A small certified pipeline exercising every witness class the FTWC
-/// route uses: leaf, elapse, parallel, hide, minimize.
+/// route uses: leaf, elapse, parallel, hide, minimize, transform.
 fn pipeline() -> Vec<Obligation> {
-    let (_, obligations) = with_recording(|| -> Imc {
+    let (_, obligations) = with_recording(|| {
         let mut b = LtsBuilder::new(2, 0);
         b.add("fail", 0, 1);
         b.add("repair", 1, 0);
@@ -30,7 +30,8 @@ fn pipeline() -> Vec<Obligation> {
         // Alternating labels keep the quotient from collapsing to one
         // block, so there is a second block to misassign states into.
         let labels: Vec<u32> = (0..hidden.num_states() as u32).map(|s| s % 2).collect();
-        bisim::minimize_labeled(&hidden, View::Open, &labels).0
+        let quotient = bisim::minimize_labeled(&hidden, View::Open, &labels).0;
+        unicon_transform::transform(&quotient).expect("the closed quotient transforms")
     });
     obligations
 }
@@ -121,6 +122,26 @@ fn corrupted_exit_rate_witness_is_caught_at_the_elapse_obligation() {
     // [1.5, 2.5) — far outside the rate tolerance.
     let factor = 1.5 + (rng.next_u64() as f64 / u64::MAX as f64);
     *rate *= factor;
+    assert_only_step_fails(&obligations, idx);
+}
+
+#[test]
+fn corrupted_ctmdp_fingerprint_is_caught_at_the_transform_obligation() {
+    let mut rng = XorShift64::seed_from_u64(0x7F0A);
+    let mut obligations = pipeline();
+    let idx = obligations
+        .iter()
+        .position(|o| matches!(o.witness, Witness::Transform { .. }))
+        .expect("pipeline transforms");
+    let Witness::Transform {
+        ctmdp_fingerprint, ..
+    } = &mut obligations[idx].witness
+    else {
+        unreachable!()
+    };
+    // Flip one seeded-random bit of the claimed fingerprint: the replayed
+    // step-wise extraction no longer matches it.
+    *ctmdp_fingerprint ^= 1 << (rng.next_u64() % 64);
     assert_only_step_fails(&obligations, idx);
 }
 

@@ -45,6 +45,47 @@ fn table1_structure_matches_paper() {
     }
 }
 
+/// The transformation's exact output on the FTWC: counts (interactive
+/// states, Markov states, interactive transitions, Markov transitions) and
+/// `Ctmdp::fingerprint`, which hashes every rate by its bit pattern.
+const PINNED_TRANSFORM: [(usize, [usize; 4], u64); 6] = [
+    (1, [112, 81, 157, 326], 0xee83_8a05_4b40_2b6c),
+    (2, [276, 205, 405, 922], 0xd6f1_5dd6_8a15_e066),
+    (4, [820, 621, 1237, 3002], 0x41d0_13b6_2fd7_dcf5),
+    (8, [2772, 2125, 4245, 10714], 0x9a40_71cd_8758_f51d),
+    (16, [10132, 7821, 15637, 40346], 0x7fae_5fc2_e4a8_b865),
+    (32, [38676, 29965, 59925, 156442], 0x25d1_2dcb_9da3_7f55),
+];
+
+#[test]
+fn transform_output_is_pinned_on_the_ftwc() {
+    for (n, counts, fingerprint) in PINNED_TRANSFORM {
+        // N=32 takes seconds to generate and transform in a debug build.
+        if n == 32 && cfg!(debug_assertions) {
+            continue;
+        }
+        let model = generator::build_uimc(&FtwcParams::new(n));
+        let out = unicon::transform::transform(model.uniform.imc()).expect("FTWC transforms");
+        let s = out.stats;
+        assert_eq!(
+            [
+                s.interactive_states,
+                s.markov_states,
+                s.interactive_transitions,
+                s.markov_transitions
+            ],
+            counts,
+            "N={n}: Table-1 counts"
+        );
+        assert_eq!(
+            out.ctmdp.fingerprint(),
+            fingerprint,
+            "N={n}: CTMDP fingerprint {:016x}",
+            out.ctmdp.fingerprint()
+        );
+    }
+}
+
 #[test]
 fn compositional_route_agrees_with_generator_route() {
     for n in [1, 2] {

@@ -3,13 +3,18 @@
 //! (Theorem 1 + Lemma 3, checked semantically). Driven by the in-tree
 //! deterministic [`XorShift64`] generator (fixed seeds, no external PRNG).
 
+use std::time::Duration;
+
 use unicon::core::{ClosedModel, PreparedModel, UniformImc};
 use unicon::ctmdp::reachability::{timed_reachability, ReachOptions};
 use unicon::ctmdp::scheduler::StepDependent;
 use unicon::ctmdp::simulate::{estimate_reachability, SimulationOptions};
-use unicon::imc::{bisim, Imc, ImcBuilder, StateKind, View};
+use unicon::imc::{analysis, bisim, Imc, ImcBuilder, StateKind, View};
 use unicon::numeric::rng::{Rng, XorShift64};
-use unicon::transform::{is_strictly_alternating, transform};
+use unicon::transform::{
+    is_strictly_alternating, transform, transform_one_pass, transform_stepwise, TransformOutput,
+    TransformStats,
+};
 
 const CASES: u64 = 64;
 
@@ -263,5 +268,188 @@ fn closed_view_classification() {
             (0..imc.num_states()).any(|s| reach[s] && imc.kind(s as u32) == StateKind::Interactive)
         };
         assert_eq!(UniformImc::try_new(imc).is_err(), has_reachable_decision);
+    }
+}
+
+/// Action names for the differential models: τ, three plain names, and
+/// `a.b`, whose one-action word has the same name as the word `a`·`b`.
+const DIFF_ACTIONS: [&str; 5] = ["tau", "a", "b", "c", "a.b"];
+
+/// A random IMC with no structure promised: 1–10 states of every kind
+/// (absorbing, interactive, Markov, hybrid), a random initial state, and
+/// interactive transitions that mostly run forward, so τ chains and
+/// multi-action words are common, with an occasional edge anywhere that
+/// may close a Zeno cycle. Markov rates come from a small set, so parallel
+/// transitions merge, and a Markov state often copies an earlier one's
+/// transitions, so rate functions repeat; a state often repeats an
+/// action towards a second target, so one state can reach two such copies
+/// under one word.
+fn random_imc(rng: &mut XorShift64) -> Imc {
+    let n = 1 + rng.random_range(10);
+    let mut b = ImcBuilder::new(n, rng.random_range(n) as u32);
+    let mut rows: Vec<Vec<(f64, u32)>> = Vec::new();
+    for s in 0..n {
+        // 0: absorbing, 1–4: interactive, 5–7: Markov, 8–9: hybrid.
+        let shape = rng.random_range(10);
+        if (1..=4).contains(&shape) || shape >= 8 {
+            let mut action = DIFF_ACTIONS[0];
+            for _ in 0..1 + rng.random_range(3) {
+                if rng.random_range(3) != 0 {
+                    action = DIFF_ACTIONS[rng.random_range(DIFF_ACTIONS.len())];
+                }
+                let target = if s + 1 < n && rng.random_range(12) != 0 {
+                    s + 1 + rng.random_range(n - s - 1)
+                } else {
+                    rng.random_range(n)
+                };
+                b.interactive(action, s as u32, target as u32);
+            }
+        }
+        if shape >= 5 {
+            let row = if !rows.is_empty() && rng.random_range(3) == 0 {
+                rows[rng.random_range(rows.len())].clone()
+            } else {
+                (0..1 + rng.random_range(3))
+                    .map(|_| {
+                        let rate = [0.5, 1.0, 1.5][rng.random_range(3)];
+                        (rate, rng.random_range(n) as u32)
+                    })
+                    .collect()
+            };
+            for &(rate, target) in &row {
+                b.markov(s as u32, rate, target);
+            }
+            rows.push(row);
+        }
+    }
+    b.build()
+}
+
+/// Every stat but the wall-clock time.
+fn timeless(stats: TransformStats) -> TransformStats {
+    TransformStats {
+        transform_time: Duration::ZERO,
+        ..stats
+    }
+}
+
+/// Asserts that two transformation outputs agree field by field, bit for
+/// bit (the fingerprints hash every rate by its bit pattern).
+fn assert_same_output(fast: &TransformOutput, oracle: &TransformOutput, what: &str) {
+    assert_eq!(fast.ctmdp, oracle.ctmdp, "{what}: CTMDP");
+    assert_eq!(
+        fast.ctmdp.fingerprint(),
+        oracle.ctmdp.fingerprint(),
+        "{what}: CTMDP fingerprint"
+    );
+    assert_eq!(
+        fast.strictly_alternating, oracle.strictly_alternating,
+        "{what}: strictly alternating IMC"
+    );
+    assert_eq!(
+        fast.strictly_alternating.fingerprint(),
+        oracle.strictly_alternating.fingerprint(),
+        "{what}: strictly alternating fingerprint"
+    );
+    assert_eq!(
+        fast.ctmdp_state_origin, oracle.ctmdp_state_origin,
+        "{what}: state origins"
+    );
+    assert_eq!(
+        fast.ctmdp_zero_closure, oracle.ctmdp_zero_closure,
+        "{what}: zero-time closures"
+    );
+    assert_eq!(
+        timeless(fast.stats),
+        timeless(oracle.stats),
+        "{what}: stats"
+    );
+}
+
+/// The one-pass transformation against its step-wise oracle on random
+/// IMCs: equal errors, or equal outputs in every field. The one pass runs
+/// on every model the oracle transforms, those with an interactive cycle
+/// the urgency cut leaves unreachable included, and on no other. The
+/// cases must reach every outcome and the shapes the one pass renumbers.
+/// The closed models of the properties above agree too.
+#[test]
+fn one_pass_transform_matches_the_stepwise_oracle() {
+    use unicon::transform::TransformError;
+    let (mut transformed, mut zeno, mut dead_ends) = (0, 0, 0);
+    let (mut markov_initial, mut hybrid, mut unreachable, mut dotted) = (0, 0, 0, 0);
+    let (mut pooled, mut merged, mut cyclic, mut pre_empted) = (0, 0, 0, 0);
+    for case in 0..10_000u64 {
+        let mut rng = XorShift64::seed_from_u64(0xD1FF + case);
+        let imc = random_imc(&mut rng);
+        let what = format!("case {case}");
+        let oracle = transform_stepwise(&imc);
+        assert_eq!(
+            transform_one_pass(&imc).is_some(),
+            oracle.is_ok(),
+            "{what}: the one pass runs exactly where the oracle transforms"
+        );
+        match (transform(&imc), oracle) {
+            (Ok(fast), Ok(oracle)) => {
+                assert_same_output(&fast, &oracle, &what);
+                transformed += 1;
+                let reach = imc.reachable_states();
+                markov_initial += usize::from(imc.kind(imc.initial()) == StateKind::Markov);
+                hybrid += usize::from(
+                    (0..imc.num_states() as u32).any(|s| imc.kind(s) == StateKind::Hybrid),
+                );
+                unreachable += usize::from(reach.iter().any(|&r| !r));
+                dotted += usize::from(
+                    fast.ctmdp
+                        .actions()
+                        .iter()
+                        .any(|(_, name)| name.contains('.')),
+                );
+                pooled += usize::from(fast.ctmdp.num_rate_functions() < fast.stats.markov_states);
+                merged +=
+                    usize::from(fast.ctmdp.num_transitions() < fast.stats.interactive_transitions);
+                cyclic += usize::from(!analysis::is_zeno_free(&imc));
+                pre_empted += usize::from(!analysis::is_zeno_free(&imc.restrict_to_reachable()));
+            }
+            (Err(fast), Err(oracle)) => {
+                assert_eq!(fast, oracle, "{what}: error");
+                match fast {
+                    TransformError::Zeno { .. } => zeno += 1,
+                    TransformError::DeadEnd { .. } => dead_ends += 1,
+                }
+            }
+            (fast, oracle) => panic!(
+                "{what}: one pass {:?} vs oracle {:?}",
+                fast.map(|o| o.stats),
+                oracle.map(|o| o.stats)
+            ),
+        }
+    }
+    for (count, label) in [
+        (transformed, "transformed models"),
+        (zeno, "Zeno errors"),
+        (dead_ends, "dead-end errors"),
+        (markov_initial, "Markov initial states"),
+        (hybrid, "hybrid states"),
+        (unreachable, "unreachable states"),
+        (dotted, "multi-action or dotted words"),
+        (pooled, "Markov states sharing a rate function"),
+        (merged, "repeated (action, rate function) pairs"),
+        (
+            cyclic,
+            "interactive cycles the urgency cut leaves unreachable",
+        ),
+        (
+            pre_empted,
+            "interactive cycles behind a pre-empted Markov transition",
+        ),
+    ] {
+        assert!(count >= 20, "only {count} cases with {label}");
+    }
+    for case in 0..CASES {
+        let mut rng = XorShift64::seed_from_u64(0x0E4C + case);
+        let (imc, _) = build_closed(&raw_closed(&mut rng));
+        let fast = transform(&imc).expect("closed models transform");
+        let oracle = transform_stepwise(&imc).expect("closed models transform");
+        assert_same_output(&fast, &oracle, &format!("closed case {case}"));
     }
 }
