@@ -1,7 +1,7 @@
 #!/bin/sh
-# The hermetic CI gate: formatting, lints, tests. Runs fully offline —
-# the workspace has no external dependencies (the criterion benchmarks
-# live in crates/bench, deliberately excluded from the workspace).
+# The hermetic CI gate: formatting, lints, tests, then the end-to-end
+# gates on the release binary. Runs fully offline: no package in the
+# tree has an external dependency.
 set -eu
 
 echo "==> cargo fmt --check"
@@ -341,6 +341,15 @@ if ! cmp -s "$CI_DIR/serve_drain_t1.sums" "$CI_DIR/serve_drain_t4.sums"; then
     exit 1
 fi
 echo "chaos suite green; drained sessions bitwise-match one-shot reach at 1 and 4 threads"
+
+echo "==> paper Figure 4 gate (N = 4 panel: the CTMC overestimates the CTMDP worst case)"
+# `paper figure4` exits 1 unless the Γ-resolved CTMC exceeds the CTMDP
+# worst case at every point of its 10-point grid up to t = 2000 h.
+./target/release/unicon paper figure4 --n 4 > "$CI_DIR/figure4_n4.txt" || {
+    echo "FAIL: Figure 4 (N = 4): the CTMC does not exceed the CTMDP worst case"
+    exit 1
+}
+echo "Figure 4, N = 4: the CTMC exceeds the CTMDP worst case at every grid point"
 
 echo "==> determinism source lint gate"
 ./target/release/unicon det-lint --deny warnings 2>/dev/null

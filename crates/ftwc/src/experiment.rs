@@ -1,8 +1,8 @@
 //! Experiment drivers for the paper's Table 1 and Figure 4.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use unicon_core::{PreparedModel, Refiner};
+use unicon_core::{ClosedModel, PreparedModel, Refiner};
 use unicon_ctmc::transient::{self, TransientOptions};
 use unicon_ctmdp::export;
 use unicon_ctmdp::par::BatchResult;
@@ -12,6 +12,25 @@ use unicon_imc::audit::{with_recording, Obligation};
 use crate::compositional::{self, BuildTimings};
 use crate::generator;
 use crate::params::FtwcParams;
+
+/// One row of the paper's Table 1: `(N, [interactive states, Markov
+/// states, interactive transitions, Markov transitions], [transformation
+/// s, runtime 100 h s, runtime 30000 h s], [iterations 100 h, iterations
+/// 30000 h])`.
+pub type PaperRow = (usize, [usize; 4], [f64; 3], [usize; 2]);
+
+/// The paper's Table 1, verbatim, for side-by-side comparison.
+#[rustfmt::skip]
+pub const PAPER_TABLE1: [PaperRow; 8] = [
+    (1, [110, 81, 155, 324], [5.37, 0.01, 6.04], [372, 62_161]),
+    (2, [274, 205, 403, 920], [4.32, 0.01, 12.33], [372, 62_284]),
+    (4, [818, 621, 1235, 3000], [5.25, 0.04, 37.28], [373, 62_528]),
+    (8, [2770, 2125, 4243, 10_712], [5.83, 0.13, 47.77], [375, 63_016]),
+    (16, [10_130, 7821, 15_635, 40_344], [6.61, 0.52, 294.97], [378, 63_993]),
+    (32, [38_674, 29_965, 59_923, 156_440], [9.44, 3.23, 877.52], [384, 65_945]),
+    (64, [151_058, 117_261, 234_515, 615_960], [20.58, 37.42, 3044.72], [397, 69_849]),
+    (128, [597_010, 463_885, 927_763, 2_444_312], [57.31, 557.52, 20_867.06], [423, 77_651]),
+];
 
 /// One row of Table 1: model sizes, memory, transformation time, and
 /// Algorithm-1 runtime/iterations per analyzed time bound.
@@ -126,7 +145,7 @@ impl ReachBench {
 /// Panics if the generated model fails to transform (cannot happen for
 /// well-formed parameters).
 pub fn prepare(params: &FtwcParams) -> (PreparedModel, Duration) {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let build_span = unicon_obs::span("build");
     let generate_span = unicon_obs::span("generate");
     let model = generator::build_uimc(params);
@@ -356,7 +375,7 @@ pub fn build_bench(n_list: &[usize], epsilon: f64) -> Vec<BuildBenchRow> {
                 "refiner label mismatch at N={n}"
             );
 
-            let start = std::time::Instant::now();
+            let start = Instant::now();
             let transform_span = unicon_obs::span("transform");
             let prepared = PreparedModel::new(&model.uniform.close(), &model.premium_down)
                 .expect("compositional FTWC transforms cleanly");
@@ -453,6 +472,25 @@ pub fn steady_state_premium_availability(params: &FtwcParams) -> f64 {
         .expect("FTWC chain is ergodic")
 }
 
+/// One row of Section 5's route comparison: the compositional
+/// (CADP-route) and generated (PRISM-route) FTWC, each built, transformed
+/// and analyzed for the same worst-case query.
+#[derive(Debug, Clone)]
+pub struct RouteRow {
+    /// States of the minimized compositional uIMC.
+    pub comp_states: usize,
+    /// Worst-case probability on the compositional model.
+    pub comp_p: f64,
+    /// Wall-clock time of the compositional route, analysis included.
+    pub comp_time: Duration,
+    /// States of the generated uIMC.
+    pub gen_states: usize,
+    /// Worst-case probability on the generated model.
+    pub gen_p: f64,
+    /// Wall-clock time of the generated route, analysis included.
+    pub gen_time: Duration,
+}
+
 /// Cross-validates the compositional (CADP-route) and generated
 /// (PRISM-route) models: both worst-case probabilities for the same `t`.
 ///
@@ -463,30 +501,38 @@ pub fn steady_state_premium_availability(params: &FtwcParams) -> f64 {
 /// # Panics
 ///
 /// Panics if either model fails to build or transform.
-pub fn cross_validate(params: &FtwcParams, t: f64, epsilon: f64) -> (f64, f64) {
-    let comp = crate::compositional::build(params);
-    let comp_prepared = PreparedModel::new(&comp.uniform.close(), &comp.premium_down)
-        .expect("compositional transforms");
-    let p_comp = comp_prepared
-        .worst_case(t, epsilon)
-        .expect("uniform")
-        .from_state(comp_prepared.ctmdp.initial());
+pub fn cross_validate(params: &FtwcParams, t: f64, epsilon: f64) -> RouteRow {
+    let worst_case = |model: &ClosedModel, goal: &[bool]| {
+        let prepared = PreparedModel::new(model, goal).expect("FTWC transforms cleanly");
+        prepared
+            .worst_case(t, epsilon)
+            .expect("uniform CTMDP")
+            .from_state(prepared.ctmdp.initial())
+    };
+    let start = Instant::now();
+    let comp = compositional::build(params);
+    let comp_p = worst_case(&comp.uniform.close(), &comp.premium_down);
+    let comp_time = start.elapsed();
 
+    let start = Instant::now();
     let gen = generator::build_uimc(params);
-    let gen_prepared =
-        PreparedModel::new(&gen.uniform, &gen.premium_down).expect("generator transforms");
-    let p_gen = gen_prepared
-        .worst_case(t, epsilon)
-        .expect("uniform")
-        .from_state(gen_prepared.ctmdp.initial());
+    let gen_p = worst_case(&gen.uniform, &gen.premium_down);
+    let gen_time = start.elapsed();
 
-    (p_comp, p_gen)
+    RouteRow {
+        comp_states: comp.uniform.imc().num_states(),
+        comp_p,
+        comp_time,
+        gen_states: gen.uniform.imc().num_states(),
+        gen_p,
+        gen_time,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unicon_numeric::assert_close;
+    use unicon_numeric::{assert_close, FoxGlynn};
 
     #[test]
     fn table1_row_smoke_n1() {
@@ -504,20 +550,43 @@ mod tests {
         }
     }
 
+    /// Table 1's iteration counts at ε = 1e-6 are Fox–Glynn right
+    /// truncation points of λ = E·t: the minimal k with
+    /// P[Poisson(λ) ≤ k] ≥ 1 − ε. The paper's counts are larger because
+    /// Fox & Glynn's closed-form bound over-approximates the tail.
     #[test]
-    fn iterations_match_paper_magnitude() {
-        // Paper, N = 1, t = 100 h, ε = 1e-6: 372 iterations with E ≈ 2.03.
-        // Our E(1) = 2.0047 gives λ ≈ 200; the minimal right truncation
-        // point for 1e-6 is ~271 — the paper's count is larger because Fox &
-        // Glynn's closed-form bound over-approximates the tail. Same order,
-        // tighter truncation (strictly fewer iterations for the same
-        // precision).
-        let row = table1_row(&FtwcParams::new(1), &[100.0], 1e-6);
-        let iters = row.analyses[0].2;
-        assert!(
-            (240..=420).contains(&iters),
-            "iterations {iters} out of the expected band"
-        );
+    fn table1_iterations_are_pinned() {
+        // (N, iterations at 100 h, iterations at 30 000 h)
+        const MEASURED: [(usize, usize, usize); 8] = [
+            (1, 271, 61_310),
+            (2, 272, 61_431),
+            (4, 273, 61_674),
+            (8, 275, 62_158),
+            (16, 278, 63_128),
+            (32, 286, 65_066),
+            (64, 301, 68_941),
+            (128, 330, 76_690),
+        ];
+        for ((n, it100, it30k), (paper_n, .., [paper100, paper30k])) in
+            MEASURED.into_iter().zip(PAPER_TABLE1)
+        {
+            assert_eq!(n, paper_n);
+            let e = FtwcParams::new(n).uniform_rate();
+            let k = |t: f64| FoxGlynn::new(e * t).right_truncation(1e-6);
+            assert_eq!((k(100.0), k(30_000.0)), (it100, it30k), "N={n}");
+            assert!(it100 < paper100 && it30k < paper30k, "N={n}");
+        }
+        // The engine runs exactly the truncation point's iterations.
+        let row = table1_row(&FtwcParams::new(1), &[100.0, 30_000.0], 1e-6);
+        assert_eq!((row.analyses[0].2, row.analyses[1].2), (271, 61_310));
+    }
+
+    #[test]
+    fn paper_table_is_monotone_in_n() {
+        for w in PAPER_TABLE1.windows(2) {
+            assert!(w[1].0 > w[0].0);
+            assert!(w[1].1[0] > w[0].1[0]);
+        }
     }
 
     #[test]
@@ -584,8 +653,8 @@ mod tests {
 
     #[test]
     fn compositional_and_generator_agree_n1() {
-        let (comp, gen) = cross_validate(&FtwcParams::new(1), 50.0, 1e-8);
-        assert_close!(comp, gen, 1e-5);
+        let row = cross_validate(&FtwcParams::new(1), 50.0, 1e-8);
+        assert_close!(row.comp_p, row.gen_p, 1e-5);
     }
 
     /// Golden sizes of the minimized shared-timer FTWC quotient. A change

@@ -4,7 +4,13 @@
 //! The writer escapes strings per RFC 8259 and renders floats in
 //! exponent notation (Rust's shortest round-trip form), emitting `null`
 //! for non-finite values (JSON has no NaN/∞). The parser is a strict
-//! recursive-descent reader for the full value grammar.
+//! recursive-descent reader for the full value grammar, with nesting
+//! capped at [`MAX_DEPTH`] so untrusted input cannot exhaust the stack.
+
+/// Deepest array/object nesting [`Value::parse`] accepts. The deepest
+/// document the tree reads (a reach JSON's `reach.queries[]` objects) is
+/// four levels down.
+pub const MAX_DEPTH: usize = 64;
 
 /// Appends `s` as a quoted, escaped JSON string.
 pub fn write_str(s: &str, out: &mut String) {
@@ -82,6 +88,7 @@ impl Value {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -123,6 +130,8 @@ impl Value {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -167,8 +176,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting deeper than 64 levels"));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -354,6 +374,7 @@ mod tests {
 
     #[test]
     fn parser_rejects_malformed_input() {
+        let deep = "[".repeat(500_000);
         for bad in [
             "",
             "{",
@@ -363,8 +384,14 @@ mod tests {
             "1 2",
             "nul",
             "{\"a\" 1}",
+            &deep,
         ] {
             assert!(Value::parse(bad).is_err(), "accepted {bad:?}");
         }
+        let err = Value::parse(&deep).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        // The cap sits above the deepest well-formed document, not at it.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&ok).is_ok());
     }
 }

@@ -47,6 +47,7 @@ use unicon_imc::audit::{lemma, with_recording, Obligation, Witness};
 use unicon_imc::bisim::{self, Partition};
 use unicon_imc::{Imc, Uniformity, View};
 use unicon_numeric::rates_approx_eq;
+use unicon_obs::json::{self, Value};
 
 use crate::diag::{Code, Diagnostic, Report, Severity};
 use crate::lints::lint_product;
@@ -108,7 +109,7 @@ impl AuditOutcome {
                 if j > 0 {
                     out.push(',');
                 }
-                push_json_str(&mut out, f);
+                json::write_str(f, &mut out);
             }
             out.push_str("]}");
         }
@@ -117,22 +118,6 @@ impl AuditOutcome {
         out.push('}');
         out
     }
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn view_str(view: View) -> &'static str {
@@ -609,10 +594,10 @@ pub fn to_jsonl(records: &[CertRecord]) -> String {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(&mut out, fp);
+            json::write_str(fp, &mut out);
         }
         out.push_str("],\"output\":");
-        push_json_str(&mut out, &r.output);
+        json::write_str(&r.output, &mut out);
         out.push_str(",\"input_rates\":[");
         for (i, rate) in r.input_rates.iter().enumerate() {
             if i > 0 {
@@ -623,10 +608,10 @@ pub fn to_jsonl(records: &[CertRecord]) -> String {
         out.push_str("],\"output_rate\":");
         push_opt_f64(&mut out, r.output_rate);
         out.push_str(",\"witness\":{\"kind\":");
-        push_json_str(&mut out, &r.witness_kind);
+        json::write_str(&r.witness_kind, &mut out);
         out.push_str(",\"fp\":");
         match &r.witness_fp {
-            Some(fp) => push_json_str(&mut out, fp),
+            Some(fp) => json::write_str(fp, &mut out),
             None => out.push_str("null"),
         }
         out.push_str(",\"rate\":");
@@ -636,7 +621,7 @@ pub fn to_jsonl(records: &[CertRecord]) -> String {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(&mut out, a);
+            json::write_str(a, &mut out);
         }
         out.push_str("],\"blocks\":");
         match r.witness_blocks {
@@ -648,237 +633,47 @@ pub fn to_jsonl(records: &[CertRecord]) -> String {
     out
 }
 
-// --- A minimal JSON reader, enough for the certificate schema. -------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<JsonValue>),
-    Obj(Vec<(String, JsonValue)>),
+fn get<'v>(obj: &'v Value, key: &str) -> Result<&'v Value, String> {
+    obj.get(key).ok_or_else(|| format!("missing field `{key}`"))
 }
 
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(s: &'a str) -> Self {
-        Self {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected `{lit}`")))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.eat_literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.eat_literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.eat_literal("null", JsonValue::Null),
-            Some(_) => self.number(),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: find the full scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(JsonValue::Num)
-            .ok_or_else(|| self.err("invalid number"))
-    }
-}
-
-fn get<'v>(obj: &'v [(String, JsonValue)], key: &str) -> Result<&'v JsonValue, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn as_str(v: &JsonValue, key: &str) -> Result<String, String> {
+fn as_str(v: &Value, key: &str) -> Result<String, String> {
     match v {
-        JsonValue::Str(s) => Ok(s.clone()),
+        Value::Str(s) => Ok(s.clone()),
         _ => Err(format!("field `{key}` is not a string")),
     }
 }
 
-fn as_opt_str(v: &JsonValue, key: &str) -> Result<Option<String>, String> {
+fn as_opt_str(v: &Value, key: &str) -> Result<Option<String>, String> {
     match v {
-        JsonValue::Null => Ok(None),
-        JsonValue::Str(s) => Ok(Some(s.clone())),
+        Value::Null => Ok(None),
+        Value::Str(s) => Ok(Some(s.clone())),
         _ => Err(format!("field `{key}` is not a string or null")),
     }
 }
 
-fn as_opt_f64(v: &JsonValue, key: &str) -> Result<Option<f64>, String> {
+fn as_opt_f64(v: &Value, key: &str) -> Result<Option<f64>, String> {
     match v {
-        JsonValue::Null => Ok(None),
-        JsonValue::Num(n) => Ok(Some(*n)),
+        Value::Null => Ok(None),
+        Value::Num(n) => Ok(Some(*n)),
         _ => Err(format!("field `{key}` is not a number or null")),
     }
 }
 
-fn as_usize(v: &JsonValue, key: &str) -> Result<usize, String> {
+/// Integers above 2⁵³ are not exact in a double, so they are rejected.
+fn as_usize(v: &Value, key: &str) -> Result<usize, String> {
+    const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
     match v {
-        JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as usize),
-        _ => Err(format!("field `{key}` is not a non-negative integer")),
+        Value::Num(n) if (0.0..=MAX_EXACT).contains(n) && n.fract() == 0.0 => Ok(*n as usize),
+        _ => Err(format!(
+            "field `{key}` is not a non-negative integer of at most 2^53"
+        )),
     }
 }
 
-fn as_arr<'v>(v: &'v JsonValue, key: &str) -> Result<&'v [JsonValue], String> {
+fn as_arr<'v>(v: &'v Value, key: &str) -> Result<&'v [Value], String> {
     match v {
-        JsonValue::Arr(items) => Ok(items),
+        Value::Arr(items) => Ok(items),
         _ => Err(format!("field `{key}` is not an array")),
     }
 }
@@ -895,16 +690,15 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<CertRecord>, String> {
         if line.is_empty() {
             continue;
         }
-        let mut p = JsonParser::new(line);
-        let v = p.value().map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let JsonValue::Obj(obj) = v else {
+        let obj = Value::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        if !matches!(obj, Value::Obj(_)) {
             return Err(format!("line {}: record is not an object", lineno + 1));
-        };
+        }
         let rec = (|| -> Result<CertRecord, String> {
-            let witness = match get(&obj, "witness")? {
-                JsonValue::Obj(w) => w.clone(),
-                _ => return Err("field `witness` is not an object".into()),
-            };
+            let witness = get(&obj, "witness")?;
+            if !matches!(witness, Value::Obj(_)) {
+                return Err("field `witness` is not an object".into());
+            }
             Ok(CertRecord {
                 id: as_usize(get(&obj, "id")?, "id")?,
                 op: as_str(get(&obj, "op")?, "op")?,
@@ -920,15 +714,15 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<CertRecord>, String> {
                     .map(|v| as_opt_f64(v, "input_rates[]"))
                     .collect::<Result<_, _>>()?,
                 output_rate: as_opt_f64(get(&obj, "output_rate")?, "output_rate")?,
-                witness_kind: as_str(get(&witness, "kind")?, "witness.kind")?,
-                witness_fp: as_opt_str(get(&witness, "fp")?, "witness.fp")?,
-                witness_rate: as_opt_f64(get(&witness, "rate")?, "witness.rate")?,
-                witness_actions: as_arr(get(&witness, "actions")?, "witness.actions")?
+                witness_kind: as_str(get(witness, "kind")?, "witness.kind")?,
+                witness_fp: as_opt_str(get(witness, "fp")?, "witness.fp")?,
+                witness_rate: as_opt_f64(get(witness, "rate")?, "witness.rate")?,
+                witness_actions: as_arr(get(witness, "actions")?, "witness.actions")?
                     .iter()
                     .map(|v| as_str(v, "witness.actions[]"))
                     .collect::<Result<_, _>>()?,
-                witness_blocks: match get(&witness, "blocks")? {
-                    JsonValue::Null => None,
+                witness_blocks: match get(witness, "blocks")? {
+                    Value::Null => None,
                     v => Some(as_usize(v, "witness.blocks")?),
                 },
             })
@@ -1176,8 +970,26 @@ mod tests {
 
     #[test]
     fn parser_rejects_garbage() {
-        assert!(parse_jsonl("{\"id\":0").is_err());
-        assert!(parse_jsonl("[]").is_err());
-        assert!(parse_jsonl("{\"id\":0}").is_err());
+        let (_, obligations) = pipeline();
+        let text = to_jsonl(&records(&obligations)[..1]);
+        let line = text.trim_end();
+        assert!(parse_jsonl(line).is_ok());
+        for bad in [
+            "{\"id\":0".to_string(),
+            "[]".into(),
+            "{\"id\":0}".into(),
+            format!("{line} x"),
+            line.replacen("\"op\":\"", "\"op\":\"\u{1}", 1),
+            line.replacen("\"id\":0", "\"id\":+0", 1),
+            line.replacen("\"id\":0", "\"id\":1e300", 1),
+            format!("{}{line}", "[".repeat(500_000)),
+        ] {
+            let head: String = bad.chars().take(80).collect();
+            assert!(parse_jsonl(&bad).is_err(), "accepted {head:?}");
+        }
+        // `\b` is a valid escape, not garbage.
+        let escaped = line.replacen("\"op\":\"", "\"op\":\"\\b", 1);
+        let recs = parse_jsonl(&escaped).expect("\\b is a valid escape");
+        assert!(recs[0].op.starts_with('\u{8}'));
     }
 }

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use unicon_obs::json;
+
 /// How serious a diagnostic is.
 ///
 /// Ordered: `Info < Warning < Error`, so [`Report::max_severity`] can be
@@ -298,7 +300,7 @@ impl Report {
             out.push_str(",\"action\":");
             push_json_opt_str(&mut out, d.action.as_deref());
             out.push_str(",\"message\":");
-            push_json_str(&mut out, &d.message);
+            json::write_str(&d.message, &mut out);
             out.push_str(",\"hint\":");
             push_json_opt_str(&mut out, d.hint.as_deref());
             out.push('}');
@@ -316,27 +318,9 @@ impl Report {
 
 fn push_json_opt_str(out: &mut String, s: Option<&str>) {
     match s {
-        Some(s) => push_json_str(out, s),
+        Some(s) => json::write_str(s, out),
         None => out.push_str("null"),
     }
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -41,6 +41,8 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use unicon_obs::json;
+
 /// Names of every lint rule, in report order.
 pub const RULES: [&str; 4] = ["hash-iter", "clock", "float-sum", "rng"];
 
@@ -391,30 +393,16 @@ pub fn to_json(findings: &[Finding]) -> String {
             out.push(',');
         }
         out.push_str("{\"file\":");
-        push_str(&mut out, &f.file);
+        json::write_str(&f.file, &mut out);
         out.push_str(&format!(
             ",\"line\":{},\"rule\":\"{}\",\"message\":",
             f.line, f.rule
         ));
-        push_str(&mut out, &f.message);
+        json::write_str(&f.message, &mut out);
         out.push('}');
     }
     out.push_str(&format!("],\"count\":{}}}", findings.len()));
     out
-}
-
-fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

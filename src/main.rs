@@ -16,6 +16,7 @@
 //! unicon audit --ftwc 2 [--cert-out c.jsonl]     certify the proof chain
 //! unicon audit --cert c.jsonl                    re-check a certificate
 //! unicon det-lint [--deny warnings]              determinism source lint
+//! unicon paper table1|figure4|route|ablation     regenerate the evaluation
 //! ```
 //!
 //! Models are read in the extended Aldebaran format of `unicon-imc::io`
@@ -32,6 +33,7 @@
 //! semantically invalid flags), 3 partial result (a budgeted `reach` run
 //! stopped before completing; resume it with `--resume`).
 
+mod paper;
 mod perf;
 mod serve;
 
@@ -87,6 +89,7 @@ fn main() -> ExitCode {
         Some("serve") => serve::run(&args[1..]),
         Some("audit") => cmd_audit(&args[1..]),
         Some("det-lint") => cmd_det_lint(&args[1..]),
+        Some("paper") => paper::run(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print_usage();
             Ok(ExitCode::SUCCESS)
@@ -182,7 +185,11 @@ fn print_usage() {
          [--cache-budget <bytes>] [--max-line-bytes <n>] [--drain-grace <secs>]\n  \
          unicon audit (--ftwc <N> | --cert <file.jsonl>)\n          \
          [--cert-out <file.jsonl>] [--time <t>] [--epsilon <e>] [--json]\n  \
-         unicon det-lint [--root <dir>] [--deny warnings] [--json]\n\n\
+         unicon det-lint [--root <dir>] [--deny warnings] [--json]\n  \
+         unicon paper table1 [--full] [--max-n <N>]\n  \
+         unicon paper figure4 [--n <N>] [--gamma <G>] [--max-t <t>]\n  \
+         unicon paper route [--max-n <N>]\n  \
+         unicon paper ablation\n\n\
          GLOBAL FLAGS (any command):\n  \
          --log-level quiet|info|debug   stderr console verbosity (default info)\n  \
          --trace-out <file.jsonl>       stream structured events as JSON lines\n\n\
@@ -252,6 +259,12 @@ fn print_usage() {
          and un-compensated float sums on hot paths, entropy-seeded RNG\n\
          anywhere. Waive a finding with a\n\
          `// det-lint: allow(<rule>): <reason>` comment.\n\n\
+         `paper` regenerates the paper's evaluation (EXPERIMENTS.md):\n\
+         Table 1's sizes, runtimes and iterations at ε = 1e-6 (the\n\
+         30000 h column for N <= 8 unless --full), Figure 4's CTMDP worst\n\
+         case against the Γ-resolved CTMC (exit 1 unless the CTMC exceeds\n\
+         it at every grid point), Section 5's compositional vs. generated\n\
+         construction, and the ablations.\n\n\
          --threads 0 (the default) uses one worker per hardware thread;\n\
          explicit requests are clamped to the hardware. Results are\n\
          bitwise identical for every thread count.\n\n\

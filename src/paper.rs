@@ -1,0 +1,357 @@
+//! `unicon paper`: regenerates the paper's evaluation offline — Table 1,
+//! Figure 4, Section 5's construction routes and the ablations.
+//! EXPERIMENTS.md records the measured numbers beside the paper's.
+//!
+//! ```text
+//! unicon paper table1 [--full] [--max-n N]
+//! unicon paper figure4 [--n N] [--gamma G] [--max-t T]
+//! unicon paper route [--max-n N]
+//! unicon paper ablation
+//! ```
+
+use std::process::ExitCode;
+use std::time::Duration;
+
+use unicon::core::{ClosedModel, PreparedModel};
+use unicon::ftwc::{experiment, generator, FtwcParams};
+use unicon::imc::{bisim, View};
+use unicon::numeric::FoxGlynn;
+
+use crate::{parse_cli, parse_f64, parse_time, parse_usize, runtime, usage, Cli, CliError};
+
+/// Figure 4's mission-time grid in hours.
+const FIGURE4_GRID: [f64; 10] = [
+    10.0, 20.0, 50.0, 100.0, 200.0, 400.0, 700.0, 1000.0, 1500.0, 2000.0,
+];
+
+pub fn run(args: &[String]) -> Result<ExitCode, CliError> {
+    match args.first().map(String::as_str) {
+        Some("table1") => table1(&args[1..]),
+        Some("figure4") => figure4(&args[1..]),
+        Some("route") => route(&args[1..]),
+        Some("ablation") => ablation(&args[1..]),
+        Some(other) => Err(CliError::Usage(format!(
+            "paper: unknown experiment '{other}' (expected table1, figure4, route or ablation)"
+        ))),
+        None => Err(CliError::Usage(
+            "paper needs an experiment: table1, figure4, route or ablation".into(),
+        )),
+    }
+}
+
+/// [`parse_cli`] for an experiment that takes no positional operands.
+fn flags<'a>(
+    args: &'a [String],
+    name: &str,
+    value_flags: &[&str],
+    switch_flags: &[&str],
+) -> Result<Cli<'a>, CliError> {
+    let cli = parse_cli(args, value_flags, switch_flags)?;
+    match cli.positional.first() {
+        Some(extra) => Err(CliError::Usage(format!(
+            "paper {name}: unexpected argument '{extra}'"
+        ))),
+        None => Ok(cli),
+    }
+}
+
+/// A cluster-size flag: a positive integer.
+fn cluster_size(cli: &Cli, key: &str, default: usize) -> Result<usize, CliError> {
+    match cli.value(key).map(|s| parse_usize(key, s)).transpose()? {
+        None => Ok(default),
+        Some(0) => Err(usage(key, "N must be at least 1")),
+        Some(n) => Ok(n),
+    }
+}
+
+/// Table 1: model sizes, memory, transformation time and Algorithm 1's
+/// runtimes and iterations at ε = 10⁻⁶. The 30,000 h analysis runs for
+/// N ≤ 8 unless `--full` is given.
+fn table1(args: &[String]) -> Result<ExitCode, CliError> {
+    let cli = flags(args, "table1", &["--max-n"], &["--full"])?;
+    let full = cli.has("--full");
+    let max_n = cluster_size(&cli, "--max-n", if full { 128 } else { 64 })?;
+    let epsilon = 1e-6;
+    let (t_short, t_long) = (100.0, 30_000.0);
+
+    println!("Table 1 — FTWC model sizes, memory and Algorithm-1 runtimes (ε = {epsilon:.0e})");
+    println!("paper values in parentheses; iterations differ because our Fox–Glynn");
+    println!("truncation is the minimal k with P[X <= k] >= 1-ε, not the closed-form bound\n");
+    println!(
+        "{:>4} | {:>9} {:>9} | {:>9} {:>9} | {:>9} | {:>8} | {:>9} {:>9} | {:>7} {:>7}",
+        "N",
+        "IntSt",
+        "MarkSt",
+        "IntTr",
+        "MarkTr",
+        "Mem",
+        "Tf(s)",
+        "100h(s)",
+        "30kh(s)",
+        "it100",
+        "it30k"
+    );
+    for (n, [pi, pm, pti, ptm], [ptf, pr100, pr30k], [pit100, pit30k]) in experiment::PAPER_TABLE1 {
+        if n > max_n {
+            break;
+        }
+        let bounds: &[f64] = if full || n <= 8 {
+            &[t_short, t_long]
+        } else {
+            &[t_short]
+        };
+        let row = experiment::table1_row(&FtwcParams::new(n), bounds, epsilon);
+        let (_, r100, it100, p100) = row.analyses[0];
+        let long = row.analyses.get(1);
+        println!(
+            "{:>4} | {:>9} {:>9} | {:>9} {:>9} | {:>9} | {:>8} | {:>9} {:>9} | {:>7} {:>7}",
+            n,
+            row.interactive_states,
+            row.markov_states,
+            row.interactive_transitions,
+            row.markov_transitions,
+            format_bytes(row.memory_bytes),
+            format_secs(row.transform_time),
+            format_secs(r100),
+            long.map_or_else(|| "-".into(), |l| format_secs(l.1)),
+            it100,
+            long.map_or_else(|| "-".into(), |l| l.2.to_string()),
+        );
+        println!(
+            "     | ({pi:>7}) ({pm:>7}) | ({pti:>7}) ({ptm:>7}) |           | ({ptf:>5.1}) | ({pr100:>6.2}) ({pr30k:>6.1}) | ({pit100:>4}) ({pit30k:>5})"
+        );
+        print!("     | worst-case P(premium lost, 100 h) = {p100:.6e}");
+        if let Some(l) = long {
+            print!(",  30000 h = {:.6e}", l.3);
+        }
+        println!("\n");
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Figure 4: the CTMDP worst case against the Γ-resolved CTMC over
+/// mission time. Exits 1 unless the CTMC exceeds the worst case at every
+/// grid point — the paper's finding.
+fn figure4(args: &[String]) -> Result<ExitCode, CliError> {
+    let cli = flags(args, "figure4", &["--n", "--gamma", "--max-t"], &[])?;
+    let n = cluster_size(&cli, "--n", 4)?;
+    let gamma = cli
+        .value("--gamma")
+        .map_or(Ok(100.0), |s| parse_f64("--gamma", s))?;
+    if !(gamma.is_finite() && gamma > 0.0) {
+        return Err(usage(
+            "--gamma",
+            format!("must be finite and positive, got '{gamma}'"),
+        ));
+    }
+    let max_t = cli
+        .value("--max-t")
+        .map_or(Ok(2000.0), |s| parse_time("--max-t", s))?;
+    // The CTMC's uniformization rate is dominated by Γ, so its cost grows
+    // like Γ·t: --max-t caps the grid for large N.
+    let times: Vec<f64> = FIGURE4_GRID.into_iter().filter(|&t| t <= max_t).collect();
+    if times.is_empty() {
+        return Err(usage(
+            "--max-t",
+            format!("below the grid's first point ({} h)", FIGURE4_GRID[0]),
+        ));
+    }
+    let mut params = FtwcParams::new(n);
+    params.gamma = gamma;
+
+    println!("Figure 4 — CTMDP worst case vs. Γ-resolved CTMC, N = {n}, Γ = {gamma}");
+    println!("(the CTMC consistently overestimates: its high-rate assignment races");
+    println!(" leave failed components unattended for windows the faithful urgent");
+    println!(" interpretation does not have)\n");
+    let points = experiment::figure4(&params, &times, 1e-9);
+    println!(
+        "{:>7} | {:>16} | {:>16} | {:>12} | {:>9}",
+        "t (h)", "CTMDP worst", "CTMC", "CTMC-CTMDP", "rel. (%)"
+    );
+    for p in &points {
+        let gap = p.ctmc - p.ctmdp_worst;
+        println!(
+            "{:>7.0} | {:>16.9e} | {:>16.9e} | {:>+12.3e} | {:>+9.4}",
+            p.t,
+            p.ctmdp_worst,
+            p.ctmc,
+            gap,
+            100.0 * gap / p.ctmdp_worst.max(1e-300)
+        );
+    }
+
+    // ASCII sketch of the two curves, normalized to the largest value.
+    let max = points.iter().map(|p| p.ctmc).fold(1e-300, f64::max);
+    println!("\n  normalized curves ('#' CTMDP, 'o' CTMC where it exceeds):");
+    for p in &points {
+        let w = (60.0 * p.ctmdp_worst / max).round() as usize;
+        let c = (60.0 * p.ctmc / max).round() as usize;
+        let line: String = (0..62)
+            .map(|i| {
+                if i <= w {
+                    '#'
+                } else if i <= c {
+                    'o'
+                } else {
+                    ' '
+                }
+            })
+            .collect();
+        println!("  {:>6.0}h |{line}", p.t);
+    }
+
+    match points.iter().find(|p| p.ctmc <= p.ctmdp_worst) {
+        None => {
+            println!("\nCTMC overestimates the worst-case probability at every point.");
+            Ok(ExitCode::SUCCESS)
+        }
+        Some(p) => Err(runtime(format!(
+            "figure4: at t = {} h the CTMC ({:e}) does not exceed the CTMDP worst case ({:e})",
+            p.t, p.ctmc, p.ctmdp_worst
+        ))),
+    }
+}
+
+/// Section 5's "Technicalities": the compositional (CADP-style) route
+/// against the generated (PRISM-style) route, which must agree.
+fn route(args: &[String]) -> Result<ExitCode, CliError> {
+    let cli = flags(args, "route", &["--max-n"], &[])?;
+    let max_n = cluster_size(&cli, "--max-n", 3)?;
+    let (t, epsilon) = (100.0, 1e-8);
+
+    println!("Compositional (CADP-route) vs. generated (PRISM-route) FTWC models");
+    println!("worst-case P(premium lost within {t} h), ε = {epsilon:.0e}\n");
+    println!(
+        "{:>3} | {:>12} {:>12} {:>9} | {:>12} {:>12} {:>9} | {:>11}",
+        "N", "comp states", "comp P", "comp (s)", "gen states", "gen P", "gen (s)", "|ΔP|"
+    );
+    for n in 1..=max_n {
+        let r = experiment::cross_validate(&FtwcParams::new(n), t, epsilon);
+        println!(
+            "{:>3} | {:>12} {:>12.6e} {:>9.2} | {:>12} {:>12.6e} {:>9.2} | {:>11.2e}",
+            n,
+            r.comp_states,
+            r.comp_p,
+            r.comp_time.as_secs_f64(),
+            r.gen_states,
+            r.gen_p,
+            r.gen_time.as_secs_f64(),
+            (r.comp_p - r.gen_p).abs()
+        );
+    }
+    println!(
+        "\nThe two constructions use different uniform rates (per-component elapse\n\
+         timers vs. one shared repair timer) yet describe the same stochastic\n\
+         behaviour — the probabilities agree to analysis precision. The paper's\n\
+         CADP route hit a 2 GB wall at N = 16; the compositional route here is\n\
+         likewise only practical for small N, which is exactly the point of the\n\
+         scalable counter generator."
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Ablations of three design choices: precision against iterations, the
+/// CTMC's overestimate against Γ, and minimizing before transforming.
+fn ablation(args: &[String]) -> Result<ExitCode, CliError> {
+    flags(args, "ablation", &[], &[])?;
+
+    println!("── Ablation 1: precision ε vs. iteration count k(ε, E, t) ──");
+    let e = FtwcParams::new(4).uniform_rate();
+    println!("uniform rate E = {e:.4}\n   ε      | k(100 h) | k(30000 h)");
+    for neg in [3, 6, 9, 12] {
+        let eps = 10f64.powi(-neg);
+        let k100 = FoxGlynn::new(e * 100.0).right_truncation(eps);
+        let k30k = FoxGlynn::new(e * 30_000.0).right_truncation(eps);
+        println!("   1e-{neg:<3} | {k100:>8} | {k30k:>10}");
+    }
+    println!("(the cost of two extra precision digits is a few √λ iterations)\n");
+
+    println!("── Ablation 2: CTMC overestimation vs. decision rate Γ ──");
+    println!("FTWC N = 2, t = 500 h\n   Γ      | CTMC − CTMDP (abs) | relative");
+    for gamma in [10.0, 100.0, 1000.0, 10_000.0] {
+        let mut params = FtwcParams::new(2);
+        params.gamma = gamma;
+        let p = experiment::figure4(&params, &[500.0], 1e-9)[0];
+        let gap = p.ctmc - p.ctmdp_worst;
+        println!(
+            "   {gamma:<6} | {gap:>+18.3e} | {:>+8.4}%",
+            100.0 * gap / p.ctmdp_worst
+        );
+    }
+    println!("(the artificial-race error decays like 1/Γ but never changes sign)\n");
+
+    println!("── Ablation 3: minimize-first vs. transform-directly ──");
+    println!("   N | direct CTMDP | minimized CTMDP | value direct | value minimized");
+    let worst_case = |prepared: &PreparedModel| {
+        prepared
+            .worst_case(100.0, 1e-8)
+            .expect("uniform")
+            .from_state(prepared.ctmdp.initial())
+    };
+    for n in [1usize, 2, 4] {
+        let model = generator::build_uimc(&FtwcParams::new(n));
+        let direct = PreparedModel::new(&model.uniform, &model.premium_down).expect("transforms");
+        let labels: Vec<u32> = model.premium_down.iter().map(|&d| u32::from(d)).collect();
+        let (small, small_labels) =
+            bisim::minimize_labeled(model.uniform.imc(), View::Closed, &labels);
+        let small_goal: Vec<bool> = small_labels.iter().map(|&l| l == 1).collect();
+        let small_model = ClosedModel::try_new(small).expect("quotient stays uniform");
+        let minimized = PreparedModel::new(&small_model, &small_goal).expect("transforms");
+        let (v_direct, v_min) = (worst_case(&direct), worst_case(&minimized));
+        println!(
+            "   {n} | {:>6} states | {:>9} states | {v_direct:.6e} | {v_min:.6e}",
+            direct.ctmdp.num_states(),
+            minimized.ctmdp.num_states()
+        );
+        if (v_direct - v_min).abs() >= 1e-6 {
+            return Err(runtime(format!(
+                "ablation: minimization changed the value at N = {n} ({v_direct:e} vs {v_min:e})"
+            )));
+        }
+    }
+    println!("(values agree to analysis precision — Lemma 3 at work)");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Formats a byte count the way the paper does (KB / MB).
+fn format_bytes(bytes: usize) -> String {
+    let b = bytes as f64;
+    if b >= 1024.0 * 1024.0 {
+        format!("{:.1} MB", b / (1024.0 * 1024.0))
+    } else if b >= 1024.0 {
+        format!("{:.1} KB", b / 1024.0)
+    } else {
+        format!("{bytes} B")
+    }
+}
+
+/// Formats a duration in seconds with adaptive precision.
+fn format_secs(d: Duration) -> String {
+    let s = d.as_secs_f64();
+    if s < 0.01 {
+        format!("{s:.2e}")
+    } else if s < 10.0 {
+        format!("{s:.3}")
+    } else {
+        format!("{s:.1}")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bytes_formatting() {
+        assert_eq!(format_bytes(512), "512 B");
+        assert_eq!(format_bytes(14_540), "14.2 KB");
+        assert_eq!(format_bytes(98_147_436), "93.6 MB");
+    }
+
+    #[test]
+    fn secs_formatting() {
+        assert_eq!(format_secs(Duration::from_millis(1)), "1.00e-3");
+        assert_eq!(format_secs(Duration::from_millis(2500)), "2.500");
+        assert_eq!(format_secs(Duration::from_secs(100)), "100.0");
+    }
+}

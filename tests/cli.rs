@@ -293,6 +293,16 @@ fn malformed_flags_are_usage_errors_with_exit_2() {
             "--time",
         ),
         (&["ftwc", "--n", "-3"], "--n"),
+        (&["paper"], "paper needs an experiment"),
+        (&["paper", "table2"], "unknown experiment 'table2'"),
+        (
+            &["paper", "table1", "--max-n", "x"],
+            "--max-n: 'x' is not a non-negative integer",
+        ),
+        (
+            &["paper", "figure4", "--n", "0"],
+            "--n: N must be at least 1",
+        ),
     ];
     for (args, fragment) in cases {
         let out = unicon().args(*args).output().expect("binary runs");
@@ -402,6 +412,31 @@ fn ftwc_subcommand_runs() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("FTWC N=1"));
     assert!(text.contains("premium lost"));
+}
+
+#[test]
+fn paper_subcommand_runs() {
+    // (experiment, present in the N = 1 run, absent unless N = 2 ran)
+    for (experiment, needle, n2_row) in [
+        ("table1", "worst-case P(premium lost, 100 h)", "\n   2 |"),
+        ("route", "comp states", "\n  2 |"),
+    ] {
+        let out = unicon()
+            .args(["paper", experiment, "--max-n", "1"])
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{experiment}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains(needle), "{experiment}: {text}");
+        assert!(
+            !text.contains(n2_row),
+            "{experiment} ignored --max-n: {text}"
+        );
+    }
 }
 
 /// `reach --residuals-out` writes a batch's rows grouped by query, steps

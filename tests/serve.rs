@@ -173,6 +173,23 @@ fn malformed_requests_get_typed_errors_and_the_session_survives() {
     assert_eq!(str_field(&parse(&responses[5]), "ok"), "query");
 }
 
+/// A line nested past the JSON parser's depth cap (500 KB of `[`, under
+/// the 1 MiB line cap) gets a typed `parse` error instead of overflowing
+/// the stack, and the same session answers its next request.
+#[test]
+fn deeply_nested_line_gets_a_parse_error_and_the_session_survives() {
+    let script = format!("{}\n{}", "[".repeat(500_000), register_line(1));
+    let responses = stdin_session(&script);
+    assert_eq!(responses.len(), 2);
+    let v = parse(&responses[0]);
+    let err = v
+        .get("error")
+        .unwrap_or_else(|| panic!("not an error: {}", responses[0]));
+    assert_eq!(str_field(err, "kind"), "parse");
+    assert!(str_field(err, "detail").contains("nesting"), "{err:?}");
+    assert_eq!(str_field(&parse(&responses[1]), "ok"), "register");
+}
+
 #[test]
 fn exhausted_budget_answers_a_partial_record_bracketing_the_value() {
     let pre = stdin_session(&register_line(1));
