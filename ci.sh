@@ -181,12 +181,13 @@ echo "==> construction benchmark (worklist vs reference refiner, bitwise gate)"
 # timings so the speedup claim stays honest. The JSONL trace must show
 # the whole pipeline: nested spans for all five phases plus the reach
 # engine's per-iteration records.
-./target/release/unicon bench-build --n-list 1,2,3 --out BENCH_build.json \
+./target/release/unicon bench-build --n-list 1,2,3,4,8 --out BENCH_build.json \
     --trace-out "$CI_DIR/bench_build.jsonl" 2>/dev/null
 wl=$(sed -n 's/.*"minimize_worklist_ms":\([0-9.e+-]*\),"minimize_reference_ms":\([0-9.e+-]*\).*/\1/p' BENCH_build.json | tail -1)
 ref=$(sed -n 's/.*"minimize_worklist_ms":\([0-9.e+-]*\),"minimize_reference_ms":\([0-9.e+-]*\).*/\2/p' BENCH_build.json | tail -1)
+last_n=$(sed -n 's/.*{"n":\([0-9]*\),.*/\1/p' BENCH_build.json)
 ratio=$(awk "BEGIN { printf \"%.4f\", ($ref) / ($wl) }")
-echo "BENCH_build.json written (N=3 minimize speedup reference/worklist: $ratio)"
+echo "BENCH_build.json written (N=$last_n minimize speedup reference/worklist: $ratio)"
 for PHASE in build generate compose minimize transform precompute; do
     if ! grep -q "\"type\":\"span_close\",\"name\":\"$PHASE\"" "$CI_DIR/bench_build.jsonl"; then
         echo "FAIL: bench-build trace lacks a closed '$PHASE' span"
@@ -203,7 +204,7 @@ if ! grep -q '"parent":[0-9]' "$CI_DIR/bench_build.jsonl"; then
 fi
 echo "bench-build trace covers all five phases with nested spans"
 
-echo "==> proof-chain audit gate (certify FTWC N=2, certificate round-trip)"
+echo "==> proof-chain audit gate (certify FTWC N=2 and N=8, certificate round-trip)"
 # The certified compositional route must produce a gap-free obligation
 # chain that the independent checker replays with zero failures, the
 # JSONL certificate must re-check clean, and the JSON payload must parse.
@@ -232,7 +233,18 @@ if ./target/release/unicon audit --cert "$CI_DIR/ftwc2.truncated.jsonl" >/dev/nu
     echo "FAIL: truncated certificate re-checked clean"
     exit 1
 fi
-echo "FTWC N=2 proof chain certified; certificate round-trips and tampering is caught"
+# N=8 certifies too: each repair protocol is hidden as soon as its join
+# closes it, so no intermediate product gets large.
+./target/release/unicon audit --ftwc 8 --json 2>/dev/null > "$CI_DIR/audit8.json"
+if ! grep -q '"certified":true' "$CI_DIR/audit8.json"; then
+    echo "FAIL: FTWC N=8 proof chain did not certify"
+    exit 1
+fi
+if ! grep -q '"handoff_ok":true' "$CI_DIR/audit8.json"; then
+    echo "FAIL: prepared N=8 CTMDP is not the one the ledger certifies"
+    exit 1
+fi
+echo "FTWC N=2 and N=8 proof chains certified; certificate round-trips and tampering is caught"
 
 echo "==> serve protocol gate (golden JSONL session, FTWC N=4)"
 # The release-only acceptance test (100 queries against FTWC N=32,

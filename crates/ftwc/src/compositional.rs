@@ -5,17 +5,21 @@
 //! delays are imposed by elapse time constraints (Figure 3); workstations
 //! of one side share their `g_…`/`r_…` actions, so the repair unit cannot
 //! (and need not) distinguish them. The full cluster is the parallel
-//! composition of the two workstation groups, the switches, the backbone
-//! and the repair unit, minimized compositionally — uniform at every step
-//! by Lemmas 1–3.
+//! composition of the repair unit with the two workstation groups, the
+//! switches and the backbone, minimized compositionally — uniform at every
+//! step by Lemmas 1–3.
 //!
 //! State labels (operational counters per side, switch/backbone status) are
 //! tracked through every composition and minimization so the premium
 //! predicate can be evaluated on the final model.
 //!
-//! Complexity grows quickly with `N` — the paper itself could not build the
-//! compositional model beyond `N = 14` — so this route is meant for small
-//! clusters and for cross-validating the scalable [`generator`] route.
+//! Both routes join one component type at a time onto the repair process
+//! and hide that type's repair protocol as soon as the join closes it, so
+//! the minimizations in between merge states. The paper's CADP route
+//! needed 5·10⁶ intermediate states at `N = 14`; here the largest
+//! intermediate at `N = 16` has about 130,000 states, and the route builds
+//! in seconds. It cross-validates the scalable [`generator`] route, which
+//! stays the faster one.
 //!
 //! [`generator`]: crate::generator
 
@@ -76,6 +80,14 @@ struct Labeled {
 }
 
 impl Labeled {
+    /// `model` with every state labeled 0.
+    fn unlabeled(model: UniformImc) -> Self {
+        Labeled {
+            labels: vec![0; model.imc().num_states()],
+            model,
+        }
+    }
+
     /// Parallel composition combining labels with `f`.
     fn parallel(
         &self,
@@ -104,15 +116,15 @@ impl Labeled {
         Labeled { model, labels }
     }
 
-    fn hide(&self, actions: &[&str], ctx: &mut BuildCtx) -> Labeled {
+    fn hide(self, actions: &[&str], ctx: &mut BuildCtx) -> Labeled {
         let _span = unicon_obs::span("compose");
         let start = Instant::now();
-        let out = Labeled {
-            model: self.model.hide(actions),
-            labels: self.labels.clone(),
-        };
+        let model = self.model.hide(actions);
         ctx.t.compose += start.elapsed();
-        out
+        Labeled {
+            model,
+            labels: self.labels,
+        }
     }
 }
 
@@ -123,23 +135,33 @@ pub struct CompositionalModel {
     pub uniform: UniformImc,
     /// Per-state goal flag: premium service **not** guaranteed.
     pub premium_down: Vec<bool>,
-    /// Per-state decoded configuration (repair-unit status not tracked).
-    pub configs: Vec<Config>,
 }
 
-/// Label packing: left count | right count << 8 | switches/backbone bits.
-const RIGHT_SHIFT: u32 = 8;
-const SL_BIT: u32 = 1 << 16;
-const SR_BIT: u32 = 1 << 17;
-const BB_BIT: u32 = 1 << 18;
+/// The largest cluster size the compositional routes support: the packed
+/// state label keeps each side's operational count in 8 bits.
+pub const MAX_N: usize = 255;
+
+/// Where a component type's label sits in the packed config label: each
+/// workstation group's operational count in 8 bits, one bit per switch and
+/// one for the backbone.
+fn place(c: Component) -> u32 {
+    match c {
+        Component::WsLeft => 1,
+        Component::WsRight => 1 << 8,
+        Component::SwitchLeft => 1 << 16,
+        Component::SwitchRight => 1 << 17,
+        Component::Backbone => 1 << 18,
+    }
+}
 
 fn unpack(label: u32) -> Config {
+    let up = |c| label & place(c) != 0;
     Config {
         left: label & 0xff,
-        right: (label >> RIGHT_SHIFT) & 0xff,
-        switch_left: label & SL_BIT != 0,
-        switch_right: label & SR_BIT != 0,
-        backbone: label & BB_BIT != 0,
+        right: (label >> 8) & 0xff,
+        switch_left: up(Component::SwitchLeft),
+        switch_right: up(Component::SwitchRight),
+        backbone: up(Component::Backbone),
     }
 }
 
@@ -190,6 +212,62 @@ fn component_group(n: usize, unit: &Labeled, ctx: &mut BuildCtx) -> Labeled {
     acc
 }
 
+/// The join loop of both routes. Starting from `repair`, the process that
+/// serializes repairs, it adds one component type at a time in
+/// [`Component::ALL`] order: the type's group of `unit`s synchronizes with
+/// the accumulated model on the `sync` actions of that type (`g_c` and
+/// `repair_c`, or `g_c` and `r_c`), and `g_c`, `repair_c` and `r_c` are
+/// hidden straight after the join, because no later process uses them.
+/// Each intermediate is minimized on its packed config label; the last
+/// one is minimized once, on the premium bit.
+///
+/// Hiding a type's protocol as soon as it closes is what lets the
+/// minimizations merge states: while a grab or repair action is visible,
+/// it keeps apart every pair of states that differ in what the protocol
+/// can do next.
+fn join_types(
+    params: &FtwcParams,
+    repair: Labeled,
+    sync: [&str; 2],
+    ctx: &mut BuildCtx,
+    mut unit: impl FnMut(Component, &mut BuildCtx) -> Labeled,
+) -> CompositionalModel {
+    assert!(
+        params.n <= MAX_N,
+        "compositional route supports n <= {MAX_N}"
+    );
+    let last = Component::ALL.len() - 1;
+    let mut acc = repair;
+    for (i, c) in Component::ALL.into_iter().enumerate() {
+        let members = match c {
+            Component::WsLeft | Component::WsRight => params.n,
+            _ => 1,
+        };
+        let group = component_group(members, &unit(c, ctx), ctx);
+        let typed = |a: &str| format!("{a}_{}", c.suffix());
+        let sync = sync.map(typed);
+        let protocol = ["g", "repair", "r"].map(typed);
+        let mut joined = acc
+            .parallel(
+                &group,
+                &sync.each_ref().map(String::as_str),
+                |a, l| a | (l * place(c)),
+                ctx,
+            )
+            .hide(&protocol.each_ref().map(String::as_str), ctx);
+        if i == last {
+            for l in &mut joined.labels {
+                *l = u32::from(!premium(&unpack(*l), params.n));
+            }
+        }
+        acc = joined.minimize(ctx);
+    }
+    CompositionalModel {
+        premium_down: acc.labels.iter().map(|&d| d == 1).collect(),
+        uniform: acc.model,
+    }
+}
+
 /// The repair-unit LTS: idle, or busy with one of the five component types.
 fn repair_unit() -> UniformImc {
     let mut b = LtsBuilder::new(6, 0);
@@ -205,96 +283,22 @@ fn repair_unit() -> UniformImc {
 ///
 /// # Panics
 ///
-/// Panics if `params.n > 255` (the label packing limit; the compositional
-/// route is infeasible far below that anyway).
+/// Panics if `params.n > MAX_N` (the label packing limit).
 pub fn build(params: &FtwcParams) -> CompositionalModel {
     build_with(params, Refiner::default()).0
 }
 
 /// [`build`] with an explicit refiner backend, returning per-phase timings.
+///
+/// # Panics
+///
+/// Panics if `params.n > MAX_N`.
 pub fn build_with(params: &FtwcParams, refiner: Refiner) -> (CompositionalModel, BuildTimings) {
-    assert!(params.n <= 255, "compositional route supports n <= 255");
-    let n = params.n;
     let ctx = &mut BuildCtx::new(refiner);
-
-    let ws_left = timed_component(params.ws_fail, params.ws_repair, "wsL", ctx);
-    let ws_right = timed_component(params.ws_fail, params.ws_repair, "wsR", ctx);
-    let sw_left = timed_component(params.sw_fail, params.sw_repair, "swL", ctx);
-    let sw_right = timed_component(params.sw_fail, params.sw_repair, "swR", ctx);
-    let backbone = timed_component(params.bb_fail, params.bb_repair, "bb", ctx);
-
-    let left_group = component_group(n, &ws_left, ctx);
-    let right_group = component_group(n, &ws_right, ctx);
-
-    // Assemble the label layout while interleaving everything.
-    let sides = left_group.parallel(&right_group, &[], |l, r| l | (r << RIGHT_SHIFT), ctx);
-    let sides = sides
-        .parallel(&sw_left, &[], |acc, s| acc | (s * SL_BIT), ctx)
-        .minimize(ctx);
-    let sides = sides
-        .parallel(&sw_right, &[], |acc, s| acc | (s * SR_BIT), ctx)
-        .minimize(ctx);
-    let plant = sides
-        .parallel(&backbone, &[], |acc, s| acc | (s * BB_BIT), ctx)
-        .minimize(ctx);
-
-    // Synchronize with the single repair unit on all grab/release actions.
-    let mut sync: Vec<String> = Vec::new();
-    for c in Component::ALL {
-        sync.push(format!("g_{}", c.suffix()));
-        sync.push(format!("r_{}", c.suffix()));
-    }
-    let sync_refs: Vec<&str> = sync.iter().map(String::as_str).collect();
-    let ru = ctx.generate(|| Labeled {
-        labels: vec![0; repair_unit().imc().num_states()],
-        model: repair_unit(),
+    let unit = ctx.generate(|| Labeled::unlabeled(repair_unit()));
+    let model = join_types(params, unit, ["g", "r"], ctx, |c, ctx| {
+        timed_component(params.fail_rate(c), params.repair_rate(c), c.suffix(), ctx)
     });
-    let full = plant.parallel(&ru, &sync_refs, |acc, _| acc, ctx);
-
-    // Hide the now-internal repair protocol and minimize with the premium
-    // bit as the label (the final quotient may merge configurations that
-    // agree on premium).
-    let hide_refs: Vec<&str> = sync.iter().map(String::as_str).collect();
-    let hidden = full.hide(&hide_refs, ctx);
-    let premium_labels: Vec<u32> = hidden
-        .labels
-        .iter()
-        .map(|&l| u32::from(!premium(&unpack(l), n)))
-        .collect();
-    let configs_before: Vec<Config> = hidden.labels.iter().map(|&l| unpack(l)).collect();
-    let final_span = unicon_obs::span("minimize");
-    let final_start = Instant::now();
-    let (minimized, down_labels) = hidden
-        .model
-        .minimize_labeled_with(&premium_labels, ctx.refiner);
-    ctx.t.minimize += final_start.elapsed();
-    drop(final_span);
-
-    // Configs of the quotient are only meaningful up to the premium bit;
-    // recover a representative config per quotient state for diagnostics.
-    let _ = configs_before;
-    let configs: Vec<Config> = down_labels
-        .iter()
-        .map(|&d| {
-            if d == 1 {
-                // representative degraded config
-                Config {
-                    left: 0,
-                    right: 0,
-                    switch_left: false,
-                    switch_right: false,
-                    backbone: false,
-                }
-            } else {
-                Config::all_up(n)
-            }
-        })
-        .collect();
-    let model = CompositionalModel {
-        uniform: minimized,
-        premium_down: down_labels.iter().map(|&d| d == 1).collect(),
-        configs,
-    };
     (model, ctx.t)
 }
 
@@ -339,115 +343,41 @@ fn fail_only_component(fail_rate: f64, suffix: &str, ctx: &mut BuildCtx) -> Labe
 ///
 /// # Panics
 ///
-/// Panics if `params.n > 255`.
+/// Panics if `params.n > MAX_N`.
 pub fn build_shared_timer(params: &FtwcParams) -> CompositionalModel {
     build_shared_timer_with(params, Refiner::default()).0
 }
 
 /// [`build_shared_timer`] with an explicit refiner backend, returning
 /// per-phase timings.
+///
+/// # Panics
+///
+/// Panics if `params.n > MAX_N`.
 pub fn build_shared_timer_with(
     params: &FtwcParams,
     refiner: Refiner,
 ) -> (CompositionalModel, BuildTimings) {
-    assert!(params.n <= 255, "compositional route supports n <= 255");
-    let n = params.n;
     let e_rep = params.repair_timer_rate();
     let ctx = &mut BuildCtx::new(refiner);
-
-    let ws_left = fail_only_component(params.ws_fail, "wsL", ctx);
-    let ws_right = fail_only_component(params.ws_fail, "wsR", ctx);
-    let sw_left = fail_only_component(params.sw_fail, "swL", ctx);
-    let sw_right = fail_only_component(params.sw_fail, "swR", ctx);
-    let backbone = fail_only_component(params.bb_fail, "bb", ctx);
-
-    let left_group = component_group(n, &ws_left, ctx);
-    let right_group = component_group(n, &ws_right, ctx);
-
-    let sides = left_group.parallel(&right_group, &[], |l, r| l | (r << RIGHT_SHIFT), ctx);
-    let sides = sides
-        .parallel(&sw_left, &[], |acc, s| acc | (s * SL_BIT), ctx)
-        .minimize(ctx);
-    let sides = sides
-        .parallel(&sw_right, &[], |acc, s| acc | (s * SR_BIT), ctx)
-        .minimize(ctx);
-    let plant = sides
-        .parallel(&backbone, &[], |acc, s| acc | (s * BB_BIT), ctx)
-        .minimize(ctx);
-
     // The shared repair timer, one Erlang branch per component type.
     let timer = ctx.generate(|| {
-        let branch_phases: Vec<(String, String, unicon_ctmc::phase_type::UniformPhaseType)> =
-            Component::ALL
-                .iter()
-                .map(|&c| {
-                    (
-                        format!("repair_{}", c.suffix()),
-                        format!("g_{}", c.suffix()),
-                        PhaseType::erlang(params.repair_phases, params.repair_phase_rate(c))
-                            .uniformize(e_rep),
-                    )
-                })
-                .collect();
-        let branches: Vec<(&str, &str, &unicon_ctmc::phase_type::UniformPhaseType)> = branch_phases
-            .iter()
-            .map(|(f, r, ph)| (f.as_str(), r.as_str(), ph))
-            .collect();
-        Labeled {
-            labels: vec![0; UniformImc::from_shared_elapse(&branches).imc().num_states()],
-            model: UniformImc::from_shared_elapse(&branches),
-        }
+        let phases = Component::ALL.map(|c| {
+            (
+                format!("repair_{}", c.suffix()),
+                format!("g_{}", c.suffix()),
+                PhaseType::erlang(params.repair_phases, params.repair_phase_rate(c))
+                    .uniformize(e_rep),
+            )
+        });
+        let branches = phases
+            .each_ref()
+            .map(|(f, r, ph)| (f.as_str(), r.as_str(), ph));
+        Labeled::unlabeled(UniformImc::from_shared_elapse(&branches))
     });
-
-    let mut sync: Vec<String> = Vec::new();
-    for c in Component::ALL {
-        sync.push(format!("g_{}", c.suffix()));
-        sync.push(format!("repair_{}", c.suffix()));
-    }
-    let sync_refs: Vec<&str> = sync.iter().map(String::as_str).collect();
-    let full = plant.parallel(&timer, &sync_refs, |acc, _| acc, ctx);
-
-    // Hide the whole repair protocol (including the releases) and minimize
-    // with the premium bit.
-    let mut hide: Vec<String> = sync;
-    for c in Component::ALL {
-        hide.push(format!("r_{}", c.suffix()));
-    }
-    let hide_refs: Vec<&str> = hide.iter().map(String::as_str).collect();
-    let hidden = full.hide(&hide_refs, ctx);
-    let premium_labels: Vec<u32> = hidden
-        .labels
-        .iter()
-        .map(|&l| u32::from(!premium(&unpack(l), n)))
-        .collect();
-    let final_span = unicon_obs::span("minimize");
-    let final_start = Instant::now();
-    let (minimized, down_labels) = hidden
-        .model
-        .minimize_labeled_with(&premium_labels, ctx.refiner);
-    ctx.t.minimize += final_start.elapsed();
-    drop(final_span);
-    let configs: Vec<Config> = down_labels
-        .iter()
-        .map(|&d| {
-            if d == 1 {
-                Config {
-                    left: 0,
-                    right: 0,
-                    switch_left: false,
-                    switch_right: false,
-                    backbone: false,
-                }
-            } else {
-                Config::all_up(n)
-            }
-        })
-        .collect();
-    let model = CompositionalModel {
-        uniform: minimized,
-        premium_down: down_labels.iter().map(|&d| d == 1).collect(),
-        configs,
-    };
+    let model = join_types(params, timer, ["g", "repair"], ctx, |c, ctx| {
+        fail_only_component(params.fail_rate(c), c.suffix(), ctx)
+    });
     (model, ctx.t)
 }
 

@@ -51,7 +51,7 @@ use unicon::ctmdp::par::ReachBatch;
 use unicon::ctmdp::reachability::{
     timed_reachability, Kernel, Objective, ReachOptions, ReachResult,
 };
-use unicon::ftwc::{experiment, FtwcParams};
+use unicon::ftwc::{compositional, experiment, FtwcParams};
 use unicon::imc::audit::Witness;
 use unicon::imc::{analysis, io, Imc, View};
 use unicon::transform::transform;
@@ -345,6 +345,20 @@ impl<'a> Cli<'a> {
 fn parse_usize(key: &str, s: &str) -> Result<usize, CliError> {
     s.parse()
         .map_err(|_| usage(key, format!("'{s}' is not a non-negative integer")))
+}
+
+/// Rejects a cluster size beyond the compositional route's label packing.
+fn compositional_n(key: &str, n: usize) -> Result<usize, CliError> {
+    if n > compositional::MAX_N {
+        return Err(usage(
+            key,
+            format!(
+                "the compositional route supports N <= {}, got {n}",
+                compositional::MAX_N
+            ),
+        ));
+    }
+    Ok(n)
 }
 
 fn parse_f64(key: &str, s: &str) -> Result<f64, CliError> {
@@ -982,7 +996,7 @@ fn cmd_bench_build(args: &[String]) -> Result<ExitCode, CliError> {
         .value("--n-list")
         .unwrap_or("1,2")
         .split(',')
-        .map(|p| parse_usize("--n-list", p.trim()))
+        .map(|p| compositional_n("--n-list", parse_usize("--n-list", p.trim())?))
         .collect::<Result<_, _>>()?;
     if n_list.is_empty() {
         return Err(CliError::Usage("bench-build needs at least one N".into()));
@@ -1338,7 +1352,7 @@ fn cmd_audit(args: &[String]) -> Result<ExitCode, CliError> {
             if n == 0 {
                 return Err(usage("--ftwc", "N must be at least 1"));
             }
-            audit_ftwc(&cli, n)
+            audit_ftwc(&cli, compositional_n("--ftwc", n)?)
         }
         (None, Some(path)) => audit_cert_file(&cli, path),
     }

@@ -303,6 +303,18 @@ fn malformed_flags_are_usage_errors_with_exit_2() {
             &["paper", "figure4", "--n", "0"],
             "--n: N must be at least 1",
         ),
+        (
+            &["audit", "--ftwc", "256"],
+            "--ftwc: the compositional route supports N <= 255",
+        ),
+        (
+            &["bench-build", "--n-list", "1,256"],
+            "--n-list: the compositional route supports N <= 255",
+        ),
+        (
+            &["paper", "route", "--max-n", "256"],
+            "--max-n: the compositional route supports N <= 255",
+        ),
     ];
     for (args, fragment) in cases {
         let out = unicon().args(*args).output().expect("binary runs");

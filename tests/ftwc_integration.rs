@@ -82,7 +82,7 @@ fn transform_output_is_pinned_on_the_ftwc() {
 
 #[test]
 fn compositional_route_agrees_with_generator_route() {
-    for n in [1, 2] {
+    for n in [1, 2, 8] {
         let params = FtwcParams::new(n);
         for t in [20.0, 200.0] {
             let row = experiment::cross_validate(&params, t, 1e-9);
