@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> release-only FTWC pins (generator and transform output at N = 32)"
+# The N = 32 pins skip debug builds, and the reach gates below run that
+# model.
+cargo test --release -q --test ftwc_integration
+
 echo "==> fault-injection gate (deterministic seeded faults)"
 cargo test -q -p unicon-ctmdp --features fault-inject
 

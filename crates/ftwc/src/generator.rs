@@ -21,12 +21,22 @@
 //! The slowly growing `E` is what keeps the paper's Table 1 iteration
 //! counts almost flat in `N`.
 
+use std::collections::HashMap;
+
 use unicon_core::ClosedModel;
 use unicon_ctmc::Ctmc;
-use unicon_imc::ImcBuilder;
+use unicon_imc::{Imc, MarkovTransition};
+use unicon_lts::{ActionTable, Transition};
 
 use crate::params::{Component, FtwcParams};
 use crate::premium::{premium, Config};
+
+/// The largest cluster size `N` the generator can index with one repair
+/// phase, the published model. Raw state ids are `u32`, and a model with
+/// `k` phases has `(N+1)²·8·(1+5k)` of them, so more phases lower the
+/// bound. Sizes below it can still exceed memory: generation keeps one
+/// `u32` per raw id.
+pub const MAX_N: usize = 9_458;
 
 /// Repair-unit status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,25 +74,36 @@ pub struct GeneratedModel {
     pub states: Vec<GenState>,
 }
 
-fn comp_index(c: Component) -> usize {
-    Component::ALL
-        .iter()
-        .position(|&x| x == c)
-        .expect("known component")
-}
-
 /// Number of repair-unit status values for `k` phases: idle plus one per
 /// (component, phase).
 fn ru_count(phases: u32) -> usize {
     1 + 5 * phases as usize
 }
 
+/// Whether the raw state ids `0..(N+1)²·8·(1+5k)` fit the `u32` index.
+fn fits_index(n: usize, phases: u32) -> bool {
+    n.checked_add(1)
+        .and_then(|side| side.checked_mul(side))
+        .and_then(|sides| sides.checked_mul(8 * ru_count(phases)))
+        .is_some_and(|count| u32::try_from(count - 1).is_ok())
+}
+
+fn assert_fits_index(n: usize, phases: u32) {
+    assert!(
+        fits_index(n, phases),
+        "FTWC N = {n} with {phases} repair phases overflows the u32 state index \
+         (N <= {MAX_N} with one phase)"
+    );
+}
+
+// `Component::ALL` lists the variants in declaration order, so `c as
+// usize` is a component's position in it.
 fn ru_index(ru: Ru, phases: u32) -> usize {
     match ru {
         Ru::Idle => 0,
         Ru::Busy(c, p) => {
             debug_assert!(p < phases);
-            1 + comp_index(c) * phases as usize + p as usize
+            1 + c as usize * phases as usize + p as usize
         }
     }
 }
@@ -129,192 +150,194 @@ fn decode(n: usize, phases: u32, id: u32) -> GenState {
     }
 }
 
-fn failed_components(n: usize, s: &GenState) -> Vec<Component> {
-    let mut out = Vec::new();
-    if (s.config.left as usize) < n {
-        out.push(Component::WsLeft);
-    }
-    if (s.config.right as usize) < n {
-        out.push(Component::WsRight);
-    }
-    if !s.config.switch_left {
-        out.push(Component::SwitchLeft);
-    }
-    if !s.config.switch_right {
-        out.push(Component::SwitchRight);
-    }
-    if !s.config.backbone {
-        out.push(Component::Backbone);
-    }
-    // A component currently under repair is still failed, but the repair
-    // unit cannot be assigned twice.
-    if let Ru::Busy(c, _) = s.ru {
-        out.retain(|&x| x != c);
-    }
-    out
-}
-
-/// Whether the repair unit must be (re)assigned in this state: it is idle
-/// and something is failed. Such states are the interactive decision
-/// states of the model.
-fn decision_pending(n: usize, s: &GenState) -> bool {
-    s.ru == Ru::Idle && !failed_components(n, s).is_empty()
-}
-
-fn apply_repair(s: &GenState, c: Component) -> Config {
-    let mut cfg = s.config;
+/// Operational units of component type `c`, and how many there are.
+fn units_up(n: usize, config: &Config, c: Component) -> (u32, u32) {
     match c {
-        Component::WsLeft => cfg.left += 1,
-        Component::WsRight => cfg.right += 1,
-        Component::SwitchLeft => cfg.switch_left = true,
-        Component::SwitchRight => cfg.switch_right = true,
-        Component::Backbone => cfg.backbone = true,
+        Component::WsLeft => (config.left, n as u32),
+        Component::WsRight => (config.right, n as u32),
+        Component::SwitchLeft => (u32::from(config.switch_left), 1),
+        Component::SwitchRight => (u32::from(config.switch_right), 1),
+        Component::Backbone => (u32::from(config.backbone), 1),
+    }
+}
+
+/// `config` with `up` operational units of component type `c`.
+fn with_up(config: Config, c: Component, up: u32) -> Config {
+    let mut cfg = config;
+    match c {
+        Component::WsLeft => cfg.left = up,
+        Component::WsRight => cfg.right = up,
+        Component::SwitchLeft => cfg.switch_left = up == 1,
+        Component::SwitchRight => cfg.switch_right = up == 1,
+        Component::Backbone => cfg.backbone = up == 1,
     }
     cfg
 }
 
+/// One move out of a generator state (see [`moves`]).
+#[derive(Debug, Clone, Copy)]
+enum Move {
+    /// The idle repair unit is assigned to a failed component: the
+    /// interactive `g_c` of the uIMC, a rate-Γ race in the classic CTMC.
+    Grab(Component),
+    /// A failure, an Erlang repair phase or a repair completion.
+    Rate(f64),
+}
+
+/// The moves out of `s`, in the order both builders enumerate them. At a
+/// decision state (the repair unit idle, something failed) they start
+/// with one grab per failed component type in [`Component::ALL`] order.
+/// Then come the failures, one per component type with a unit up, in
+/// the same order, and last the repair timer's move.
+///
+/// Returns the uniformization slack: the rate of every uniformized timer
+/// that moves nothing, summed in that same order so its bits are fixed.
+/// A side with `l` of `N` workstations up fails at `l·λ_ws` with slack
+/// `(N−l)·λ_ws`; switches and backbone likewise; the repair timer ticks
+/// at `E_rep` and completes component `c` at `ρ_c`.
+fn moves(params: &FtwcParams, s: &GenState, mut visit: impl FnMut(Move, GenState)) -> f64 {
+    let n = params.n;
+    if s.ru == Ru::Idle {
+        for c in Component::ALL {
+            let (up, total) = units_up(n, &s.config, c);
+            if up < total {
+                let ru = Ru::Busy(c, 0);
+                visit(Move::Grab(c), GenState { ru, ..*s });
+            }
+        }
+    }
+    let mut slack = 0.0f64;
+    for c in Component::ALL {
+        let (up, total) = units_up(n, &s.config, c);
+        let rate = params.fail_rate(c);
+        if up > 0 {
+            let config = with_up(s.config, c, up - 1);
+            visit(Move::Rate(f64::from(up) * rate), GenState { config, ..*s });
+        }
+        slack += f64::from(total - up) * rate;
+    }
+    // The shared repair timer: an Erlang delay advancing phase by phase
+    // at the per-phase rate, completing from the last phase.
+    let e_rep = params.repair_timer_rate();
+    match s.ru {
+        Ru::Idle => slack += e_rep,
+        Ru::Busy(c, p) => {
+            let (up, total) = units_up(n, &s.config, c);
+            debug_assert!(up < total, "repairing a component that is up");
+            let rho = params.repair_phase_rate(c);
+            let next = if p + 1 == params.repair_phases {
+                GenState {
+                    config: with_up(s.config, c, up + 1),
+                    ru: Ru::Idle,
+                }
+            } else {
+                GenState {
+                    ru: Ru::Busy(c, p + 1),
+                    ..*s
+                }
+            };
+            visit(Move::Rate(rho), next);
+            slack += e_rep - rho;
+        }
+    }
+    slack
+}
+
+/// The uIMC's transitions out of raw state `raw`, with raw targets: a
+/// decision state's grabs, whose urgency cuts its Markov moves, or else
+/// the Markov moves and one self-loop carrying all the slack.
+fn uimc_moves(params: &FtwcParams, raw: u32, mut visit: impl FnMut(Move, u32)) {
+    let (n, phases) = (params.n, params.repair_phases);
+    let mut decision = false;
+    let slack = moves(params, &decode(n, phases, raw), |mv, next| match mv {
+        Move::Grab(_) => {
+            decision = true;
+            visit(mv, encode(n, phases, &next));
+        }
+        Move::Rate(_) if !decision => visit(mv, encode(n, phases, &next)),
+        Move::Rate(_) => {}
+    });
+    if !decision && slack > 0.0 {
+        visit(Move::Rate(slack), raw);
+    }
+}
+
 /// Builds the nondeterministic, uniform-by-construction FTWC model.
+///
+/// Two passes over the raw state index, no intermediate model: the first
+/// marks what the initial state reaches, the second writes each reachable
+/// state's rows, numbered by ascending raw id and sorted within the row,
+/// which is [`Imc`]'s canonical order.
 ///
 /// # Panics
 ///
-/// Panics on internal inconsistencies only.
+/// Panics if the raw state ids overflow `u32` (see [`MAX_N`]), and on
+/// internal inconsistencies.
 pub fn build_uimc(params: &FtwcParams) -> GeneratedModel {
-    let n = params.n;
-    let phases = params.repair_phases;
-    let num_raw = (n + 1) * (n + 1) * 8 * ru_count(phases);
-    let initial = GenState {
+    const UNREACHED: u32 = u32::MAX;
+    let (n, phases) = (params.n, params.repair_phases);
+    assert_fits_index(n, phases);
+    let all_up = GenState {
         config: Config::all_up(n),
         ru: Ru::Idle,
     };
-    let mut b = ImcBuilder::new(num_raw, encode(n, phases, &initial));
-    let e_rep = params.repair_timer_rate();
+    let initial = encode(n, phases, &all_up);
 
-    for id in 0..num_raw as u32 {
-        let s = decode(n, phases, id);
-        // Skip structurally invalid states (repairing a component that is
-        // not failed); they are unreachable anyway.
-        if let Ru::Busy(c, _) = s.ru {
-            let valid = match c {
-                Component::WsLeft => (s.config.left as usize) < n,
-                Component::WsRight => (s.config.right as usize) < n,
-                Component::SwitchLeft => !s.config.switch_left,
-                Component::SwitchRight => !s.config.switch_right,
-                Component::Backbone => !s.config.backbone,
-            };
-            if !valid {
-                continue;
+    // Reachability: `new_id` marks each reached raw id.
+    let mut new_id = vec![UNREACHED; (n + 1) * (n + 1) * 8 * ru_count(phases)];
+    new_id[initial as usize] = 0;
+    let mut stack = vec![initial];
+    while let Some(raw) = stack.pop() {
+        uimc_moves(params, raw, |_, target| {
+            if new_id[target as usize] == UNREACHED {
+                new_id[target as usize] = 0;
+                stack.push(target);
             }
-        }
-
-        if decision_pending(n, &s) {
-            // Interactive decision state: assign the repair unit.
-            for c in failed_components(n, &s) {
-                let tgt = GenState {
-                    config: s.config,
-                    ru: Ru::Busy(c, 0),
-                };
-                b.interactive(&format!("g_{}", c.suffix()), id, encode(n, phases, &tgt));
-            }
-            continue;
-        }
-
-        // Markov state: uniformized timers. All slack goes into a single
-        // merged self-loop (parallel identical Markov transitions would
-        // collapse under the relation's set semantics).
-        let mut slack = 0.0f64;
-
-        // Workstation failures.
-        let (l, r) = (s.config.left, s.config.right);
-        if l > 0 {
-            let tgt = GenState {
-                config: Config {
-                    left: l - 1,
-                    ..s.config
-                },
-                ru: s.ru,
-            };
-            b.markov(id, f64::from(l) * params.ws_fail, encode(n, phases, &tgt));
-        }
-        slack += (n as f64 - f64::from(l)) * params.ws_fail;
-        if r > 0 {
-            let tgt = GenState {
-                config: Config {
-                    right: r - 1,
-                    ..s.config
-                },
-                ru: s.ru,
-            };
-            b.markov(id, f64::from(r) * params.ws_fail, encode(n, phases, &tgt));
-        }
-        slack += (n as f64 - f64::from(r)) * params.ws_fail;
-
-        // Switch and backbone failures.
-        if s.config.switch_left {
-            let tgt = GenState {
-                config: Config {
-                    switch_left: false,
-                    ..s.config
-                },
-                ru: s.ru,
-            };
-            b.markov(id, params.sw_fail, encode(n, phases, &tgt));
-        } else {
-            slack += params.sw_fail;
-        }
-        if s.config.switch_right {
-            let tgt = GenState {
-                config: Config {
-                    switch_right: false,
-                    ..s.config
-                },
-                ru: s.ru,
-            };
-            b.markov(id, params.sw_fail, encode(n, phases, &tgt));
-        } else {
-            slack += params.sw_fail;
-        }
-        if s.config.backbone {
-            let tgt = GenState {
-                config: Config {
-                    backbone: false,
-                    ..s.config
-                },
-                ru: s.ru,
-            };
-            b.markov(id, params.bb_fail, encode(n, phases, &tgt));
-        } else {
-            slack += params.bb_fail;
-        }
-
-        // The shared repair timer: an Erlang delay advancing phase by phase
-        // at the per-phase rate, completing from the last phase.
-        match s.ru {
-            Ru::Idle => slack += e_rep,
-            Ru::Busy(c, p) => {
-                let rho = params.repair_phase_rate(c);
-                let tgt = if p + 1 == phases {
-                    GenState {
-                        config: apply_repair(&s, c),
-                        ru: Ru::Idle,
-                    }
-                } else {
-                    GenState {
-                        config: s.config,
-                        ru: Ru::Busy(c, p + 1),
-                    }
-                };
-                b.markov(id, rho, encode(n, phases, &tgt));
-                slack += e_rep - rho;
-            }
-        }
-
-        if slack > 0.0 {
-            b.markov(id, slack, id);
+        });
+    }
+    let mut reached = Vec::new();
+    for (raw, id) in new_id.iter_mut().enumerate() {
+        if *id != UNREACHED {
+            *id = reached.len() as u32;
+            reached.push(raw as u32);
         }
     }
 
-    let (imc, old_of_new) = b.build().restrict_to_reachable_with_map();
-    let states: Vec<GenState> = old_of_new.iter().map(|&o| decode(n, phases, o)).collect();
+    // Emit: the grab actions are interned once in `Component::ALL` order,
+    // so a decision state's grabs come out sorted by action.
+    let mut actions = ActionTable::new();
+    let grab = Component::ALL.map(|c| actions.intern(&format!("g_{}", c.suffix())));
+    let mut interactive = Vec::new();
+    let mut markov: Vec<MarkovTransition> = Vec::new();
+    for (source, &raw) in (0u32..).zip(&reached) {
+        let row = markov.len();
+        uimc_moves(params, raw, |mv, target| {
+            let target = new_id[target as usize];
+            match mv {
+                Move::Grab(c) => interactive.push(Transition {
+                    source,
+                    action: grab[c as usize],
+                    target,
+                }),
+                Move::Rate(rate) => markov.push(MarkovTransition {
+                    source,
+                    rate,
+                    target,
+                }),
+            }
+        });
+        markov[row..]
+            .sort_unstable_by(|a, b| a.target.cmp(&b.target).then(a.rate.total_cmp(&b.rate)));
+    }
+
+    let imc = Imc::from_parts(
+        actions,
+        reached.len(),
+        new_id[initial as usize],
+        interactive,
+        markov,
+    );
+    let states: Vec<GenState> = reached.iter().map(|&raw| decode(n, phases, raw)).collect();
     let premium_down: Vec<bool> = states.iter().map(|s| !premium(&s.config, n)).collect();
     let uniform = ClosedModel::try_new(imc).expect("generator output is uniform by construction");
     GeneratedModel {
@@ -330,126 +353,43 @@ pub fn build_uimc(params: &FtwcParams) -> GeneratedModel {
 /// they are probabilistically irrelevant for a CTMC.
 ///
 /// Returns the chain, the per-state premium-down flags and the decoded
-/// states (reachable states only).
+/// states (reachable states only, numbered in depth-first discovery
+/// order).
+///
+/// # Panics
+///
+/// Panics if the raw state ids overflow `u32` (see [`MAX_N`]).
 pub fn build_ctmc(params: &FtwcParams) -> (Ctmc, Vec<bool>, Vec<GenState>) {
-    let n = params.n;
-    let phases = params.repair_phases;
+    let (n, phases) = (params.n, params.repair_phases);
+    assert_fits_index(n, phases);
     let initial = GenState {
         config: Config::all_up(n),
         ru: Ru::Idle,
     };
-    // Reachable exploration with on-the-fly numbering.
-    let mut index = std::collections::HashMap::new();
-    let mut states: Vec<GenState> = Vec::new();
+    let mut index = HashMap::from([(encode(n, phases, &initial), 0usize)]);
+    let mut states = vec![initial];
+    let mut frontier = vec![0usize];
     let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
-    index.insert(encode(n, phases, &initial), 0usize);
-    states.push(initial);
-    let mut frontier = vec![initial];
-
-    let alloc = |index: &mut std::collections::HashMap<u32, usize>,
-                 states: &mut Vec<GenState>,
-                 frontier: &mut Vec<GenState>,
-                 s: GenState|
-     -> usize {
-        let key = encode(n, phases, &s);
-        *index.entry(key).or_insert_with(|| {
-            states.push(s);
-            frontier.push(s);
-            states.len() - 1
-        })
-    };
-
-    while let Some(s) = frontier.pop() {
-        let src = index[&encode(n, phases, &s)];
-        // The classic model replaces the urgent nondeterministic assignment
-        // by rate-Γ transitions that *race against the ordinary failure
-        // rates* — the artificial races the paper identifies as the source
-        // of the CTMC's overestimation.
-        if decision_pending(n, &s) {
-            for c in failed_components(n, &s) {
-                let tgt = GenState {
-                    config: s.config,
-                    ru: Ru::Busy(c, 0),
-                };
-                let t = alloc(&mut index, &mut states, &mut frontier, tgt);
-                triplets.push((src, t, params.gamma));
-            }
-        }
-        let (l, r) = (s.config.left, s.config.right);
-        if l > 0 {
-            let tgt = GenState {
-                config: Config {
-                    left: l - 1,
-                    ..s.config
-                },
-                ru: s.ru,
+    while let Some(src) = frontier.pop() {
+        // The urgent assignment becomes rate-Γ transitions that *race
+        // against the ordinary failure rates* — the artificial races the
+        // paper identifies as the source of the CTMC's overestimation.
+        let s = states[src];
+        moves(params, &s, |mv, next| {
+            let t = *index.entry(encode(n, phases, &next)).or_insert_with(|| {
+                states.push(next);
+                frontier.push(states.len() - 1);
+                states.len() - 1
+            });
+            let rate = match mv {
+                Move::Grab(_) => params.gamma,
+                Move::Rate(rate) => rate,
             };
-            let t = alloc(&mut index, &mut states, &mut frontier, tgt);
-            triplets.push((src, t, f64::from(l) * params.ws_fail));
-        }
-        if r > 0 {
-            let tgt = GenState {
-                config: Config {
-                    right: r - 1,
-                    ..s.config
-                },
-                ru: s.ru,
-            };
-            let t = alloc(&mut index, &mut states, &mut frontier, tgt);
-            triplets.push((src, t, f64::from(r) * params.ws_fail));
-        }
-        if s.config.switch_left {
-            let tgt = GenState {
-                config: Config {
-                    switch_left: false,
-                    ..s.config
-                },
-                ru: s.ru,
-            };
-            let t = alloc(&mut index, &mut states, &mut frontier, tgt);
-            triplets.push((src, t, params.sw_fail));
-        }
-        if s.config.switch_right {
-            let tgt = GenState {
-                config: Config {
-                    switch_right: false,
-                    ..s.config
-                },
-                ru: s.ru,
-            };
-            let t = alloc(&mut index, &mut states, &mut frontier, tgt);
-            triplets.push((src, t, params.sw_fail));
-        }
-        if s.config.backbone {
-            let tgt = GenState {
-                config: Config {
-                    backbone: false,
-                    ..s.config
-                },
-                ru: s.ru,
-            };
-            let t = alloc(&mut index, &mut states, &mut frontier, tgt);
-            triplets.push((src, t, params.bb_fail));
-        }
-        if let Ru::Busy(c, p) = s.ru {
-            let tgt = if p + 1 == phases {
-                GenState {
-                    config: apply_repair(&s, c),
-                    ru: Ru::Idle,
-                }
-            } else {
-                GenState {
-                    config: s.config,
-                    ru: Ru::Busy(c, p + 1),
-                }
-            };
-            let t = alloc(&mut index, &mut states, &mut frontier, tgt);
-            triplets.push((src, t, params.repair_phase_rate(c)));
-        }
+            triplets.push((src, t, rate));
+        });
     }
 
-    let num = states.len();
-    let ctmc = Ctmc::from_rates(num, 0, triplets);
+    let ctmc = Ctmc::from_rates(states.len(), 0, triplets);
     let premium_down: Vec<bool> = states.iter().map(|s| !premium(&s.config, n)).collect();
     (ctmc, premium_down, states)
 }
@@ -470,6 +410,20 @@ mod tests {
                 assert_eq!(encode(n, phases, &s), id);
             }
         }
+    }
+
+    #[test]
+    fn max_n_is_the_largest_indexable_size() {
+        assert!(fits_index(MAX_N, 1));
+        assert!(!fits_index(MAX_N + 1, 1));
+        assert!(!fits_index(usize::MAX, 1));
+        assert!(!fits_index(MAX_N, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the u32 state index")]
+    fn sizes_beyond_max_n_are_refused() {
+        build_uimc(&FtwcParams::new(MAX_N + 1));
     }
 
     #[test]
@@ -502,13 +456,17 @@ mod tests {
         let mut saw_decision = false;
         for s in 0..imc.num_states() as u32 {
             let st = &m.states[s as usize];
-            if st.ru == Ru::Idle {
-                let failed = failed_components(p.n, st);
-                if !failed.is_empty() {
-                    saw_decision = true;
-                    assert_eq!(imc.kind(s), StateKind::Interactive);
-                    assert_eq!(imc.interactive_from(s).len(), failed.len());
-                }
+            let failed = Component::ALL
+                .iter()
+                .filter(|&&c| {
+                    let (up, total) = units_up(p.n, &st.config, c);
+                    up < total
+                })
+                .count();
+            if st.ru == Ru::Idle && failed > 0 {
+                saw_decision = true;
+                assert_eq!(imc.kind(s), StateKind::Interactive);
+                assert_eq!(imc.interactive_from(s).len(), failed);
             }
         }
         assert!(saw_decision);
@@ -569,7 +527,7 @@ mod tests {
         // decision states race at rate gamma
         let decision = states
             .iter()
-            .position(|s| decision_pending(p.n, s))
+            .position(|s| s.ru == Ru::Idle && s.config != Config::all_up(p.n))
             .expect("decision state");
         assert!(ctmc.exit_rate(decision) >= p.gamma);
     }
@@ -585,8 +543,8 @@ mod tests {
                 assert_close!(imc.exit_rate(s), p.uniform_rate(), 1e-9);
                 // completion happens from the last phase (= phase 0 here)
                 assert_eq!(phase, 0);
-                let decoded = &m.states[s as usize];
-                let repaired = apply_repair(decoded, c);
+                let config = m.states[s as usize].config;
+                let repaired = with_up(config, c, units_up(p.n, &config, c).0 + 1);
                 let has_completion = imc.markov_from(s).iter().any(|t| {
                     m.states[t.target as usize].config == repaired
                         && m.states[t.target as usize].ru == Ru::Idle

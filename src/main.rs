@@ -51,7 +51,7 @@ use unicon::ctmdp::par::ReachBatch;
 use unicon::ctmdp::reachability::{
     timed_reachability, Kernel, Objective, ReachOptions, ReachResult,
 };
-use unicon::ftwc::{compositional, experiment, FtwcParams};
+use unicon::ftwc::{compositional, experiment, generator, FtwcParams};
 use unicon::imc::audit::Witness;
 use unicon::imc::{analysis, io, Imc, View};
 use unicon::transform::transform;
@@ -345,6 +345,25 @@ impl<'a> Cli<'a> {
 fn parse_usize(key: &str, s: &str) -> Result<usize, CliError> {
     s.parse()
         .map_err(|_| usage(key, format!("'{s}' is not a non-negative integer")))
+}
+
+/// An FTWC cluster size: from 1 up to the largest the generator can
+/// index.
+fn parse_cluster_size(key: &str, s: &str) -> Result<usize, CliError> {
+    match parse_usize(key, s)? {
+        0 => Err(usage(key, "N must be at least 1")),
+        n if n > generator::MAX_N => Err(usage(
+            key,
+            format!("N must be at most {}, got {n}", generator::MAX_N),
+        )),
+        n => Ok(n),
+    }
+}
+
+/// A cluster-size flag, or `default` when it is absent.
+fn cluster_size(cli: &Cli, key: &str, default: usize) -> Result<usize, CliError> {
+    cli.value(key)
+        .map_or(Ok(default), |s| parse_cluster_size(key, s))
 }
 
 /// Rejects a cluster size beyond the compositional route's label packing.
@@ -708,7 +727,7 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, CliError> {
     };
 
     if let Some(nspec) = cli.value("--ftwc") {
-        let n = parse_usize("--ftwc", nspec)?;
+        let n = parse_cluster_size("--ftwc", nspec)?;
         match guard {
             None => {
                 // plain batched engine with full phase-timing stats
@@ -996,15 +1015,10 @@ fn cmd_bench_build(args: &[String]) -> Result<ExitCode, CliError> {
         .value("--n-list")
         .unwrap_or("1,2")
         .split(',')
-        .map(|p| compositional_n("--n-list", parse_usize("--n-list", p.trim())?))
+        .map(|p| compositional_n("--n-list", parse_cluster_size("--n-list", p.trim())?))
         .collect::<Result<_, _>>()?;
     if n_list.is_empty() {
         return Err(CliError::Usage("bench-build needs at least one N".into()));
-    }
-    if let Some(bad) = n_list.iter().find(|&&n| n == 0) {
-        return Err(CliError::Usage(format!(
-            "--n-list: N must be at least 1, got {bad}"
-        )));
     }
     let epsilon = epsilon_or_default(&cli)?;
     let rows = experiment::build_bench(&n_list, epsilon);
@@ -1069,9 +1083,7 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, CliError> {
             "profile: unexpected argument '{extra}'"
         )));
     }
-    let n = cli
-        .value("--ftwc")
-        .map_or(Ok(4), |s| parse_usize("--ftwc", s))?;
+    let n = cluster_size(&cli, "--ftwc", 4)?;
     let bounds: Vec<f64> = cli
         .value("--time-bounds")
         .unwrap_or("10")
@@ -1273,9 +1285,7 @@ fn cmd_metrics(args: &[String]) -> Result<ExitCode, CliError> {
             "metrics: unexpected argument '{extra}'"
         )));
     }
-    let n = cli
-        .value("--ftwc")
-        .map_or(Ok(1), |s| parse_usize("--ftwc", s))?;
+    let n = cluster_size(&cli, "--ftwc", 1)?;
     let bounds: Vec<f64> = cli
         .value("--time-bounds")
         .unwrap_or("10")
@@ -1303,7 +1313,7 @@ fn cmd_metrics(args: &[String]) -> Result<ExitCode, CliError> {
 
 fn cmd_ftwc(args: &[String]) -> Result<ExitCode, CliError> {
     let cli = parse_cli(args, &["--n", "--time", "--epsilon"], &[])?;
-    let n = cli.value("--n").map_or(Ok(4), |s| parse_usize("--n", s))?;
+    let n = cluster_size(&cli, "--n", 4)?;
     let t = cli
         .value("--time")
         .map_or(Ok(100.0), |s| parse_time("--time", s))?;
@@ -1348,11 +1358,8 @@ fn cmd_audit(args: &[String]) -> Result<ExitCode, CliError> {
             "audit needs --ftwc <N> or --cert <file.jsonl>".into(),
         )),
         (Some(nspec), None) => {
-            let n = parse_usize("--ftwc", nspec)?;
-            if n == 0 {
-                return Err(usage("--ftwc", "N must be at least 1"));
-            }
-            audit_ftwc(&cli, compositional_n("--ftwc", n)?)
+            let n = compositional_n("--ftwc", parse_cluster_size("--ftwc", nspec)?)?;
+            audit_ftwc(&cli, n)
         }
         (None, Some(path)) => audit_cert_file(&cli, path),
     }

@@ -18,7 +18,7 @@ use unicon::imc::{bisim, View};
 use unicon::numeric::FoxGlynn;
 
 use crate::{
-    compositional_n, parse_cli, parse_f64, parse_time, parse_usize, runtime, usage, Cli, CliError,
+    cluster_size, compositional_n, parse_cli, parse_f64, parse_time, runtime, usage, Cli, CliError,
 };
 
 /// Figure 4's mission-time grid in hours.
@@ -54,15 +54,6 @@ fn flags<'a>(
             "paper {name}: unexpected argument '{extra}'"
         ))),
         None => Ok(cli),
-    }
-}
-
-/// A cluster-size flag: a positive integer.
-fn cluster_size(cli: &Cli, key: &str, default: usize) -> Result<usize, CliError> {
-    match cli.value(key).map(|s| parse_usize(key, s)).transpose()? {
-        None => Ok(default),
-        Some(0) => Err(usage(key, "N must be at least 1")),
-        Some(n) => Ok(n),
     }
 }
 

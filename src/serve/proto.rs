@@ -32,6 +32,7 @@
 //! wall-clock `*_ms` measurements.
 
 use unicon::ctmdp::reachability::Objective;
+use unicon::ftwc::generator;
 use unicon::obs::json::{self, Value};
 
 /// A typed protocol failure, rendered as one `{"error": ...}` line.
@@ -199,6 +200,12 @@ fn parse_register(body: &Value) -> Result<Request, ProtoError> {
         .ok_or_else(|| ProtoError::usage("register needs an \"ftwc\" cluster size"))?;
     if ftwc == 0 {
         return Err(ProtoError::usage("register.ftwc must be at least 1"));
+    }
+    if ftwc > generator::MAX_N {
+        return Err(ProtoError::usage(format!(
+            "register.ftwc must be at most {}, got {ftwc}",
+            generator::MAX_N
+        )));
     }
     Ok(Request::Register { ftwc })
 }
@@ -479,6 +486,7 @@ mod tests {
             (r#"{"launch": {}}"#, "usage"),
             (r#"{"register": {}}"#, "usage"),
             (r#"{"register": {"ftwc": 0}}"#, "usage"),
+            (r#"{"register": {"ftwc": 100000}}"#, "usage"),
             (r#"{"register": {"ftwc": 1.5}}"#, "usage"),
             (r#"{"query": {"t": 1}}"#, "usage"),
             (r#"{"query": {"model": "zz", "t": 1}}"#, "usage"),

@@ -293,6 +293,18 @@ fn malformed_flags_are_usage_errors_with_exit_2() {
             "--time",
         ),
         (&["ftwc", "--n", "-3"], "--n"),
+        (&["ftwc", "--n", "0"], "--n: N must be at least 1"),
+        (
+            &["reach", "--ftwc", "0", "--time-bounds", "1"],
+            "--ftwc: N must be at least 1",
+        ),
+        (&["profile", "--ftwc", "0"], "--ftwc: N must be at least 1"),
+        (&["metrics", "--ftwc", "0"], "--ftwc: N must be at least 1"),
+        (
+            &["reach", "--ftwc", "9459", "--time-bounds", "1"],
+            "--ftwc: N must be at most 9458, got 9459",
+        ),
+        (&["ftwc", "--n", "100000"], "--n: N must be at most 9458"),
         (&["paper"], "paper needs an experiment"),
         (&["paper", "table2"], "unknown experiment 'table2'"),
         (

@@ -8,6 +8,7 @@ use unicon::ctmdp::scheduler::UniformRandom;
 use unicon::ctmdp::simulate::{estimate_reachability, SimulationOptions};
 use unicon::ftwc::{compositional, experiment, generator, FtwcParams};
 use unicon::numeric::assert_close;
+use unicon::numeric::fnv::Fnv64;
 
 #[test]
 fn table1_structure_matches_paper() {
@@ -35,6 +36,52 @@ fn table1_structure_matches_paper() {
             close_enough(row.markov_transitions, ptm),
             "N={n}: Markov transitions {} vs paper {ptm}",
             row.markov_transitions
+        );
+    }
+}
+
+/// The generator's own output: (N, repair phases, states,
+/// `Imc::fingerprint`, FNV-1a hash of `premium_down` at one byte per
+/// state).
+const PINNED_GENERATOR: [(usize, u32, usize, u64, u64); 9] = [
+    (1, 1, 111, 0x12b1_23cb_16e8_a925, 0x03c9_f09b_3a5a_593b),
+    (2, 1, 275, 0xc68b_ab8d_b6ad_3721, 0xea10_d7d4_5208_b090),
+    (4, 1, 819, 0x4a79_370d_605b_0da8, 0xb5b5_7b75_f18a_6d71),
+    (8, 1, 2771, 0xe88d_dab3_9fc8_d2b3, 0x947a_4b40_aa23_5361),
+    (16, 1, 10131, 0x53c9_1e3f_fb76_f724, 0x5ee0_7317_373c_6a41),
+    (32, 1, 38675, 0x1c16_34ef_433e_d75f, 0x5283_939c_c032_4401),
+    (1, 3, 271, 0x0fd6_761a_dc71_d494, 0x71cc_79b6_45e6_7821),
+    (2, 3, 683, 0x7cd8_0633_5eca_f819, 0x99eb_1165_8dfc_41ee),
+    (4, 3, 2059, 0x8b32_f4e8_d139_2111, 0xffb3_8705_8dbb_bc2f),
+];
+
+#[test]
+fn generator_output_is_pinned() {
+    for (n, phases, states, fingerprint, premium_down) in PINNED_GENERATOR {
+        // N=32 is release-only, like the transform pin below.
+        if n == 32 && cfg!(debug_assertions) {
+            continue;
+        }
+        let mut params = FtwcParams::new(n);
+        params.repair_phases = phases;
+        let model = generator::build_uimc(&params);
+        let imc = model.uniform.imc();
+        let mut down = Fnv64::new();
+        for &d in &model.premium_down {
+            down.write(&[u8::from(d)]);
+        }
+        assert_eq!(imc.num_states(), states, "N={n}, {phases} phases: states");
+        assert_eq!(
+            imc.fingerprint(),
+            fingerprint,
+            "N={n}, {phases} phases: IMC fingerprint {:016x}",
+            imc.fingerprint()
+        );
+        assert_eq!(
+            down.finish(),
+            premium_down,
+            "N={n}, {phases} phases: premium_down hash {:016x}",
+            down.finish()
         );
     }
 }
