@@ -52,4 +52,4 @@ pub mod reachability;
 pub mod scheduler;
 pub mod simulate;
 
-pub use model::{Ctmdp, CtmdpBuilder, NotUniformError, RateFunction, TransitionRef};
+pub use model::{Ctmdp, CtmdpBuilder, NotUniformError, RateFunction, RatePool, TransitionRef};

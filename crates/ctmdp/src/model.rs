@@ -1,53 +1,30 @@
 //! The [`Ctmdp`] model: states, actions and rate-function transitions.
 
+use std::collections::hash_map::{Entry, HashMap};
+
 use unicon_lts::{ActionId, ActionTable};
+use unicon_numeric::fnv::{self, fnv_word, BuildFnv};
 use unicon_numeric::NeumaierSum;
 
-/// A sparse rate function `R : S → ℝ⁺` (Definition 1).
+/// No row: the end of a [`RatePool`] hash chain.
+const NONE: u32 = u32::MAX;
+
+/// A sparse rate function `R : S → ℝ⁺` (Definition 1): a view into its
+/// model's rate-function pool.
 ///
 /// `total()` is `E_R = Σ_{s'} R(s')`, the exit rate of the transition; the
 /// discrete branching probabilities are `Pr_R(s, s') = R(s') / E_R`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RateFunction {
-    /// `(target, rate)` pairs, sorted by target, rates > 0.
-    targets: Vec<(u32, f64)>,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RateFunction<'a> {
+    /// `(target, rate)` pairs, targets strictly increasing, rates > 0.
+    targets: &'a [(u32, f64)],
     total: f64,
 }
 
-impl RateFunction {
-    /// Builds a rate function from `(target, rate)` pairs; duplicate targets
-    /// are merged by addition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if empty, or if any rate is not finite and positive.
-    pub fn new(mut pairs: Vec<(u32, f64)>) -> Self {
-        assert!(!pairs.is_empty(), "a rate function must be non-empty");
-        pairs.sort_unstable_by_key(|&(t, _)| t);
-        let mut merged: Vec<(u32, f64)> = Vec::with_capacity(pairs.len());
-        for (t, r) in pairs {
-            assert!(
-                r.is_finite() && r > 0.0,
-                "rates must be finite and positive"
-            );
-            match merged.last_mut() {
-                Some((lt, lr)) if *lt == t => *lr += r,
-                _ => merged.push((t, r)),
-            }
-        }
-        let mut acc = NeumaierSum::new();
-        for &(_, r) in &merged {
-            acc.add(r);
-        }
-        Self {
-            targets: merged,
-            total: acc.value(),
-        }
-    }
-
+impl<'a> RateFunction<'a> {
     /// The `(target, rate)` pairs, sorted by target.
-    pub fn targets(&self) -> &[(u32, f64)] {
-        &self.targets
+    pub fn targets(&self) -> &'a [(u32, f64)] {
+        self.targets
     }
 
     /// Exit rate `E_R`.
@@ -69,8 +46,9 @@ impl RateFunction {
     }
 
     /// Iterates over `(target, probability)` pairs.
-    pub fn probs(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
-        self.targets.iter().map(|&(t, r)| (t, r / self.total))
+    pub fn probs(&self) -> impl Iterator<Item = (u32, f64)> + 'a {
+        let total = self.total;
+        self.targets.iter().map(move |&(t, r)| (t, r / total))
     }
 
     /// Cumulative rate into a set of states given as a membership slice.
@@ -79,8 +57,118 @@ impl RateFunction {
             .iter()
             .filter(|&&(t, _)| set[t as usize])
             .map(|&(_, r)| r)
+            // det-lint: allow(float-sum): a left-to-right fold in target
+            // order; the reach checksums pin its bits.
             .sum()
     }
+}
+
+/// A rate-function pool under construction: every function's
+/// `(target, rate)` entries in one flat array, each interned by content
+/// so that equal functions share one index.
+///
+/// A row is hashed word by word (FNV-1a over each target and each rate's
+/// bit pattern); rows with equal hashes are compared entry by entry. The
+/// first occurrence of a row keeps its index, so indices follow the order
+/// in which distinct rows first arrive.
+#[derive(Debug, Clone)]
+pub struct RatePool {
+    entries: Vec<(u32, f64)>,
+    /// Row `i` is `entries[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    /// The newest row with each hash.
+    by_hash: HashMap<u64, u32, BuildFnv>,
+    /// Per row, the next older row with the same hash, or [`NONE`].
+    older: Vec<u32>,
+}
+
+impl RatePool {
+    /// An empty pool with room for `rows` rows of `entries` entries in
+    /// all, so that interning that many allocates nothing more.
+    pub fn new(rows: usize, entries: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Self {
+            entries: Vec::with_capacity(entries),
+            offsets,
+            by_hash: HashMap::with_capacity_and_hasher(rows, BuildFnv),
+            older: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Interns one rate function given as `(target, rate)` pairs sorted by
+    /// target. Neighbouring pairs with one target merge, their rates added
+    /// in the order given. Returns the index of the equal row interned
+    /// first, or a new index one past the last.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row is empty.
+    pub fn intern(&mut self, row: impl IntoIterator<Item = (u32, f64)>) -> u32 {
+        self.intern_with(row, row_hash)
+    }
+
+    /// [`Self::intern`] under the hash `hash`.
+    fn intern_with(
+        &mut self,
+        row: impl IntoIterator<Item = (u32, f64)>,
+        hash: fn(&[(u32, f64)]) -> u64,
+    ) -> u32 {
+        let start = self.entries.len();
+        for (t, r) in row {
+            match self.entries[start..].last_mut() {
+                Some((last, sum)) if *last == t => *sum += r,
+                _ => self.entries.push((t, r)),
+            }
+        }
+        assert!(
+            self.entries.len() > start,
+            "a rate function must be non-empty"
+        );
+        let fresh = self.older.len() as u32;
+        let candidate = &self.entries[start..];
+        match self.by_hash.entry(hash(candidate)) {
+            Entry::Vacant(slot) => {
+                slot.insert(fresh);
+                self.older.push(NONE);
+            }
+            Entry::Occupied(mut slot) => {
+                let mut i = *slot.get();
+                while i != NONE {
+                    let row = &self.entries[self.offsets[i as usize]..self.offsets[i as usize + 1]];
+                    if same_row(row, candidate) {
+                        self.entries.truncate(start);
+                        return i;
+                    }
+                    i = self.older[i as usize];
+                }
+                self.older.push(slot.insert(fresh));
+            }
+        }
+        self.offsets.push(self.entries.len());
+        fresh
+    }
+
+    /// The flat entries and the row offsets, for [`Ctmdp::from_parts`].
+    pub fn into_parts(self) -> (Vec<(u32, f64)>, Vec<usize>) {
+        (self.entries, self.offsets)
+    }
+}
+
+/// The pool's hash of a row: FNV-1a over its targets and rate bits, one
+/// word each.
+fn row_hash(row: &[(u32, f64)]) -> u64 {
+    row.iter().fold(fnv::OFFSET_BASIS, |h, &(t, r)| {
+        fnv_word(fnv_word(h, u64::from(t)), r.to_bits())
+    })
+}
+
+/// Whether two rows hold the same targets and the same rate bits.
+fn same_row(a: &[(u32, f64)], b: &[(u32, f64)]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
 }
 
 /// Reference to one transition `(s, a, R)`: the action and the index of the
@@ -122,13 +210,18 @@ impl std::error::Error for NotUniformError {}
 /// Build with [`CtmdpBuilder`]. Rate functions are pooled and deduplicated
 /// structurally — the paper's observation that "Markov states are in
 /// one-to-one correspondence with the rate functions" makes this the
-/// natural storage layout for transformed models.
+/// natural storage layout for transformed models. The pool is one flat
+/// `(target, rate)` array with per-function offsets and exit rates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ctmdp {
     actions: ActionTable,
     num_states: usize,
     initial: u32,
-    rate_functions: Vec<RateFunction>,
+    /// Rate function `i` is `rate_entries[rate_offsets[i]..rate_offsets[i + 1]]`.
+    rate_entries: Vec<(u32, f64)>,
+    rate_offsets: Vec<usize>,
+    /// Exit rate `E_R` of each rate function.
+    rate_totals: Vec<f64>,
     /// Per-state transition lists, flattened.
     transitions: Vec<TransitionRef>,
     offsets: Vec<usize>,
@@ -136,20 +229,25 @@ pub struct Ctmdp {
 
 impl Ctmdp {
     /// Builds a CTMDP from checked parts: an action table, a rate-function
-    /// pool, and the transitions of state `s` at
-    /// `transitions[offsets[s]..offsets[s + 1]]`.
+    /// pool whose function `i` is
+    /// `rate_entries[rate_offsets[i]..rate_offsets[i + 1]]`, and the
+    /// transitions of state `s` at `transitions[offsets[s]..offsets[s + 1]]`.
+    /// Each function's exit rate is the compensated sum of its rates in
+    /// target order.
     ///
     /// # Panics
     ///
     /// Panics if `num_states == 0`, the initial state, a rate-function
-    /// target, an action or a pool index is out of bounds, or `offsets` is
-    /// not a non-decreasing run of `num_states + 1` offsets from 0 to
-    /// `transitions.len()`.
+    /// target, an action or a pool index is out of bounds, a rate function
+    /// is empty, its targets are not strictly increasing, or a rate is not
+    /// finite and positive, or if `offsets` is not a non-decreasing run of
+    /// `num_states + 1` offsets from 0 to `transitions.len()`.
     pub fn from_parts(
         actions: ActionTable,
         num_states: usize,
         initial: u32,
-        rate_functions: Vec<RateFunction>,
+        rate_entries: Vec<(u32, f64)>,
+        rate_offsets: Vec<usize>,
         transitions: Vec<TransitionRef>,
         offsets: Vec<usize>,
     ) -> Self {
@@ -165,17 +263,36 @@ impl Ctmdp {
                 && offsets[num_states] == transitions.len(),
             "per-state offsets must run from 0 to the transition count"
         );
-        for rf in &rate_functions {
-            for &(t, _) in rf.targets() {
+        assert!(
+            rate_offsets.first() == Some(&0)
+                && rate_offsets.last() == Some(&rate_entries.len())
+                && rate_offsets.windows(2).all(|w| w[0] < w[1]),
+            "rate-function offsets must rise strictly from 0 to the entry count"
+        );
+        let mut rate_totals = Vec::with_capacity(rate_offsets.len() - 1);
+        for w in rate_offsets.windows(2) {
+            let row = &rate_entries[w[0]..w[1]];
+            let mut acc = NeumaierSum::new();
+            for (i, &(t, r)) in row.iter().enumerate() {
                 assert!(
                     (t as usize) < num_states,
                     "rate-function target out of bounds"
                 );
+                assert!(
+                    i == 0 || row[i - 1].0 < t,
+                    "rate-function targets must be strictly increasing"
+                );
+                assert!(
+                    r.is_finite() && r > 0.0,
+                    "rates must be finite and positive"
+                );
+                acc.add(r);
             }
+            rate_totals.push(acc.value());
         }
         for tr in &transitions {
             assert!(
-                (tr.rate_fn as usize) < rate_functions.len(),
+                (tr.rate_fn as usize) < rate_totals.len(),
                 "rate-function index out of bounds"
             );
             assert!(
@@ -187,7 +304,9 @@ impl Ctmdp {
             actions,
             num_states,
             initial,
-            rate_functions,
+            rate_entries,
+            rate_offsets,
+            rate_totals,
             transitions,
             offsets,
         }
@@ -205,13 +324,13 @@ impl Ctmdp {
 
     /// Number of distinct rate functions in the pool.
     pub fn num_rate_functions(&self) -> usize {
-        self.rate_functions.len()
+        self.rate_totals.len()
     }
 
     /// Total number of `(target, rate)` entries over all rate functions —
     /// the "Markov transitions" count of Table 1.
     pub fn num_rate_entries(&self) -> usize {
-        self.rate_functions.iter().map(|r| r.targets().len()).sum()
+        self.rate_entries.len()
     }
 
     /// The initial state.
@@ -224,14 +343,18 @@ impl Ctmdp {
         &self.actions
     }
 
-    /// The rate-function pool.
-    pub fn rate_functions(&self) -> &[RateFunction] {
-        &self.rate_functions
+    /// The rate-function pool, in index order.
+    pub fn rate_functions(&self) -> impl ExactSizeIterator<Item = RateFunction<'_>> + '_ {
+        (0..self.rate_totals.len() as u32).map(|i| self.rate_function(i))
     }
 
     /// One rate function by index.
-    pub fn rate_function(&self, idx: u32) -> &RateFunction {
-        &self.rate_functions[idx as usize]
+    pub fn rate_function(&self, idx: u32) -> RateFunction<'_> {
+        let i = idx as usize;
+        RateFunction {
+            targets: &self.rate_entries[self.rate_offsets[i]..self.rate_offsets[i + 1]],
+            total: self.rate_totals[i],
+        }
     }
 
     /// A structural fingerprint: FNV-1a over the state count, the initial
@@ -249,8 +372,8 @@ impl Ctmdp {
             h.write(name.as_bytes());
             h.write(&[0xff]);
         }
-        h.write_u64(self.rate_functions.len() as u64);
-        for rf in &self.rate_functions {
+        h.write_u64(self.num_rate_functions() as u64);
+        for rf in self.rate_functions() {
             h.write_u64(rf.targets().len() as u64);
             for &(t, r) in rf.targets() {
                 h.write_u32(t);
@@ -290,7 +413,7 @@ impl Ctmdp {
     pub fn uniform_rate(&self) -> Result<f64, NotUniformError> {
         let mut rate: Option<f64> = None;
         for tr in &self.transitions {
-            let e = self.rate_functions[tr.rate_fn as usize].total();
+            let e = self.rate_totals[tr.rate_fn as usize];
             match rate {
                 None => rate = Some(e),
                 Some(r) => {
@@ -307,22 +430,23 @@ impl Ctmdp {
     }
 
     /// Approximate heap footprint of the sparse representation in bytes
-    /// (Table 1's "Mem" column).
+    /// (Table 1's "Mem" column): the transitions, their per-state offsets,
+    /// and per rate function its entries and its exit rate.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.transitions.len() * size_of::<TransitionRef>()
             + self.offsets.len() * size_of::<usize>()
-            + self
-                .rate_functions
-                .iter()
-                .map(|r| std::mem::size_of_val(r.targets()) + size_of::<f64>())
-                .sum::<usize>()
+            + self.rate_entries.len() * size_of::<(u32, f64)>()
+            + self.rate_totals.len() * size_of::<f64>()
     }
 }
 
 /// Builder for [`Ctmdp`].
 ///
-/// Structurally identical rate functions are pooled automatically.
+/// Structurally identical rate functions are pooled automatically (see
+/// [`RatePool`]). Within one transition, pairs that repeat a target merge
+/// into one entry whose rate is their sum, added in the order the pairs
+/// were given.
 ///
 /// # Examples
 ///
@@ -342,9 +466,10 @@ pub struct CtmdpBuilder {
     actions: ActionTable,
     num_states: usize,
     initial: u32,
-    rate_functions: Vec<RateFunction>,
-    pool_index: std::collections::HashMap<Vec<(u32, u64)>, u32>,
+    pool: RatePool,
     per_state: Vec<Vec<TransitionRef>>,
+    /// The pairs of the transition being added, sorted by target.
+    sorted: Vec<(u32, f64)>,
 }
 
 impl CtmdpBuilder {
@@ -363,41 +488,37 @@ impl CtmdpBuilder {
             actions: ActionTable::new(),
             num_states,
             initial,
-            rate_functions: Vec::new(),
-            pool_index: std::collections::HashMap::new(),
+            pool: RatePool::new(0, 0),
             per_state: vec![Vec::new(); num_states],
+            sorted: Vec::new(),
         }
     }
 
     /// Adds a transition `(source, action, R)` where `R` is given by
-    /// `(target, rate)` pairs.
+    /// `(target, rate)` pairs. Pairs that repeat a target merge by
+    /// addition in the order given (the sort by target is stable).
     ///
     /// # Panics
     ///
-    /// Panics on out-of-bounds states or non-positive rates.
+    /// Panics on out-of-bounds states, an empty `rates`, or rates that are
+    /// not finite and positive.
     pub fn transition(&mut self, source: u32, action: &str, rates: &[(u32, f64)]) -> &mut Self {
         assert!(
             (source as usize) < self.num_states,
             "source state out of bounds"
         );
-        let rf = RateFunction::new(rates.to_vec());
-        for &(t, _) in rf.targets() {
+        assert!(!rates.is_empty(), "a rate function must be non-empty");
+        for &(t, r) in rates {
+            assert!(
+                r.is_finite() && r > 0.0,
+                "rates must be finite and positive"
+            );
             assert!((t as usize) < self.num_states, "target state out of bounds");
         }
-        let key: Vec<(u32, u64)> = rf
-            .targets()
-            .iter()
-            .map(|&(t, r)| (t, r.to_bits()))
-            .collect();
-        let idx = match self.pool_index.get(&key) {
-            Some(&i) => i,
-            None => {
-                let i = self.rate_functions.len() as u32;
-                self.rate_functions.push(rf);
-                self.pool_index.insert(key, i);
-                i
-            }
-        };
+        self.sorted.clear();
+        self.sorted.extend_from_slice(rates);
+        self.sorted.sort_by_key(|&(t, _)| t);
+        let idx = self.pool.intern(self.sorted.iter().copied());
         let action = self.actions.intern(action);
         let tr = TransitionRef {
             action,
@@ -417,11 +538,13 @@ impl CtmdpBuilder {
         for list in &self.per_state {
             offsets.push(offsets[offsets.len() - 1] + list.len());
         }
+        let (rate_entries, rate_offsets) = self.pool.into_parts();
         Ctmdp::from_parts(
             self.actions,
             self.num_states,
             self.initial,
-            self.rate_functions,
+            rate_entries,
+            rate_offsets,
             self.per_state.concat(),
             offsets,
         )
@@ -433,9 +556,18 @@ mod tests {
     use super::*;
     use unicon_numeric::assert_close;
 
+    /// A one-state model whose single transition has the rate function
+    /// given by `pairs`.
+    fn one_function(pairs: &[(u32, f64)]) -> Ctmdp {
+        let mut b = CtmdpBuilder::new(3, 0);
+        b.transition(0, "a", pairs);
+        b.build()
+    }
+
     #[test]
     fn rate_function_merges_and_sums() {
-        let rf = RateFunction::new(vec![(2, 1.0), (0, 0.5), (2, 1.5)]);
+        let m = one_function(&[(2, 1.0), (0, 0.5), (2, 1.5)]);
+        let rf = m.rate_function(0);
         assert_eq!(rf.targets(), &[(0, 0.5), (2, 2.5)]);
         assert_close!(rf.total(), 3.0, 1e-12);
         assert_close!(rf.rate(2), 2.5, 1e-12);
@@ -444,8 +576,41 @@ mod tests {
     }
 
     #[test]
+    fn repeated_targets_add_in_input_order() {
+        // A scrambled row of 52 pairs (an unstable sort by target has been
+        // seen to reorder target 5's rates here) whose target 5 comes with
+        // rates 0.1, 0.2 and 0.3 in that order. The order shows in the
+        // bits: (0.1 + 0.2) + 0.3 differs from (0.2 + 0.3) + 0.1.
+        assert_ne!(
+            (0.1 + 0.2 + 0.3f64).to_bits(),
+            (0.2 + 0.3 + 0.1f64).to_bits()
+        );
+        let targets = [
+            5, 8, 14, 18, 25, 17, 42, 34, 5, 46, 37, 1, 38, 21, 29, 39, 36, 49, 47, 6, 41, 10, 22,
+            30, 16, 5, 24, 4, 3, 23, 7, 9, 11, 31, 28, 26, 2, 20, 32, 43, 13, 35, 15, 12, 40, 27,
+            45, 19, 0, 48, 33, 44,
+        ];
+        let mut fives = [0.1, 0.2, 0.3].into_iter();
+        let pairs: Vec<(u32, f64)> = targets
+            .into_iter()
+            .map(|t| match t {
+                5 => (t, fives.next().expect("three rates")),
+                _ => (t, 1.0 + f64::from(t)),
+            })
+            .collect();
+        let mut b = CtmdpBuilder::new(50, 0);
+        b.transition(0, "a", &pairs);
+        let m = b.build();
+        let rf = m.rate_function(0);
+        assert_eq!(rf.targets().len(), 50);
+        assert!(rf.targets().windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(rf.rate(5).to_bits(), (0.1 + 0.2 + 0.3f64).to_bits());
+    }
+
+    #[test]
     fn rate_into_set() {
-        let rf = RateFunction::new(vec![(0, 1.0), (1, 2.0), (2, 3.0)]);
+        let m = one_function(&[(0, 1.0), (1, 2.0), (2, 3.0)]);
+        let rf = m.rate_function(0);
         assert_close!(rf.rate_into(&[true, false, true]), 4.0, 1e-12);
         assert_eq!(rf.rate_into(&[false, false, false]), 0.0);
     }
@@ -453,7 +618,68 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn rate_function_rejects_empty() {
-        RateFunction::new(vec![]);
+        one_function(&[]);
+    }
+
+    #[test]
+    fn pool_interns_first_occurrences_in_order() {
+        let rows: [&[(u32, f64)]; 5] = [
+            &[(0, 1.0), (2, 0.5)],
+            &[(1, 1.0)],
+            &[(0, 1.0), (2, 0.5)],
+            &[(0, 0.5), (0, 0.5), (2, 0.5)],
+            &[(1, 1.0)],
+        ];
+        // Every row hashed into one bucket runs the equality check on each
+        // lookup; the real hash gives the same indices.
+        for hash in [row_hash, |_: &[(u32, f64)]| 0] {
+            let mut pool = RatePool::new(0, 0);
+            let ids: Vec<u32> = rows
+                .iter()
+                .map(|row| pool.intern_with(row.iter().copied(), hash))
+                .collect();
+            assert_eq!(ids, [0, 1, 0, 0, 1]);
+            let (entries, offsets) = pool.into_parts();
+            assert_eq!(entries, [(0, 1.0), (2, 0.5), (1, 1.0)]);
+            assert_eq!(offsets, [0, 2, 3]);
+        }
+        // Unequal rows in one bucket get new indices in arrival order.
+        let mut pool = RatePool::new(0, 0);
+        let ids: Vec<u32> = [3u32, 1, 3, 2, 1, 0]
+            .iter()
+            .map(|&t| pool.intern_with([(t, 1.0)], |_| 7))
+            .collect();
+        assert_eq!(ids, [0, 1, 0, 2, 1, 3]);
+        // Equal targets with different rate bits are different rows.
+        assert_eq!(pool.intern_with([(3, 1.0 + f64::EPSILON)], |_| 7), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn from_parts_rejects_unsorted_targets() {
+        Ctmdp::from_parts(
+            ActionTable::new(),
+            2,
+            0,
+            vec![(1, 1.0), (0, 1.0)],
+            vec![0, 2],
+            Vec::new(),
+            vec![0, 0, 0],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn from_parts_rejects_nonpositive_rates() {
+        Ctmdp::from_parts(
+            ActionTable::new(),
+            2,
+            0,
+            vec![(1, 0.0)],
+            vec![0, 1],
+            Vec::new(),
+            vec![0, 0, 0],
+        );
     }
 
     #[test]

@@ -344,17 +344,17 @@ impl Precompute {
     pub(crate) fn csr_only(ctmdp: &Ctmdp, goal: &[bool]) -> Result<Self, ReachError> {
         validate_goal(goal, ctmdp)?;
         let rate = ctmdp.uniform_rate()?;
-        let rfs = ctmdp.rate_functions();
         let n = ctmdp.num_states();
         let probs = CsrMatrix::from_triplets(
-            rfs.len(),
+            ctmdp.num_rate_functions(),
             n,
-            rfs.iter()
+            ctmdp
+                .rate_functions()
                 .enumerate()
                 .flat_map(|(i, rf)| rf.probs().map(move |(tgt, p)| (i, tgt as usize, p))),
         );
-        let prob_goal: Vec<f64> = rfs
-            .iter()
+        let prob_goal: Vec<f64> = ctmdp
+            .rate_functions()
             .map(|rf| rf.rate_into(goal) / rf.total())
             .collect();
         Ok(Self {

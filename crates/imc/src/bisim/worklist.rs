@@ -33,6 +33,7 @@ use std::collections::HashMap;
 
 use unicon_ctmc::lumping::quantize;
 use unicon_lts::ActionId;
+use unicon_numeric::fnv::{self, fnv_word, BuildFnv};
 use unicon_numeric::NeumaierSum;
 
 use super::Partition;
@@ -218,15 +219,8 @@ impl SigData {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_word(h: u64, word: u64) -> u64 {
-    (h ^ word).wrapping_mul(FNV_PRIME)
-}
-
 fn fnv_sig(sig: &SigData) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = fnv::OFFSET_BASIS;
     h = fnv_word(h, sig.moves.len() as u64);
     for &(a, b) in &sig.moves {
         h = fnv_word(h, (u64::from(a) << 32) | u64::from(b));
@@ -242,11 +236,12 @@ fn fnv_sig(sig: &SigData) -> u64 {
     h
 }
 
-/// Interns signatures so that equal signatures share one id; grouping then
-/// compares a single `u32` per state instead of whole tree sets.
+/// Interns signatures so that equal signatures share one id, numbered in
+/// insertion order; grouping then compares a single `u32` per state
+/// instead of whole tree sets.
 #[derive(Default)]
 struct Interner {
-    by_hash: HashMap<u64, Vec<u32>>,
+    by_hash: HashMap<u64, Vec<u32>, BuildFnv>,
     sigs: Vec<SigData>,
 }
 

@@ -8,6 +8,12 @@
 //! (`unicon-ctmdp::guard`) need, and the opposite of what `std`'s seeded
 //! `DefaultHasher` provides.
 //!
+//! In-memory interners hash whole 64-bit words instead of bytes:
+//! [`fnv_word`] is one FNV-1a step over a word, and [`BuildFnv`] hands a
+//! `HashMap` the same step through [`FnvWordHasher`]. These hashes are
+//! not byte-wise FNV-1a values and are never written out; only equal
+//! inputs must hash equal.
+//!
 //! # Examples
 //!
 //! ```
@@ -18,8 +24,58 @@
 //! assert_eq!(h.finish(), unicon_numeric::fnv::fnv1a64(b"hello"));
 //! ```
 
-const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64's offset basis: the hash of no input.
+pub const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x100_0000_01b3;
+
+/// One FNV-1a step over a whole 64-bit word: xor the word in, multiply
+/// by the FNV prime. Start a sequence at [`OFFSET_BASIS`].
+pub fn fnv_word(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(PRIME)
+}
+
+/// A [`Hasher`](std::hash::Hasher) that feeds every integer it is given
+/// through [`fnv_word`] as one word. Byte slices go byte by byte.
+#[derive(Debug, Clone, Copy)]
+pub struct FnvWordHasher(u64);
+
+impl std::hash::Hasher for FnvWordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = fnv_word(self.0, u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.0 = fnv_word(self.0, u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = fnv_word(self.0, v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.0 = fnv_word(self.0, v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The [`BuildHasher`](std::hash::BuildHasher) of [`FnvWordHasher`], for
+/// maps keyed by word hashes or small integer tuples: unseeded, so a
+/// map's layout is the same in every run.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BuildFnv;
+
+impl std::hash::BuildHasher for BuildFnv {
+    type Hasher = FnvWordHasher;
+
+    fn build_hasher(&self) -> FnvWordHasher {
+        FnvWordHasher(OFFSET_BASIS)
+    }
+}
 
 /// One-shot FNV-1a 64 over a byte slice.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -51,8 +107,7 @@ impl Fnv64 {
     /// Feeds raw bytes.
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(PRIME);
+            self.0 = fnv_word(self.0, u64::from(b));
         }
     }
 
@@ -104,6 +159,23 @@ mod tests {
         let mut b = Fnv64::new();
         b.write(&[1, 2, 3, 4]);
         assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn word_hasher_steps_once_per_integer() {
+        use std::hash::{BuildHasher, Hasher};
+        assert_eq!(
+            BuildFnv.hash_one((7u32, 9u32)),
+            fnv_word(fnv_word(OFFSET_BASIS, 7), 9)
+        );
+        assert_eq!(
+            BuildFnv.hash_one(u64::MAX),
+            fnv_word(OFFSET_BASIS, u64::MAX)
+        );
+        // One byte is one byte-wise FNV-1a step.
+        let mut h = BuildFnv.build_hasher();
+        h.write(b"a");
+        assert_eq!(h.finish(), fnv1a64(b"a"));
     }
 
     #[test]

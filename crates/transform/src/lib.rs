@@ -58,5 +58,5 @@ pub use steps::{
     is_strictly_alternating, make_alternating, make_interactive_alternating,
     make_interactive_alternating_with_map, make_markov_alternating,
     make_markov_alternating_with_entries, to_ctmdp, to_ctmdp_with_map, transform_stepwise,
-    TransformError, TransformOutput, TransformStats,
+    TransformError, TransformOutput, TransformStats, ZeroClosures,
 };

@@ -10,7 +10,9 @@
 //!   name per distinct word ([`Words`]).
 //! * The strictly alternating IMC and the CTMDP are assembled from runs
 //!   already in their sorted order, so their constructors' sorts only
-//!   confirm it; one rate function is built and pooled per Markov state.
+//!   confirm it. The Markov rows are read from the input through the
+//!   renumbering, and each Markov state's rate function is interned
+//!   straight into the CTMDP's flat pool.
 //!
 //! The step-wise route re-interns action names twice on the way; both
 //! times the names are numbered by first appearance in the restricted
@@ -21,11 +23,12 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use unicon_ctmdp::{Ctmdp, RateFunction, TransitionRef};
+use unicon_ctmdp::{Ctmdp, RatePool, TransitionRef};
 use unicon_imc::{Imc, MarkovTransition};
 use unicon_lts::{ActionId, ActionTable, Transition, TAU_NAME};
+use unicon_numeric::fnv::BuildFnv;
 
-use crate::steps::{finish, transform_stepwise, TransformError, TransformOutput};
+use crate::steps::{finish, transform_stepwise, TransformError, TransformOutput, ZeroClosures};
 
 /// No state, action or word assigned yet.
 const NONE: u32 = u32::MAX;
@@ -56,11 +59,12 @@ pub fn transform(imc: &Imc) -> Result<TransformOutput, TransformError> {
 /// returns this pass's output for every model it transforms.
 #[doc(hidden)]
 pub fn transform_one_pass(imc: &Imc) -> Option<TransformOutput> {
+    // det-lint: allow(clock): Table 1's transform time; no output bit reads it.
     let start = Instant::now();
     let alt = Alternating::new(imc).filter(Alternating::is_acyclic)?;
-    let words = Words::new(&alt);
+    let words = Words::new(&alt, imc.num_states());
     let names = words.names(&alt, imc);
-    let strictly_alternating = alt.strictly_alternating(&words, &names);
+    let strictly_alternating = alt.strictly_alternating(imc, &words, &names);
     let ctmdp = extract(&strictly_alternating, alt.kept.len());
     let origin = alt.kept.iter().map(|&s| alt.origin[s as usize]).collect();
     Some(finish(
@@ -92,9 +96,9 @@ struct Alternating {
     arcs: Vec<(u32, u32)>,
     /// The input action of each rank.
     actions: Vec<ActionId>,
-    /// The Markov transitions, sources ascending, each redirected to its
-    /// target's entry state when the target is a Markov state.
-    rates: Vec<MarkovTransition>,
+    /// Per input state, the state a Markov transition into it lands on:
+    /// its entry state if it is a Markov state, else itself.
+    landing: Vec<u32>,
     /// The interactive states step (3) keeps: the initial state and every
     /// Markov target, ascending.
     kept: Vec<u32>,
@@ -142,14 +146,38 @@ impl Alternating {
             markov.push(!interactive);
         }
 
+        // The entry states, and the interactive states step (3) keeps:
+        // the initial state, every entry state and every other Markov
+        // target. `keep` marks the last; fresh states are numbered past it.
+        let mut entry_of = vec![NONE; r];
+        let mut keep = vec![false; r];
+        let mut entries = 0;
+        for (x, &s) in origin.iter().enumerate() {
+            if markov[x] {
+                for m in imc.markov_from(s) {
+                    let t = new_of[m.target as usize] as usize;
+                    if !markov[t] {
+                        keep[t] = true;
+                    } else if entry_of[t] == NONE {
+                        entry_of[t] = 0;
+                        entries += 1;
+                    }
+                }
+            }
+        }
+        let initial_r = new_of[imc.initial() as usize];
+        let fresh_states = entries + usize::from(markov[initial_r as usize]);
+        origin.reserve_exact(fresh_states);
+        markov.reserve_exact(fresh_states);
+
         // Actions ranked by first appearance in the restricted model's
         // sorted interactive list, τ first; each state's arcs by rank.
         let mut rank = vec![NONE; imc.actions().len()];
         rank[ActionId::TAU.index()] = 0;
         let mut actions = vec![ActionId::TAU];
-        let mut off = Vec::with_capacity(r + 1);
+        let mut off = Vec::with_capacity(r + fresh_states + 1);
         off.push(0);
-        let mut arcs = Vec::with_capacity(imc.num_interactive());
+        let mut arcs = Vec::with_capacity(imc.num_interactive() + fresh_states);
         for &s in &origin {
             let row = arcs.len();
             for t in imc.interactive_from(s) {
@@ -166,7 +194,6 @@ impl Alternating {
 
         // Fresh states, each with one τ transition: the initial state's
         // prefix, then the entry states.
-        let initial_r = new_of[imc.initial() as usize];
         let mut fresh = |to: u32, origin: &mut Vec<u32>, markov: &mut Vec<bool>| {
             origin.push(origin[to as usize]);
             markov.push(false);
@@ -179,48 +206,22 @@ impl Alternating {
         } else {
             initial_r
         };
-        let mut entry_of = vec![NONE; r];
-        for (x, &s) in origin[..r].iter().enumerate() {
-            if markov[x] {
-                for m in imc.markov_from(s) {
-                    let t = new_of[m.target as usize];
-                    if markov[t as usize] {
-                        entry_of[t as usize] = 0;
-                    }
-                }
-            }
-        }
         for t in 0..r as u32 {
             if entry_of[t as usize] != NONE {
                 entry_of[t as usize] = origin.len() as u32;
                 fresh(t, &mut origin, &mut markov);
             }
         }
+        let kept = (0..origin.len() as u32)
+            .filter(|&s| s == initial || s as usize >= r || keep[s as usize])
+            .collect();
 
-        let mut rates = Vec::with_capacity(imc.num_markov());
-        let mut keep = vec![false; origin.len()];
-        keep[initial as usize] = true;
-        for (x, &s) in origin[..r].iter().enumerate() {
-            if markov[x] {
-                for m in imc.markov_from(s) {
-                    let t = new_of[m.target as usize];
-                    let target = if markov[t as usize] {
-                        entry_of[t as usize]
-                    } else {
-                        t
-                    };
-                    keep[target as usize] = true;
-                    rates.push(MarkovTransition {
-                        source: x as u32,
-                        rate: m.rate,
-                        target,
-                    });
-                }
+        let mut landing = new_of;
+        for t in &mut landing {
+            if *t != NONE && markov[*t as usize] {
+                *t = entry_of[*t as usize];
             }
         }
-        let kept = (0..origin.len() as u32)
-            .filter(|&s| keep[s as usize])
-            .collect();
         Some(Self {
             origin,
             markov,
@@ -228,7 +229,7 @@ impl Alternating {
             off,
             arcs,
             actions,
-            rates,
+            landing,
             kept,
         })
     }
@@ -275,7 +276,7 @@ impl Alternating {
     /// Markov states, each in ascending order; word names are interned in
     /// the order step (3) emits them. [`Imc::from_parts`] drops repeated
     /// transitions, which also merges words with equal names.
-    fn strictly_alternating(&self, words: &Words, names: &[String]) -> Imc {
+    fn strictly_alternating(&self, imc: &Imc, words: &Words, names: &[String]) -> Imc {
         let k = self.kept.len();
         let mut sa_of = vec![NONE; self.origin.len()];
         for (i, &s) in self.kept.iter().enumerate() {
@@ -306,17 +307,20 @@ impl Alternating {
             interactive[row..].sort_unstable();
         }
 
-        let mut markov: Vec<MarkovTransition> = self
-            .rates
-            .iter()
-            .map(|m| MarkovTransition {
-                source: sa_of[m.source as usize],
+        // The Markov states are the reachable states of the cut input that
+        // are Markov states; each row is read from the input.
+        let mut markov = Vec::with_capacity(imc.num_markov());
+        for (x, &s) in self.origin.iter().enumerate() {
+            if !self.markov[x] {
+                continue;
+            }
+            let row = markov.len();
+            markov.extend(imc.markov_from(s).iter().map(|m| MarkovTransition {
+                source: sa_of[x],
                 rate: m.rate,
-                target: sa_of[m.target as usize],
-            })
-            .collect();
-        for row in markov.chunk_by_mut(|a, b| a.source == b.source) {
-            row.sort_unstable_by(|a, b| {
+                target: sa_of[self.landing[m.target as usize] as usize],
+            }));
+            markov[row..].sort_unstable_by(|a, b| {
                 a.target
                     .cmp(&b.target)
                     .then(a.rate.partial_cmp(&b.rate).expect("rates are finite"))
@@ -346,20 +350,34 @@ struct Words {
     emitted: Vec<(u32, u32)>,
     off: Vec<usize>,
     /// Per kept state, the input states its zero-time paths touch, sorted.
-    closures: Vec<Vec<u32>>,
+    closures: ZeroClosures,
 }
 
 impl Words {
-    fn new(alt: &Alternating) -> Self {
-        let mut index: HashMap<(u32, u32), u32> = HashMap::new();
+    /// Searches the words of `alt`, a renumbering of an input with
+    /// `input_states` states.
+    fn new(alt: &Alternating, input_states: usize) -> Self {
+        let mut index: HashMap<(u32, u32), u32, BuildFnv> = HashMap::default();
         let mut nodes = vec![(NONE, 0)];
         let mut emitted = Vec::new();
         let mut off = Vec::with_capacity(alt.kept.len() + 1);
         off.push(0);
-        let mut closures = Vec::with_capacity(alt.kept.len());
+        let mut closure_off = Vec::with_capacity(alt.kept.len() + 1);
+        closure_off.push(0);
+        let mut closure = Vec::new();
+        // The last kept state whose closure took each input state.
+        let mut taken_by = vec![NONE; input_states];
         let mut stack = Vec::new();
-        for &s in &alt.kept {
-            let mut touched = vec![alt.origin[s as usize]];
+        for (i, &s) in alt.kept.iter().enumerate() {
+            let i = i as u32;
+            let row = closure.len();
+            let mut take = |o: u32| {
+                if taken_by[o as usize] != i {
+                    taken_by[o as usize] = i;
+                    closure.push(o);
+                }
+            };
+            take(alt.origin[s as usize]);
             stack.push((s, 0));
             while let Some((cur, word)) = stack.pop() {
                 for &(a, t) in alt.row(cur) {
@@ -371,7 +389,7 @@ impl Words {
                             nodes.len() as u32 - 1
                         })
                     };
-                    touched.push(alt.origin[t as usize]);
+                    take(alt.origin[t as usize]);
                     if alt.markov[t as usize] {
                         emitted.push((w, t));
                     } else {
@@ -379,16 +397,15 @@ impl Words {
                     }
                 }
             }
-            touched.sort_unstable();
-            touched.dedup();
-            closures.push(touched);
+            closure[row..].sort_unstable();
+            closure_off.push(closure.len());
             off.push(emitted.len());
         }
         Self {
             nodes,
             emitted,
             off,
-            closures,
+            closures: ZeroClosures::new(closure_off, closure),
         }
     }
 
@@ -410,68 +427,32 @@ impl Words {
 }
 
 /// Reads the strictly alternating IMC `sa`, whose first `k` states are its
-/// interactive states, as a CTMDP: the extraction of [`crate::to_ctmdp`]
-/// with one rate function built per Markov state.
+/// interactive states, as a CTMDP: the extraction of [`crate::to_ctmdp`].
 ///
 /// [`crate::to_ctmdp`] interns action names and pools rate functions by
 /// `(target, rate bits)` in the order they first appear along the sorted
 /// interactive list. `sa` interned its word names in emission order, state
 /// by state, and a state's new names get the highest ids so far, so names
 /// first appear along the sorted list in id order: the CTMDP keeps `sa`'s
-/// action table. Here the Markov states are taken in that order, equal
-/// rate functions are found by sorting, and each keeps the pool index of
-/// its first.
+/// action table. Here each Markov state's row is interned into the pool
+/// where it first appears along that list, so the pool keeps the same
+/// order and indices.
 fn extract(sa: &Imc, k: usize) -> Ctmdp {
-    // Markov states by first appearance.
-    let mut position = vec![NONE; sa.num_states() - k];
-    let mut rate_fns = Vec::with_capacity(position.len());
-    for t in sa.interactive() {
-        let p = &mut position[t.target as usize - k];
-        if *p == NONE {
-            *p = rate_fns.len() as u32;
-            rate_fns.push(RateFunction::new(
-                sa.markov_from(t.target)
-                    .iter()
-                    .map(|m| (m.target, m.rate))
-                    .collect(),
-            ));
-        }
-    }
-    // The pooling key: `(target, rate bits)` pairs.
-    let key = |p: u32| {
-        rate_fns[p as usize]
-            .targets()
-            .iter()
-            .map(|&(t, r)| (t, r.to_bits()))
-    };
-    let mut by_key: Vec<u32> = (0..rate_fns.len() as u32).collect();
-    by_key.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
-    let mut first = vec![0; rate_fns.len()];
-    for run in by_key.chunk_by(|&a, &b| key(a).eq(key(b))) {
-        for &p in run {
-            first[p as usize] = run[0];
-        }
-    }
-    let mut pool_of = vec![0; rate_fns.len()];
-    let mut pool = Vec::new();
-    for (p, rf) in rate_fns.into_iter().enumerate() {
-        pool_of[p] = if first[p] as usize == p {
-            pool.push(rf);
-            pool.len() as u32 - 1
-        } else {
-            pool_of[first[p] as usize]
-        };
-    }
-
+    let mut pool_of = vec![NONE; sa.num_states() - k];
+    let mut pool = RatePool::new(pool_of.len(), sa.num_markov());
     let mut transitions = Vec::with_capacity(sa.num_interactive());
     let mut offsets = Vec::with_capacity(k + 1);
     offsets.push(0);
     for s in 0..k as u32 {
         let row = transitions.len();
         for t in sa.interactive_from(s) {
+            let p = &mut pool_of[t.target as usize - k];
+            if *p == NONE {
+                *p = pool.intern(sa.markov_from(t.target).iter().map(|m| (m.target, m.rate)));
+            }
             let tr = TransitionRef {
                 action: t.action,
-                rate_fn: pool_of[position[t.target as usize - k] as usize],
+                rate_fn: *p,
             };
             if !transitions[row..].contains(&tr) {
                 transitions.push(tr);
@@ -479,11 +460,13 @@ fn extract(sa: &Imc, k: usize) -> Ctmdp {
         }
         offsets.push(transitions.len());
     }
+    let (rate_entries, rate_offsets) = pool.into_parts();
     Ctmdp::from_parts(
         sa.actions().clone(),
         k,
         sa.initial(),
-        pool,
+        rate_entries,
+        rate_offsets,
         transitions,
         offsets,
     )

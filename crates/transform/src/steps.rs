@@ -85,9 +85,58 @@ pub struct TransformOutput {
     /// For every CTMDP state, all input-IMC states reachable from it in
     /// zero time (along interactive paths), including itself and the Markov
     /// endpoints — the basis of the sup-faithful goal translation.
-    pub ctmdp_zero_closure: Vec<Vec<u32>>,
+    pub ctmdp_zero_closure: ZeroClosures,
     /// Table-1-style statistics.
     pub stats: TransformStats,
+}
+
+/// Per CTMDP state, the input states its zero-time paths touch, sorted:
+/// one flat array with per-state offsets.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ZeroClosures {
+    /// The closure of state `s` is `states[off[s]..off[s + 1]]`.
+    off: Vec<usize>,
+    states: Vec<u32>,
+}
+
+impl ZeroClosures {
+    /// Closures from their offsets and their concatenated states.
+    pub(crate) fn new(off: Vec<usize>, states: Vec<u32>) -> Self {
+        debug_assert!(off.first() == Some(&0) && off.last() == Some(&states.len()));
+        Self { off, states }
+    }
+
+    /// Number of CTMDP states.
+    pub fn len(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// Whether there are no CTMDP states.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The closure of CTMDP state `s`, `None` past the last state.
+    pub fn get(&self, s: usize) -> Option<&[u32]> {
+        Some(&self.states[*self.off.get(s)?..*self.off.get(s + 1)?])
+    }
+
+    /// The closures in state order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        self.off.windows(2).map(|w| &self.states[w[0]..w[1]])
+    }
+}
+
+impl FromIterator<Vec<u32>> for ZeroClosures {
+    fn from_iter<I: IntoIterator<Item = Vec<u32>>>(closures: I) -> Self {
+        let mut off = vec![0];
+        let mut states = Vec::new();
+        for c in closures {
+            states.extend(c);
+            off.push(states.len());
+        }
+        Self { off, states }
+    }
 }
 
 impl TransformOutput {
@@ -460,6 +509,7 @@ pub fn to_ctmdp_with_map(imc: &Imc) -> (Ctmdp, Vec<u32>) {
 /// See [`make_interactive_alternating`].
 #[doc(hidden)]
 pub fn transform_stepwise(imc: &Imc) -> Result<TransformOutput, TransformError> {
+    // det-lint: allow(clock): Table 1's transform time; no output bit reads it.
     let start = Instant::now();
     // Step (1): urgency cut + restriction, tracking origins.
     let (mut m, mut origin) = imc
@@ -490,7 +540,7 @@ pub fn transform_stepwise(imc: &Imc) -> Result<TransformOutput, TransformError> 
         .iter()
         .map(|&sa| origin[step3_origin[sa as usize] as usize])
         .collect();
-    let ctmdp_zero_closure: Vec<Vec<u32>> = imc_of_ctmdp
+    let ctmdp_zero_closure = imc_of_ctmdp
         .iter()
         .map(|&sa| {
             let mut c: Vec<u32> = step3_closure[sa as usize]
@@ -520,7 +570,7 @@ pub(crate) fn finish(
     ctmdp: Ctmdp,
     strictly_alternating: Imc,
     ctmdp_state_origin: Vec<u32>,
-    ctmdp_zero_closure: Vec<Vec<u32>>,
+    ctmdp_zero_closure: ZeroClosures,
     start: Instant,
 ) -> TransformOutput {
     // The witness fingerprints the whole CTMDP: build it only for a

@@ -702,7 +702,7 @@ pub fn lint_ctmdp(ctmdp: &Ctmdp) -> Report {
     let n = ctmdp.num_states();
 
     // U003: ill-formed rate-function entries.
-    for (i, rf) in ctmdp.rate_functions().iter().enumerate() {
+    for (i, rf) in ctmdp.rate_functions().enumerate() {
         for &(t, v) in rf.targets() {
             if !(v.is_finite() && v > 0.0) {
                 r.push(
@@ -759,13 +759,11 @@ pub fn lint_ctmdp(ctmdp: &Ctmdp) -> Report {
     // branch silently contributes nothing to any transient analysis.
     let max_exit = ctmdp
         .rate_functions()
-        .iter()
         .map(|rf| rf.total())
         .filter(|e| e.is_finite())
         .fold(0.0f64, f64::max);
     let min_branch = ctmdp
         .rate_functions()
-        .iter()
         .flat_map(|rf| rf.targets().iter())
         .map(|&(_, v)| v)
         .filter(|v| v.is_finite() && *v > 0.0)

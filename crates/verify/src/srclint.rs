@@ -19,7 +19,8 @@
 //! | `rng` | everywhere | entropy-seeded randomness (`thread_rng`, `rand::random`, `from_entropy`) — only the seeded in-tree generator is allowed |
 //!
 //! *Hot paths* are the files where numeric results are produced (value
-//! iteration, partition refinement, sparse kernels, transient analysis);
+//! iteration, partition refinement, sparse kernels, transient analysis,
+//! Theorem 1's transform and the CTMDP's rate-function pool);
 //! elsewhere a `HashMap` loop or a timer read is ordinary engineering.
 //! The `rng` rule has no such safe harbor.
 //!
@@ -48,7 +49,8 @@ pub const RULES: [&str; 4] = ["hash-iter", "clock", "float-sum", "rng"];
 
 /// Files (workspace-relative, `/`-separated; trailing `/` means the whole
 /// directory) whose numeric output must be reproducible bit for bit.
-const HOT_PATHS: [&str; 10] = [
+const HOT_PATHS: [&str; 12] = [
+    "crates/ctmdp/src/model.rs",
     "crates/ctmdp/src/reachability.rs",
     "crates/ctmdp/src/par.rs",
     "crates/ctmdp/src/guard.rs",
@@ -59,6 +61,7 @@ const HOT_PATHS: [&str; 10] = [
     "crates/ctmc/src/transient.rs",
     "crates/ctmc/src/steady.rs",
     "crates/imc/src/bisim/",
+    "crates/transform/src/",
 ];
 
 /// Whether a workspace-relative path is on the reproducibility-critical

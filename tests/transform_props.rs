@@ -114,7 +114,11 @@ fn transform_invariants() {
         let e = out.ctmdp.uniform_rate().expect("uniform in, uniform out");
         assert!((e - raw.e).abs() < 1e-9 * raw.e);
         assert_eq!(out.ctmdp_state_origin.len(), out.ctmdp.num_states());
-        for (&o, closure) in out.ctmdp_state_origin.iter().zip(&out.ctmdp_zero_closure) {
+        for (&o, closure) in out
+            .ctmdp_state_origin
+            .iter()
+            .zip(out.ctmdp_zero_closure.iter())
+        {
             assert!((o as usize) < imc.num_states());
             assert!(closure.contains(&o) || !closure.is_empty());
         }
@@ -283,7 +287,9 @@ const DIFF_ACTIONS: [&str; 5] = ["tau", "a", "b", "c", "a.b"];
 /// transitions merge, and a Markov state often copies an earlier one's
 /// transitions, so rate functions repeat; a state often repeats an
 /// action towards a second target, so one state can reach two such copies
-/// under one word.
+/// under one word. The rates 0.1, 0.2 and 0.3 add to different bits in
+/// different orders, so a change in the order in which parallel rates
+/// merge shows in the rate functions.
 fn random_imc(rng: &mut XorShift64) -> Imc {
     let n = 1 + rng.random_range(10);
     let mut b = ImcBuilder::new(n, rng.random_range(n) as u32);
@@ -311,7 +317,7 @@ fn random_imc(rng: &mut XorShift64) -> Imc {
             } else {
                 (0..1 + rng.random_range(3))
                     .map(|_| {
-                        let rate = [0.5, 1.0, 1.5][rng.random_range(3)];
+                        let rate = [0.1, 0.2, 0.3][rng.random_range(3)];
                         (rate, rng.random_range(n) as u32)
                     })
                     .collect()
@@ -378,6 +384,7 @@ fn one_pass_transform_matches_the_stepwise_oracle() {
     let (mut transformed, mut zeno, mut dead_ends) = (0, 0, 0);
     let (mut markov_initial, mut hybrid, mut unreachable, mut dotted) = (0, 0, 0, 0);
     let (mut pooled, mut merged, mut cyclic, mut pre_empted) = (0, 0, 0, 0);
+    let mut three_way = 0;
     for case in 0..10_000u64 {
         let mut rng = XorShift64::seed_from_u64(0xD1FF + case);
         let imc = random_imc(&mut rng);
@@ -407,6 +414,12 @@ fn one_pass_transform_matches_the_stepwise_oracle() {
                 pooled += usize::from(fast.ctmdp.num_rate_functions() < fast.stats.markov_states);
                 merged +=
                     usize::from(fast.ctmdp.num_transitions() < fast.stats.interactive_transitions);
+                let sa = &fast.strictly_alternating;
+                three_way += usize::from((0..sa.num_states() as u32).any(|s| {
+                    sa.markov_from(s)
+                        .chunk_by(|a, b| a.target == b.target)
+                        .any(|run| run.len() >= 3)
+                }));
                 cyclic += usize::from(!analysis::is_zeno_free(&imc));
                 pre_empted += usize::from(!analysis::is_zeno_free(&imc.restrict_to_reachable()));
             }
@@ -434,6 +447,7 @@ fn one_pass_transform_matches_the_stepwise_oracle() {
         (dotted, "multi-action or dotted words"),
         (pooled, "Markov states sharing a rate function"),
         (merged, "repeated (action, rate function) pairs"),
+        (three_way, "Markov rows repeating one target three times"),
         (
             cyclic,
             "interactive cycles the urgency cut leaves unreachable",
