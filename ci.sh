@@ -56,22 +56,28 @@ echo "==> kernel parity gate (--kernel reference vs --kernel fused, max and min,
 # value dumps must be byte-identical to the retained reference kernel.
 # A fused batch runs its bounds as lanes over the goal-folded model, the
 # reference kernel runs them one by one over the states: the --min runs
-# hold minimizing lanes to the same per-query oracle.
+# hold minimizing lanes to the same per-query oracle. A single bound
+# sweeps the state layout, the one serve and guarded runs sweep.
+SINGLE="1000"
 for T in 1 4; do
     for OBJ in max min; do
         MIN=""
         [ "$OBJ" = min ] && MIN="--min"
-        ./target/release/unicon reach --ftwc 32 --time-bounds "$BOUNDS" --threads "$T" $MIN \
-            --kernel reference --values-out "$CI_DIR/kernel_ref_${OBJ}_t$T.hex" >/dev/null 2>&1
-        ./target/release/unicon reach --ftwc 32 --time-bounds "$BOUNDS" --threads "$T" $MIN \
-            --kernel fused --values-out "$CI_DIR/kernel_fused_${OBJ}_t$T.hex" >/dev/null 2>&1
-        if ! cmp -s "$CI_DIR/kernel_ref_${OBJ}_t$T.hex" "$CI_DIR/kernel_fused_${OBJ}_t$T.hex"; then
-            echo "FAIL: fused kernel values diverge from the reference kernel ($OBJ, threads $T)"
-            exit 1
-        fi
+        for KIND in lanes single; do
+            TB="$BOUNDS"
+            [ "$KIND" = single ] && TB="$SINGLE"
+            ./target/release/unicon reach --ftwc 32 --time-bounds "$TB" --threads "$T" $MIN \
+                --kernel reference --values-out "$CI_DIR/kernel_ref_${KIND}_${OBJ}_t$T.hex" >/dev/null 2>&1
+            ./target/release/unicon reach --ftwc 32 --time-bounds "$TB" --threads "$T" $MIN \
+                --kernel fused --values-out "$CI_DIR/kernel_fused_${KIND}_${OBJ}_t$T.hex" >/dev/null 2>&1
+            if ! cmp -s "$CI_DIR/kernel_ref_${KIND}_${OBJ}_t$T.hex" "$CI_DIR/kernel_fused_${KIND}_${OBJ}_t$T.hex"; then
+                echo "FAIL: fused kernel values diverge from the reference kernel ($KIND, $OBJ, threads $T)"
+                exit 1
+            fi
+        done
     done
 done
-echo "reference and fused kernel dumps bitwise identical for max and min at 1 and 4 threads"
+echo "reference and fused kernel dumps bitwise identical, laned and single-bound, for max and min at 1 and 4 threads"
 
 echo "==> metrics exposition smoke check"
 ./target/release/unicon metrics --ftwc 1 --time-bounds 10 2>/dev/null > "$CI_DIR/metrics.txt"

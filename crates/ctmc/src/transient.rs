@@ -88,7 +88,7 @@ impl ReachabilityResult {
 ///
 /// # Panics
 ///
-/// Panics if `t` is negative or not finite.
+/// Panics under the conditions of [`distribution_from`].
 pub fn distribution(ctmc: &Ctmc, t: f64, opts: &TransientOptions) -> Vec<f64> {
     let mut init = vec![0.0; ctmc.num_states()];
     init[ctmc.initial() as usize] = 1.0;
@@ -99,7 +99,8 @@ pub fn distribution(ctmc: &Ctmc, t: f64, opts: &TransientOptions) -> Vec<f64> {
 ///
 /// # Panics
 ///
-/// Panics if `t < 0`, `t` is not finite, or `init` has the wrong length.
+/// Panics if `t < 0`, `t` is not finite, `init` has the wrong length, or
+/// the uniformization rate times `t` exceeds [`FoxGlynn::MAX_LAMBDA`].
 pub fn distribution_from(ctmc: &Ctmc, init: &[f64], t: f64, opts: &TransientOptions) -> Vec<f64> {
     assert!(
         t.is_finite() && t >= 0.0,
@@ -142,7 +143,8 @@ pub fn distribution_from(ctmc: &Ctmc, init: &[f64], t: f64, opts: &TransientOpti
 ///
 /// # Panics
 ///
-/// Panics if `goal.len()` does not match, or `t` is negative/not finite.
+/// Panics if `goal.len()` does not match, `t` is negative/not finite, or
+/// the uniformization rate times `t` exceeds [`FoxGlynn::MAX_LAMBDA`].
 pub fn reachability(
     ctmc: &Ctmc,
     goal: &[bool],

@@ -916,11 +916,7 @@ fn make_partial(
     // length-next_i window starting at its jump index. First-hit events
     // are disjoint (their probabilities sum to <= 1), so the worst such
     // window (plus the truncation error ε) bounds the gap from above.
-    let mut window = 0.0f64;
-    for r in 1..=k {
-        window = window.max(fg.tail_from(r) - fg.tail_from(r + next_i));
-    }
-    let remaining = window.max(0.0) + batch.epsilon;
+    let remaining = worst_window(fg, k, next_i).max(0.0) + batch.epsilon;
     let upper = lower.iter().map(|&v| (v + remaining).min(1.0)).collect();
     PartialQuery {
         query,
@@ -930,6 +926,26 @@ fn make_partial(
         lower,
         upper,
     }
+}
+
+/// `max` over `r in 1..=k` of the Poisson mass `tail(r) − tail(r + len)`
+/// of the length-`len` window starting at jump `r`, or 0, bit for bit,
+/// in `O(√λ)` steps where `k` exceeds `λ`. `tail` reads exactly 1 up to
+/// the first stored weight and exactly 0 past the last, so only windows
+/// with an end among the weights are scanned. Any other window has mass
+/// `+0.0`, or exactly 1 when it spans all the weights, and then so has
+/// the scanned window starting at the first weight (`k` is never below
+/// it).
+fn worst_window(fg: &FoxGlynn, k: usize, len: usize) -> f64 {
+    let (start, end) = (fg.window_start(), fg.window_end());
+    let starts = |lo: usize, hi: usize| lo.max(1)..=hi.min(k);
+    let ends_among_weights =
+        starts(start, end).chain(starts(start.saturating_sub(len), end.saturating_sub(len)));
+    let mut window = 0.0f64;
+    for r in ends_among_weights {
+        window = window.max(fg.tail_from(r) - fg.tail_from(r + len));
+    }
+    window
 }
 
 /// A guarded run in progress: its options, and the completed answers,
@@ -1131,6 +1147,11 @@ fn run_guarded_inner(
             &built
         }
     };
+    // As on the plain path, a λ past the weight cap fails the batch
+    // before its first sweep.
+    for q in &batch.queries {
+        FoxGlynn::check_lambda(pre.rate * q.t)?;
+    }
     let n = batch.ctmdp.num_states();
     let mut workers = batch.workers();
     let mut run = Guarded {
@@ -1275,7 +1296,8 @@ impl ReachBatch<'_> {
     ///
     /// [`GuardError::Reach`] for invalid parameters or a non-uniform
     /// model, [`GuardError::FoxGlynn`] when ε is below the certifiable
-    /// floor for `rate·t`, [`GuardError::Health`] on numeric corruption,
+    /// floor for `rate·t` or `rate·t` exceeds [`FoxGlynn::MAX_LAMBDA`],
+    /// [`GuardError::Health`] on numeric corruption,
     /// [`GuardError::WorkerPanicked`] under [`DegradePolicy::Fail`], and
     /// [`GuardError::Io`] if a checkpoint cannot be written. Budget
     /// exhaustion is **not** an error — see [`GuardedRun::stopped`].
@@ -1369,6 +1391,27 @@ mod tests {
 
     fn temp_ck(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("unicon_guard_{}_{name}.ck", std::process::id()))
+    }
+
+    /// The scan of the windows with an end among the weights is the
+    /// full scan of `1..=k`, bit for bit, for every window length.
+    #[test]
+    fn worst_window_scans_only_the_weights_and_matches_the_full_scan() {
+        for (lambda, eps) in [(0.3, 1e-6), (7.5, 1e-9), (480.0, 1e-6), (9_000.0, 1e-12)] {
+            let fg = FoxGlynn::new(lambda);
+            let k = fg.right_truncation(eps);
+            for len in [0, 1, 2, 7, k / 3, k.saturating_sub(1), k, k + 5] {
+                let mut full = 0.0f64;
+                for r in 1..=k {
+                    full = full.max(fg.tail_from(r) - fg.tail_from(r + len));
+                }
+                assert_eq!(
+                    worst_window(&fg, k, len).to_bits(),
+                    full.to_bits(),
+                    "lambda {lambda} k {k} len {len}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //!   a persistent pool of `std::thread` workers, each owning a contiguous
 //!   range of the state space ([`timed_reachability_par`]);
 //! * **across queries** — a [`ReachBatch`] answers many `(time bound,
-//!   objective)` queries in one pass, building the CSR traversal
-//!   structures once and caching Fox–Glynn weight vectors keyed by
-//!   `(rate, t, epsilon)`.
+//!   objective)` queries in one pass, compiling the fused layout once and
+//!   caching Fox–Glynn weight vectors keyed by `(rate, t, epsilon)`.
 //!
 //! Every engine — sequential, parallel, batched, served and guarded —
 //! runs its steps through the one driver here, `drive`: the sequential
@@ -115,7 +114,7 @@ pub fn timed_reachability_workers(
         return Ok(indicator_result(goal, pre.rate));
     }
     let start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
-    let fg = FoxGlynn::new(pre.rate * t);
+    let fg = FoxGlynn::try_new(pre.rate * t)?;
     let k = fg.right_truncation(opts.epsilon);
     Ok(run_query(
         ctmdp,
@@ -635,8 +634,8 @@ pub struct BatchStats {
     /// Worker threads actually used per run (after resolving `0` =
     /// auto and clamping to `available_parallelism`).
     pub threads_effective: usize,
-    /// Time spent building the shared CSR traversal structures and, for
-    /// a laned batch, its goal-folded layout.
+    /// Time spent checking uniformity and compiling the fused layout:
+    /// the state layout, or for a laned batch its goal-folded layout.
     pub precompute_time: Duration,
     /// Time spent computing (or fetching) Fox–Glynn weight vectors.
     pub weights_time: Duration,
@@ -684,8 +683,8 @@ pub struct BatchResult {
 }
 
 /// A batched timed-reachability request: many `(time bound, objective)`
-/// queries against one `(model, goal)` pair, sharing the CSR traversal
-/// structures and a Fox–Glynn weight cache across queries.
+/// queries against one `(model, goal)` pair, sharing one fused layout and
+/// a Fox–Glynn weight cache across queries.
 ///
 /// # Examples
 ///
@@ -826,7 +825,7 @@ impl<'a> ReachBatch<'a> {
         let pre_span = unicon_obs::open_span("precompute");
         // A laned batch sweeps its own folded layout, never the states'.
         let pre = if self.laned() {
-            Precompute::csr_only(self.ctmdp, &self.goal)?
+            Precompute::rate_only(self.ctmdp, &self.goal)?
         } else {
             Precompute::new(self.ctmdp, &self.goal)?
         };
@@ -875,8 +874,11 @@ impl<'a> ReachBatch<'a> {
         precompute_time: Duration,
     ) -> Result<BatchResult, ReachError> {
         validate_epsilon(self.epsilon)?;
+        // A λ past the weight cap fails the batch before its first
+        // sweep, whichever path would have run it.
         for q in &self.queries {
             validate_time(q.t)?;
+            FoxGlynn::check_lambda(pre.rate * q.t)?;
         }
         let threads = self.workers();
         // The cache may be shared across many runs (a serve session);
@@ -886,9 +888,9 @@ impl<'a> ReachBatch<'a> {
         // group sizes it, every later one runs allocation-free.
         let mut planes = Planes::default();
         let pass = if self.laned() && pre.rate != 0.0 {
-            self.run_lanes(pre, cache, threads, &mut planes)
+            self.run_lanes(pre, cache, threads, &mut planes)?
         } else {
-            self.run_each(pre, cache, threads, &mut planes)
+            self.run_each(pre, cache, threads, &mut planes)?
         };
 
         let query_stats: Vec<QueryStats> = self
@@ -953,7 +955,7 @@ impl<'a> ReachBatch<'a> {
         cache: &mut WeightCache,
         threads: usize,
         planes: &mut Planes,
-    ) -> Pass {
+    ) -> Result<Pass, ReachError> {
         let opts_base = ReachOptions::default()
             .with_epsilon(self.epsilon)
             .with_kernel(self.kernel);
@@ -965,7 +967,7 @@ impl<'a> ReachBatch<'a> {
                 let query_span = unicon_obs::span("query");
                 let w_start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
                 let weights_span = unicon_obs::span("weights");
-                let cached = cache.get(pre.rate, q.t, self.epsilon).clone();
+                let cached = cache.try_get(pre.rate, q.t, self.epsilon)?.clone();
                 drop(weights_span);
                 pass.weights_time += w_start.elapsed();
                 self.emit_query_start(qi, &cached);
@@ -989,7 +991,7 @@ impl<'a> ReachBatch<'a> {
             pass.sweeps += result.iterations;
             pass.results.push(result);
         }
-        pass
+        Ok(pass)
     }
 
     /// Runs the queries with `t > 0` as lanes of one step loop over the
@@ -1007,12 +1009,12 @@ impl<'a> ReachBatch<'a> {
         cache: &mut WeightCache,
         workers: usize,
         planes: &mut Planes,
-    ) -> Pass {
+    ) -> Result<Pass, ReachError> {
         let _query_span = unicon_obs::span("query");
         let mut pass = Pass::default();
         let fold_start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
         let fold_span = unicon_obs::span("fold");
-        let folded = Folded::new(self.ctmdp, pre, &self.goal);
+        let folded = Folded::new(self.ctmdp, &self.goal);
         drop(fold_span);
         pass.fold_time = fold_start.elapsed();
 
@@ -1021,8 +1023,12 @@ impl<'a> ReachBatch<'a> {
         let weights: Vec<Option<CachedWeights>> = self
             .queries
             .iter()
-            .map(|q| (q.t != 0.0).then(|| cache.get(pre.rate, q.t, self.epsilon).clone()))
-            .collect();
+            .map(|q| {
+                (q.t != 0.0)
+                    .then(|| cache.try_get(pre.rate, q.t, self.epsilon).cloned())
+                    .transpose()
+            })
+            .collect::<Result<_, _>>()?;
         drop(weights_span);
         pass.weights_time = w_start.elapsed();
         let mut lanes = Vec::new();
@@ -1105,7 +1111,7 @@ impl<'a> ReachBatch<'a> {
             .into_iter()
             .map(|r| r.unwrap_or_else(|| indicator_result(&self.goal, pre.rate)))
             .collect();
-        pass
+        Ok(pass)
     }
 
     /// Emits query `qi`'s start record.
@@ -1245,10 +1251,10 @@ struct Pass {
 
 /// A re-entrant query engine over one `(model, goal)` pair.
 ///
-/// [`Precompute`] — the CSR traversal structures and the goal-row
-/// pre-aggregation every value-iteration step reads — is built **once**
-/// at construction and only ever read afterwards, so a `&ReachEngine`
-/// can answer queries from many threads concurrently without locking.
+/// `Precompute` — the uniform rate and the fused state layout every
+/// value-iteration step reads — is built **once** at construction and
+/// only ever read afterwards, so a `&ReachEngine` can answer queries from
+/// many threads concurrently without locking.
 /// This is the amortization core of a long-running reachability service:
 /// the model is prepared one time, after which every `(t, objective,
 /// epsilon)` query touches only immutable shared state plus its own
@@ -1347,9 +1353,11 @@ impl ReachEngine {
     }
 
     /// Heap bytes the engine keeps resident between queries: the goal
-    /// vector, the shared precomputation (CSR probability rows and
-    /// goal-mass vector) and the spare pair of value planes, counted from
-    /// construction on. Model caches charge this against their budget.
+    /// vector, the fused state layout (the rows of the rate functions
+    /// that non-goal states use, each stored once) and the spare pair of
+    /// value planes, counted from construction on. The model itself is
+    /// not counted: the engine reads it but does not hold it. Model
+    /// caches charge this against their budget.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.goal.len() * std::mem::size_of::<bool>()
@@ -1377,9 +1385,10 @@ impl ReachEngine {
     ///
     /// # Errors
     ///
-    /// [`ReachError::InvalidTimeBound`] / [`ReachError::InvalidEpsilon`]
-    /// on bad parameters, [`ReachError::GoalLengthMismatch`] when
-    /// `ctmdp` is not the model the engine was built from.
+    /// [`ReachError::InvalidTimeBound`], [`ReachError::InvalidEpsilon`] or
+    /// [`ReachError::FoxGlynn`] on bad parameters,
+    /// [`ReachError::GoalLengthMismatch`] when `ctmdp` is not the model
+    /// the engine was built from.
     pub fn query(
         &self,
         ctmdp: &Ctmdp,
@@ -1392,7 +1401,7 @@ impl ReachEngine {
         // where they are used.
         validate_time(t)?;
         validate_epsilon(epsilon)?;
-        let fg = FoxGlynn::new(self.pre.rate * t);
+        let fg = FoxGlynn::try_new(self.pre.rate * t)?;
         let weights = CachedWeights {
             truncation: fg.right_truncation(epsilon),
             fg,
@@ -1780,6 +1789,42 @@ mod tests {
         assert!(matches!(err, ReachError::InvalidTimeBound { t } if t.is_nan()));
         let err = ReachBatch::new(&m, &goal).query(-2.0).run().unwrap_err();
         assert!(matches!(err, ReachError::InvalidTimeBound { t } if t == -2.0));
+    }
+
+    /// A time bound past the weight cap fails the batch before its first
+    /// sweep, one query after another on the reference kernel and the
+    /// guarded engine as in the lanes of the fused kernel: no query
+    /// starts.
+    #[test]
+    fn batch_checks_every_weight_cap_before_the_first_sweep() {
+        use crate::guard::{GuardError, GuardOptions};
+        use unicon_numeric::FoxGlynnError::InvalidLambda;
+
+        let m = chain();
+        let goal = [false, false, true];
+        let no_query_starts = |events: &[unicon_obs::Event]| {
+            !events
+                .iter()
+                .any(|e| matches!(e, unicon_obs::Event::QueryStart { .. }))
+        };
+        for kernel in [Kernel::Reference, Kernel::Fused] {
+            let batch = ReachBatch::new(&m, &goal)
+                .with_kernel(kernel)
+                .query(10.0)
+                .query(1e308);
+            let (res, events) = unicon_obs::collect(|| batch.run());
+            assert!(
+                matches!(res, Err(ReachError::FoxGlynn(InvalidLambda { .. }))),
+                "{kernel:?}: {res:?}"
+            );
+            assert!(no_query_starts(&events), "{kernel:?}");
+            let (res, events) = unicon_obs::collect(|| batch.run_guarded(&GuardOptions::default()));
+            assert!(
+                matches!(res, Err(GuardError::FoxGlynn(InvalidLambda { .. }))),
+                "guarded {kernel:?}: {res:?}"
+            );
+            assert!(no_query_starts(&events), "guarded {kernel:?}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use unicon_ctmc::Ctmc;
 use unicon_numeric::FoxGlynn;
 
 use crate::model::Ctmdp;
-use crate::reachability::{validate_epsilon, validate_goal, validate_time, Precompute, ReachError};
+use crate::reachability::{row, validate_epsilon, validate_goal, validate_time, ReachError};
 use crate::scheduler::{Stationary, StepDependent};
 
 /// Builds the CTMC induced by resolving every choice of `ctmdp` with the
@@ -89,12 +89,12 @@ pub fn evaluate_step_dependent(
     validate_time(t)?;
     validate_epsilon(epsilon)?;
     validate_goal(goal, ctmdp)?;
-    let pre = Precompute::new(ctmdp, goal)?;
+    let rate = ctmdp.uniform_rate()?;
     let init = ctmdp.initial() as usize;
-    if t == 0.0 || pre.rate == 0.0 {
+    if t == 0.0 || rate == 0.0 {
         return Ok(f64::from(u8::from(goal[init])));
     }
-    let fg = FoxGlynn::new(pre.rate * t);
+    let fg = FoxGlynn::try_new(rate * t)?;
     let k = fg.right_truncation(epsilon);
     let n = ctmdp.num_states();
     let decisions = sched.decisions();
@@ -117,10 +117,10 @@ pub fn evaluate_step_dependent(
                 continue;
             }
             let choice = (step[s] as usize).min(trans.len() - 1);
-            let rf = trans[choice].rate_fn as usize;
-            let mut v = psi * pre.prob_goal[rf];
-            for (tgt, p) in pre.probs.row(rf) {
-                v += p * q_next[tgt];
+            let (bias, entries) = row(ctmdp, goal, trans[choice].rate_fn);
+            let mut v = psi * bias;
+            for (tgt, p) in entries {
+                v += p * q_next[tgt as usize];
             }
             q[s] = v;
         }

@@ -16,8 +16,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use unicon_numeric::sum::combine_chunk_sums;
-use unicon_numeric::{stable_sum, FoxGlynn};
-use unicon_sparse::{plane, ClassTiming, CsrMatrix, FusedBuilder, FusedGroups, Plane};
+use unicon_numeric::{stable_sum, FoxGlynn, FoxGlynnError};
+use unicon_sparse::{plane, ClassTiming, FusedBuilder, FusedGroups, Plane};
 
 use crate::model::{Ctmdp, NotUniformError};
 
@@ -43,6 +43,9 @@ pub enum ReachError {
         /// States of the analyzed CTMDP.
         num_states: usize,
     },
+    /// No Poisson weights exist for `λ = E·t`: a time bound so large that
+    /// `λ` exceeds [`FoxGlynn::MAX_LAMBDA`] for the model's rate.
+    FoxGlynn(FoxGlynnError),
 }
 
 impl std::fmt::Display for ReachError {
@@ -63,6 +66,7 @@ impl std::fmt::Display for ReachError {
                 f,
                 "goal vector has {goal_len} entries but the CTMDP has {num_states} states"
             ),
+            ReachError::FoxGlynn(e) => e.fmt(f),
         }
     }
 }
@@ -71,6 +75,7 @@ impl std::error::Error for ReachError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ReachError::NotUniform(e) => Some(e),
+            ReachError::FoxGlynn(e) => Some(e),
             _ => None,
         }
     }
@@ -79,6 +84,12 @@ impl std::error::Error for ReachError {
 impl From<NotUniformError> for ReachError {
     fn from(e: NotUniformError) -> Self {
         ReachError::NotUniform(e)
+    }
+}
+
+impl From<FoxGlynnError> for ReachError {
+    fn from(e: FoxGlynnError) -> Self {
+        ReachError::FoxGlynn(e)
     }
 }
 
@@ -133,13 +144,15 @@ pub enum Objective {
 /// ci.sh `--kernel reference` vs `--kernel fused` cmp gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
-    /// The original two-level traversal: `transitions_from(s)` →
-    /// `rate_fn` → shared CSR row in rate-function-pool order.
+    /// The two-level traversal of the model itself: `transitions_from(s)`
+    /// → `rate_fn` → the rate function's entries in the model's pool,
+    /// each probability and goal mass computed where it is read.
     Reference,
-    /// The fused state-major structure-of-arrays layout compiled by
-    /// [`Precompute`]: duplicated rows in sweep order, split
-    /// target/weight arrays, inlined goal coefficients, precomputed
-    /// state classes, cache-blocked sweep.
+    /// The fused layout compiled once per model by `Precompute`: one
+    /// group per state, the rate functions non-goal states use interned
+    /// once as rows of plain `f64` probabilities with the goal mass as
+    /// the row bias, split column/weight arrays and run-length encoded
+    /// state classes.
     #[default]
     Fused,
 }
@@ -239,25 +252,18 @@ impl ReachResult {
 }
 
 /// The query-independent precomputation shared by every engine: the
-/// uniform rate, the branching probabilities of every rate function as a
-/// CSR matrix (rate functions × states) and the one-step probability into
-/// the goal set.
+/// uniform rate and the fused state layout. Neither kernel keeps another
+/// copy of the model: both read the rate functions through [`row`].
 #[derive(Debug, Clone)]
 pub(crate) struct Precompute {
     /// The uniform exit rate `E`.
     pub(crate) rate: f64,
-    /// `probs[rf][s'] = R(s') / E_R`, rows in target order.
-    pub(crate) probs: CsrMatrix,
-    /// `prob_goal[rf] = R(B) / E_R`.
-    pub(crate) prob_goal: Vec<f64>,
-    /// The fused state-major kernel layout ([`Kernel::Fused`]): one group
-    /// per state, one row per emanating transition referencing its rate
-    /// function's interned probability row, the goal coefficient inlined
-    /// as the row bias, and the goal/absorbing/single/multi class
-    /// precomputed per state. The row values are copied bit-exactly from
-    /// `probs`, in row order, so the fused kernel reproduces the
-    /// reference kernel's sums bitwise. `None` in a precomputation built
-    /// for a laned batch, which sweeps a [`Folded`] layout instead.
+    /// The fused state layout ([`Kernel::Fused`], built by [`fuse`]):
+    /// one group per state, one row per emanating transition referencing
+    /// its rate function's interned row, the goal mass as the row bias,
+    /// and the goal/absorbing/single/multi class precomputed per state.
+    /// `None` in a precomputation built for a laned batch, which sweeps a
+    /// [`Folded`] layout instead.
     pub(crate) fused: Option<FusedGroups>,
     /// Cross-thread per-[`unicon_sparse::GroupClass`] time attribution,
     /// filled by the fused kernel only while metric telemetry is live.
@@ -331,80 +337,90 @@ pub(crate) fn emit_kernel_timing(pre: &Precompute, before: &ClassTiming) {
 }
 
 impl Precompute {
-    /// Verifies uniformity and builds the shared traversal structures —
-    /// including the fused kernel layout, compiled once per model.
+    /// Verifies uniformity and compiles the fused state layout, once per
+    /// model.
     pub(crate) fn new(ctmdp: &Ctmdp, goal: &[bool]) -> Result<Self, ReachError> {
-        let mut pre = Self::csr_only(ctmdp, goal)?;
-        pre.fused = Some(pre.state_layout(ctmdp, goal));
+        let mut pre = Self::rate_only(ctmdp, goal)?;
+        pre.fused = Some(fuse(ctmdp, goal, None));
         Ok(pre)
     }
 
-    /// [`Precompute::new`] without the fused state layout: all a laned
-    /// batch reads before it folds the goal states.
-    pub(crate) fn csr_only(ctmdp: &Ctmdp, goal: &[bool]) -> Result<Self, ReachError> {
+    /// [`Precompute::new`] without the state layout: all a laned batch
+    /// reads before it folds the goal states.
+    pub(crate) fn rate_only(ctmdp: &Ctmdp, goal: &[bool]) -> Result<Self, ReachError> {
         validate_goal(goal, ctmdp)?;
-        let rate = ctmdp.uniform_rate()?;
-        let n = ctmdp.num_states();
-        let probs = CsrMatrix::from_triplets(
-            ctmdp.num_rate_functions(),
-            n,
-            ctmdp
-                .rate_functions()
-                .enumerate()
-                .flat_map(|(i, rf)| rf.probs().map(move |(tgt, p)| (i, tgt as usize, p))),
-        );
-        let prob_goal: Vec<f64> = ctmdp
-            .rate_functions()
-            .map(|rf| rf.rate_into(goal) / rf.total())
-            .collect();
         Ok(Self {
-            rate,
-            probs,
-            prob_goal,
+            rate: ctmdp.uniform_rate()?,
             fused: None,
             timing: KernelTiming::default(),
         })
     }
 
-    /// Compiles the fused layout with one group per state.
-    fn state_layout(&self, ctmdp: &Ctmdp, goal: &[bool]) -> FusedGroups {
-        // Intern each rate-function row once — transitions sharing a rate
-        // function reference the same pooled entries, keeping the hot
-        // entry pool as small as the CSR the reference kernel reads (and
-        // therefore just as cache-resident). Entries are copied bit-exactly
-        // from the same CSR rows the reference kernel iterates, so the two
-        // kernels see identical coefficients in identical order.
-        let n = ctmdp.num_states();
-        let mut fb = FusedBuilder::with_capacity(n, n, ctmdp.num_transitions(), self.probs.nnz());
-        let pool_rows: Vec<_> = (0..self.prob_goal.len())
-            .map(|rf| {
-                fb.intern(
-                    self.prob_goal[rf],
-                    self.probs.row(rf).map(|(tgt, p)| (tgt as u32, p)),
-                )
-            })
-            .collect();
-        for s in 0..n as u32 {
-            if goal[s as usize] {
-                fb.fixed_group();
-                continue;
-            }
-            fb.begin_group();
-            for tr in ctmdp.transitions_from(s) {
-                fb.push_row(pool_rows[tr.rate_fn as usize]);
-            }
-            fb.end_group();
-        }
-        fb.build()
-    }
-
-    /// Heap bytes held by the shared traversal structures (CSR rows, the
-    /// per-rate-function goal mass vector and the fused kernel layout).
+    /// Heap bytes held by the fused state layout.
     pub(crate) fn memory_bytes(&self) -> usize {
-        self.probs.memory_bytes()
-            + self.prob_goal.len() * std::mem::size_of::<f64>()
-            + self.fused.as_ref().map_or(0, FusedGroups::memory_bytes)
+        self.fused.as_ref().map_or(0, FusedGroups::memory_bytes)
     }
+}
+
+/// Row `rf` of the step the value iteration takes, as every kernel reads
+/// it: the one-step probability into the goal set, `R(B) / E_R`, and the
+/// branching probabilities `R(s') / E_R` in target order. A probability
+/// that rounds to exactly zero is dropped, so no kernel adds a `0 · x`
+/// term. Every kernel evaluates `ψ · bias` first and then adds the
+/// entries in this order, so all of them sum the same operands in the
+/// same order.
+pub(crate) fn row<'a>(
+    ctmdp: &'a Ctmdp,
+    goal: &[bool],
+    rf: u32,
+) -> (f64, impl Iterator<Item = (u32, f64)> + 'a) {
+    let rf = ctmdp.rate_function(rf);
+    let entries = rf.probs().filter(|&(_, p)| p != 0.0);
+    (rf.rate_into(goal) / rf.total(), entries)
+}
+
+/// Compiles a fused layout of `(ctmdp, goal)`: the state layout when
+/// `slot` is `None`, the goal-folded layout of [`Folded`] otherwise.
+///
+/// Both walk the states in order. A non-goal state becomes a group with
+/// one row per emanating transition; a goal state becomes a fixed group
+/// in the state layout and nothing in the folded one, which ends with a
+/// single fixed group for the goal slot when there are goal states. A
+/// rate function is interned the first time a non-goal state uses it, so
+/// rate functions only goal states use are never copied. Columns are the
+/// states themselves or, folded, their slots.
+pub(crate) fn fuse(ctmdp: &Ctmdp, goal: &[bool], slot: Option<&[u32]>) -> FusedGroups {
+    // Each layout has one column per group: a state, or a slot.
+    let cols = match slot {
+        None => ctmdp.num_states(),
+        Some(_) => goal.iter().filter(|&&g| !g).count() + usize::from(goal.contains(&true)),
+    };
+    let mut fb = FusedBuilder::new(cols);
+    let mut pool_rows = vec![None; ctmdp.num_rate_functions()];
+    for s in 0..ctmdp.num_states() {
+        if goal[s] {
+            if slot.is_none() {
+                fb.fixed_group();
+            }
+            continue;
+        }
+        fb.begin_group();
+        for tr in ctmdp.transitions_from(s as u32) {
+            let pooled = *pool_rows[tr.rate_fn as usize].get_or_insert_with(|| {
+                let (bias, entries) = row(ctmdp, goal, tr.rate_fn);
+                fb.intern(
+                    bias,
+                    entries.map(|(t, p)| (slot.map_or(t, |slot| slot[t as usize]), p)),
+                )
+            });
+            fb.push_row(pooled);
+        }
+        fb.end_group();
+    }
+    if slot.is_some() && goal.contains(&true) {
+        fb.fixed_group();
+    }
+    fb.build()
 }
 
 /// The goal-folded layout a laned batch sweeps: the non-goal states
@@ -426,9 +442,8 @@ pub(crate) struct Folded {
 }
 
 impl Folded {
-    /// Folds the goal states of `pre`'s CSR rows; only the rate
-    /// functions non-goal states use are interned.
-    pub(crate) fn new(ctmdp: &Ctmdp, pre: &Precompute, goal: &[bool]) -> Self {
+    /// Numbers the slots and compiles the folded layout with [`fuse`].
+    pub(crate) fn new(ctmdp: &Ctmdp, goal: &[bool]) -> Self {
         let mut slot = vec![0u32; goal.len()];
         let mut m = 0u32;
         for (s, _) in goal.iter().enumerate().filter(|(_, &g)| !g) {
@@ -438,32 +453,8 @@ impl Folded {
         for (s, _) in goal.iter().enumerate().filter(|(_, &g)| g) {
             slot[s] = m;
         }
-        let slots = m as usize + usize::from(goal.contains(&true));
-        let mut fb = FusedBuilder::with_capacity(slots, slots, 0, 0);
-        let mut pool_rows = vec![None; pre.prob_goal.len()];
-        for s in (0..goal.len()).filter(|&s| !goal[s]) {
-            fb.begin_group();
-            for tr in ctmdp.transitions_from(s as u32) {
-                let rf = tr.rate_fn as usize;
-                let row = *pool_rows[rf].get_or_insert_with(|| {
-                    fb.intern(
-                        pre.prob_goal[rf],
-                        pre.probs.row(rf).map(|(tgt, p)| (slot[tgt], p)),
-                    )
-                });
-                fb.push_row(row);
-            }
-            fb.end_group();
-        }
-        if slots > m as usize {
-            fb.fixed_group();
-        }
         Self {
-            // Plain weights: the value tables' lookup per entry cost the
-            // folded FTWC N=32 sweep 8–15 % on one worker and 18–22 % on
-            // two. Folds that keep most states read 4× the weight bytes;
-            // DESIGN.md records what laned batches on such models took.
-            groups: fb.build_direct(),
+            groups: fuse(ctmdp, goal, Some(&slot)),
             slot,
         }
     }
@@ -492,7 +483,6 @@ impl Folded {
 #[inline]
 pub(crate) fn step_state(
     ctmdp: &Ctmdp,
-    pre: &Precompute,
     goal: &[bool],
     s: usize,
     psi: f64,
@@ -509,10 +499,10 @@ pub(crate) fn step_state(
     let mut best = if maximize { -1.0f64 } else { f64::INFINITY };
     let mut best_idx = 0u16;
     for (idx, tr) in trans.iter().enumerate() {
-        let rf = tr.rate_fn as usize;
-        let mut v = psi * pre.prob_goal[rf];
-        for (tgt, p) in pre.probs.row(rf) {
-            v += p * plane::get(q_next, tgt);
+        let (bias, entries) = row(ctmdp, goal, tr.rate_fn);
+        let mut v = psi * bias;
+        for (tgt, p) in entries {
+            v += p * plane::get(q_next, tgt as usize);
         }
         let better = if maximize { v > best } else { v < best };
         if better {
@@ -628,8 +618,7 @@ impl Sweep<'_> {
             (None, Kernel::Reference) => {
                 let record = !decisions.is_empty();
                 for (i, s) in range.enumerate() {
-                    let (v, idx) =
-                        step_state(self.ctmdp, self.pre, self.goal, s, psi0, q_next, maximize0);
+                    let (v, idx) = step_state(self.ctmdp, self.goal, s, psi0, q_next, maximize0);
                     plane::set(out, i, v);
                     if record {
                         decisions[i] = idx;
@@ -694,9 +683,10 @@ pub(crate) fn finalize_values(goal: &[bool], q1: impl IntoIterator<Item = f64>) 
 /// Returns [`ReachError::NotUniform`] if the transitions' exit rates
 /// differ, [`ReachError::InvalidEpsilon`] if `opts.epsilon` lies outside
 /// `(0, 1)`, [`ReachError::InvalidTimeBound`] if `t` is negative or not
-/// finite, and [`ReachError::GoalLengthMismatch`] if `goal.len()`
-/// disagrees with the state count — all reachable from untrusted input,
-/// so none of them panic.
+/// finite, [`ReachError::FoxGlynn`] if `E·t` exceeds
+/// [`FoxGlynn::MAX_LAMBDA`], and [`ReachError::GoalLengthMismatch`] if
+/// `goal.len()` disagrees with the state count — all reachable from
+/// untrusted input, so none of them panic.
 pub fn timed_reachability(
     ctmdp: &Ctmdp,
     goal: &[bool],
@@ -860,9 +850,10 @@ mod tests {
     fn folding_keeps_non_goal_states_and_one_goal_slot() {
         let (m, _) = chain_as_ctmdp();
         let goal = [false, true, true];
-        let pre = Precompute::csr_only(&m, &goal).unwrap();
-        assert!(pre.fused.is_none());
-        let folded = Folded::new(&m, &pre, &goal);
+        // A laned batch sweeps the folded layout and builds no other.
+        let pre = Precompute::rate_only(&m, &goal).unwrap();
+        assert!(pre.fused.is_none() && pre.memory_bytes() == 0);
+        let folded = Folded::new(&m, &goal);
         let g = &folded.groups;
         assert_eq!(g.num_groups(), 2);
         assert_eq!(g.classes(), &[GroupClass::Single, GroupClass::Fixed]);
@@ -878,7 +869,7 @@ mod tests {
             folded.expand(&q, 1, 0).collect::<Vec<_>>(),
             vec![0.25, 0.75, 0.75]
         );
-        let no_goal = Folded::new(&m, &pre, &[false; 3]);
+        let no_goal = Folded::new(&m, &[false; 3]);
         assert!(no_goal
             .groups
             .classes()

@@ -4,6 +4,7 @@
 
 use unicon_ctmc::transient::{self, TransientOptions};
 use unicon_ctmc::Ctmc;
+use unicon_ctmdp::policy::evaluate_step_dependent;
 use unicon_ctmdp::reachability::{timed_reachability, Objective, ReachOptions};
 use unicon_ctmdp::scheduler::{StepDependent, UniformRandom};
 use unicon_ctmdp::simulate::{estimate_reachability, SimulationOptions};
@@ -210,15 +211,17 @@ fn simulation_below_sup() {
 }
 
 /// Exact policy evaluation agrees with Monte-Carlo replay of the same
-/// stationary policy, and lies inside [inf, sup].
+/// stationary policy, and every stationary deterministic policy's value
+/// lies inside [inf, sup].
 #[test]
 fn policy_evaluation_is_exact() {
+    let mut checked = 0;
     for case in 0..CASES {
         let mut rng = XorShift64::seed_from_u64(0x90E5 + case);
         let raw = raw_ctmdp(&mut rng, 5);
         let mask = nonzero_mask(&mut rng);
         let choice_seed = rng.random_range(8) as u16;
-        use unicon_ctmdp::policy::evaluate_policy;
+        use unicon_ctmdp::policy::{all_policies, evaluate_policy};
         use unicon_ctmdp::scheduler::Stationary;
         let m = build(&raw);
         let goal = goal_from_mask(m.num_states(), mask);
@@ -242,10 +245,16 @@ fn policy_evaluation_is_exact() {
         let inf = timed_reachability(&m, &goal, t, &opts.with_objective(Objective::Minimize))
             .unwrap()
             .from_state(0);
-        assert!(
-            exact <= sup + 1e-8 && exact >= inf - 1e-8,
-            "policy value {exact} outside [{inf}, {sup}]"
-        );
+        let policies = all_policies(&m);
+        assert!(policies.contains(&policy));
+        checked += 1;
+        for p in &policies {
+            let v = evaluate_policy(&m, p, &goal, t, 1e-10);
+            assert!(
+                v <= sup + 1e-8 && v >= inf - 1e-8,
+                "case {case}: policy {p:?} value {v} outside [{inf}, {sup}]"
+            );
+        }
         let est = estimate_reachability(
             &m,
             &goal,
@@ -262,11 +271,16 @@ fn policy_evaluation_is_exact() {
             est.probability
         );
     }
+    // 33 of the 64 cases start outside the goal set.
+    assert!(checked >= 16, "only {checked} cases checked");
 }
 
-/// The extracted optimal scheduler reproduces the sup (statistically).
+/// The extracted optimal scheduler reproduces the sup (statistically),
+/// and replaying the recorded sup and inf schedulers exactly reproduces
+/// both values bit for bit.
 #[test]
 fn extracted_scheduler_attains_sup() {
+    let mut replayed_cases = 0;
     for case in 0..CASES {
         let mut rng = XorShift64::seed_from_u64(0xE587 + case);
         let raw = raw_ctmdp(&mut rng, 4);
@@ -304,5 +318,23 @@ fn extracted_scheduler_attains_sup() {
             est.probability,
             res.from_state(0)
         );
+        for objective in [Objective::Maximize, Objective::Minimize] {
+            let opts = ReachOptions::default()
+                .with_epsilon(1e-9)
+                .with_objective(objective)
+                .recording_decisions();
+            let res = timed_reachability(&m, &goal, t, &opts).unwrap();
+            let sched = StepDependent::from_result(&res);
+            let replayed = evaluate_step_dependent(&m, &sched, &goal, t, 1e-9).unwrap();
+            assert_eq!(
+                replayed.to_bits(),
+                res.from_state(0).to_bits(),
+                "case {case} {objective:?}: replay {replayed} vs {}",
+                res.from_state(0)
+            );
+        }
+        replayed_cases += 1;
     }
+    // 26 of the 64 cases start outside the goal set.
+    assert!(replayed_cases >= 16, "only {replayed_cases} cases replayed");
 }

@@ -6,7 +6,7 @@ use unicon_core::{ClosedModel, PreparedModel, Refiner};
 use unicon_ctmc::transient::{self, TransientOptions};
 use unicon_ctmdp::export;
 use unicon_ctmdp::par::BatchResult;
-use unicon_ctmdp::reachability::{Kernel, Objective, ReachResult};
+use unicon_ctmdp::reachability::{Kernel, Objective, ReachError, ReachResult};
 use unicon_imc::audit::{with_recording, Obligation};
 
 use crate::compositional::{self, BuildTimings};
@@ -57,16 +57,24 @@ pub struct Table1Row {
 /// Builds the FTWC for `n` via the counter generator, transforms it and
 /// runs the worst-case timed-reachability analysis for every time bound.
 ///
+/// # Errors
+///
+/// See [`reach_bench`].
+///
 /// # Panics
 ///
 /// Panics if the generated model fails to transform (cannot happen for
 /// well-formed parameters).
-pub fn table1_row(params: &FtwcParams, time_bounds: &[f64], epsilon: f64) -> Table1Row {
+pub fn table1_row(
+    params: &FtwcParams,
+    time_bounds: &[f64],
+    epsilon: f64,
+) -> Result<Table1Row, ReachError> {
     let (prepared, transform_time) = prepare(params);
 
     let mut analyses = Vec::new();
     for &t in time_bounds {
-        let res: ReachResult = prepared.worst_case(t, epsilon).expect("uniform CTMDP");
+        let res: ReachResult = prepared.worst_case(t, epsilon)?;
         analyses.push((
             t,
             res.runtime,
@@ -74,7 +82,7 @@ pub fn table1_row(params: &FtwcParams, time_bounds: &[f64], epsilon: f64) -> Tab
             res.from_state(prepared.ctmdp.initial()),
         ));
     }
-    Table1Row {
+    Ok(Table1Row {
         n: params.n,
         interactive_states: prepared.stats.interactive_states,
         markov_states: prepared.stats.markov_states,
@@ -83,7 +91,7 @@ pub fn table1_row(params: &FtwcParams, time_bounds: &[f64], epsilon: f64) -> Tab
         memory_bytes: prepared.stats.memory_bytes,
         transform_time,
         analyses,
-    }
+    })
 }
 
 /// Measurements of one batched worst-case reachability run over the FTWC —
@@ -200,16 +208,21 @@ pub fn certified_prepare(params: &FtwcParams) -> (PreparedModel, Vec<Obligation>
 /// `time_bounds` worst-case queries in one batched pass over `threads`
 /// worker threads — the driver behind `unicon reach --ftwc`.
 ///
+/// # Errors
+///
+/// The batch's [`ReachError`] for an invalid `epsilon` or time bound,
+/// including one so large that `λ = E·t` has no Fox–Glynn weights.
+///
 /// # Panics
 ///
-/// Panics if the generated model fails to transform or `epsilon` is
-/// invalid (cannot happen for well-formed parameters).
+/// Panics if the generated model fails to transform (cannot happen for
+/// well-formed parameters).
 pub fn reach_bench(
     params: &FtwcParams,
     time_bounds: &[f64],
     epsilon: f64,
     threads: usize,
-) -> ReachBench {
+) -> Result<ReachBench, ReachError> {
     reach_bench_with_kernel(
         params,
         time_bounds,
@@ -225,6 +238,10 @@ pub fn reach_bench(
 /// `unicon reach --ftwc --kernel [--min]`. Both kernels return
 /// bitwise-identical values; only the timings differ.
 ///
+/// # Errors
+///
+/// See [`reach_bench`].
+///
 /// # Panics
 ///
 /// See [`reach_bench`].
@@ -235,7 +252,7 @@ pub fn reach_bench_with_kernel(
     threads: usize,
     kernel: Kernel,
     objective: Objective,
-) -> ReachBench {
+) -> Result<ReachBench, ReachError> {
     let (prepared, build_time) = prepare(params);
 
     let mut batch = prepared
@@ -246,15 +263,15 @@ pub fn reach_bench_with_kernel(
     for &t in time_bounds {
         batch = batch.query_with(t, objective);
     }
-    let batch = batch.run().expect("FTWC CTMDP is uniform");
-    ReachBench {
+    let batch = batch.run()?;
+    Ok(ReachBench {
         n: params.n,
         states: prepared.ctmdp.num_states(),
         initial: prepared.ctmdp.initial(),
         epsilon,
         build_time,
         batch,
-    }
+    })
 }
 
 /// One row of the construction benchmark: per-phase timings of the
@@ -284,8 +301,8 @@ pub struct BuildBenchRow {
     pub minimize_reference: Duration,
     /// Wall-clock time of the IMC→CTMDP transformation.
     pub transform: Duration,
-    /// Batch-engine precompute: shared CSR traversal structures plus the
-    /// Fox–Glynn weights of one representative query (`t = 10`).
+    /// Batch-engine precompute: the fused state layout plus the Fox–Glynn
+    /// weights of one representative query (`t = 10`).
     pub precompute: Duration,
     /// Worklist-refiner rounds across all minimizations of the build.
     pub refine_rounds: usize,
@@ -536,7 +553,7 @@ mod tests {
 
     #[test]
     fn table1_row_smoke_n1() {
-        let row = table1_row(&FtwcParams::new(1), &[10.0, 100.0], 1e-6);
+        let row = table1_row(&FtwcParams::new(1), &[10.0, 100.0], 1e-6).unwrap();
         assert_eq!(row.n, 1);
         assert!(row.interactive_states > 0);
         assert!(row.markov_states > 0);
@@ -577,7 +594,7 @@ mod tests {
             assert!(it100 < paper100 && it30k < paper30k, "N={n}");
         }
         // The engine runs exactly the truncation point's iterations.
-        let row = table1_row(&FtwcParams::new(1), &[100.0, 30_000.0], 1e-6);
+        let row = table1_row(&FtwcParams::new(1), &[100.0, 30_000.0], 1e-6).unwrap();
         assert_eq!((row.analyses[0].2, row.analyses[1].2), (271, 61_310));
     }
 
@@ -633,8 +650,8 @@ mod tests {
         let params = FtwcParams::new(1);
         let bounds = [10.0, 100.0];
         let eps = 1e-6;
-        let bench = reach_bench(&params, &bounds, eps, 2);
-        let row = table1_row(&params, &bounds, eps);
+        let bench = reach_bench(&params, &bounds, eps, 2).unwrap();
+        let row = table1_row(&params, &bounds, eps).unwrap();
         let values = bench.initial_values();
         assert_eq!(values.len(), 2);
         for ((t, v), &(rt, _, iters, p)) in values.iter().zip(&row.analyses) {

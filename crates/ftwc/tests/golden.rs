@@ -38,7 +38,7 @@ fn bounds() -> Vec<f64> {
 
 #[test]
 fn golden_model_shape_n1() {
-    let bench = experiment::reach_bench(&FtwcParams::new(1), &[10.0], EPS, 1);
+    let bench = experiment::reach_bench(&FtwcParams::new(1), &[10.0], EPS, 1).unwrap();
     assert_eq!(bench.states, 112);
     assert!(
         (bench.batch.results[0].uniform_rate - 2.0047).abs() < 1e-12,
@@ -49,7 +49,7 @@ fn golden_model_shape_n1() {
 
 #[test]
 fn golden_worst_case_values_n1() {
-    let bench = experiment::reach_bench(&FtwcParams::new(1), &bounds(), EPS, 1);
+    let bench = experiment::reach_bench(&FtwcParams::new(1), &bounds(), EPS, 1).unwrap();
     let values = bench.initial_values();
     for ((t, v), &(gt, gv, gk)) in values.iter().zip(&GOLDEN_WORST) {
         assert_eq!(*t, gt);
@@ -71,8 +71,8 @@ fn golden_worst_case_values_n1() {
 
 #[test]
 fn golden_values_hold_under_the_parallel_engine() {
-    let seq = experiment::reach_bench(&FtwcParams::new(1), &bounds(), EPS, 1);
-    let par = experiment::reach_bench(&FtwcParams::new(1), &bounds(), EPS, 4);
+    let seq = experiment::reach_bench(&FtwcParams::new(1), &bounds(), EPS, 1).unwrap();
+    let par = experiment::reach_bench(&FtwcParams::new(1), &bounds(), EPS, 4).unwrap();
     for (s, p) in seq.batch.results.iter().zip(&par.batch.results) {
         let s_bits: Vec<u64> = s.values.iter().map(|v| v.to_bits()).collect();
         let p_bits: Vec<u64> = p.values.iter().map(|v| v.to_bits()).collect();

@@ -22,8 +22,8 @@ const WEIGHT_CUTOFF: f64 = 1e-18;
 /// or NaN weights so long-running analyses can fail loudly and partially.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FoxGlynnError {
-    /// `λ = rate·t` is NaN, infinite or negative — typically a mis-scaled
-    /// rate or time bound upstream.
+    /// `λ = rate·t` is NaN, negative or above [`FoxGlynn::MAX_LAMBDA`] —
+    /// typically a mis-scaled rate or time bound upstream.
     InvalidLambda {
         /// The offending Poisson parameter.
         lambda: f64,
@@ -50,7 +50,9 @@ impl std::fmt::Display for FoxGlynnError {
         match self {
             FoxGlynnError::InvalidLambda { lambda } => write!(
                 f,
-                "Fox-Glynn requires a finite nonnegative lambda = rate*t, got {lambda}"
+                "Fox-Glynn requires a finite nonnegative lambda = rate*t of at most \
+                 2^32 = {:e}, got {lambda}",
+                FoxGlynn::MAX_LAMBDA
             ),
             FoxGlynnError::InvalidEpsilon { epsilon } => {
                 write!(f, "epsilon must lie in (0, 1), got {epsilon}")
@@ -98,15 +100,26 @@ pub struct FoxGlynn {
 }
 
 impl FoxGlynn {
-    /// Computes the Poisson weights for parameter `lambda >= 0`.
+    /// The largest Poisson parameter `λ = rate·t` the weights are
+    /// computed for: 2³². The cap bounds what the weights cost before
+    /// they are computed. Each recurrence runs from the mode until a
+    /// weight falls below 1e-18 of the mode's, about `9.1·√λ` steps, so
+    /// the stored window holds about `18·√λ` weights: 1.2 million at the
+    /// cap, under 10 MB per stored vector, and the indices stay exact.
+    /// A `λ` past the cap is no practical analysis: the step count of a
+    /// value iteration, the truncation point `k`, exceeds `λ`.
+    pub const MAX_LAMBDA: f64 = 4_294_967_296.0;
+
+    /// Computes the Poisson weights for parameter `lambda` in
+    /// `[0, MAX_LAMBDA]`.
     ///
     /// # Panics
     ///
-    /// Panics if `lambda` is negative, NaN or infinite.
+    /// Panics if `lambda` is negative, NaN or above [`FoxGlynn::MAX_LAMBDA`].
     pub fn new(lambda: f64) -> Self {
         assert!(
-            lambda.is_finite() && lambda >= 0.0,
-            "Fox-Glynn requires a finite nonnegative lambda, got {lambda}"
+            Self::check_lambda(lambda).is_ok(),
+            "Fox-Glynn requires a finite nonnegative lambda of at most 2^32, got {lambda}"
         );
         if lambda == 0.0 {
             return Self {
@@ -185,10 +198,22 @@ impl FoxGlynn {
     /// # Errors
     ///
     /// [`FoxGlynnError::InvalidLambda`] if `lambda` is negative, NaN or
-    /// infinite.
+    /// above [`FoxGlynn::MAX_LAMBDA`].
     pub fn try_new(lambda: f64) -> Result<Self, FoxGlynnError> {
-        if lambda.is_finite() && lambda >= 0.0 {
-            Ok(Self::new(lambda))
+        Self::check_lambda(lambda)?;
+        Ok(Self::new(lambda))
+    }
+
+    /// Checks that weights can be computed for `lambda`, without
+    /// computing them: a batch checks every query's `λ` before it sweeps.
+    ///
+    /// # Errors
+    ///
+    /// [`FoxGlynnError::InvalidLambda`] if `lambda` is negative, NaN or
+    /// above [`FoxGlynn::MAX_LAMBDA`].
+    pub fn check_lambda(lambda: f64) -> Result<(), FoxGlynnError> {
+        if (0.0..=Self::MAX_LAMBDA).contains(&lambda) {
+            Ok(())
         } else {
             Err(FoxGlynnError::InvalidLambda { lambda })
         }
@@ -217,17 +242,15 @@ impl FoxGlynn {
     ///
     /// # Errors
     ///
-    /// [`FoxGlynnError::InvalidLambda`] for non-finite or negative λ,
-    /// [`FoxGlynnError::InvalidEpsilon`] for ε outside `(0, 1)`, and
-    /// [`FoxGlynnError::Underflow`] when ε is below
-    /// [`FoxGlynn::min_certifiable_epsilon`].
+    /// [`FoxGlynnError::InvalidLambda`] for λ that is NaN, negative or
+    /// above [`FoxGlynn::MAX_LAMBDA`], [`FoxGlynnError::InvalidEpsilon`]
+    /// for ε outside `(0, 1)`, and [`FoxGlynnError::Underflow`] when ε is
+    /// below [`FoxGlynn::min_certifiable_epsilon`].
     pub fn try_weights(lambda: f64, epsilon: f64) -> Result<CachedWeights, FoxGlynnError> {
         if !(epsilon > 0.0 && epsilon < 1.0) {
             return Err(FoxGlynnError::InvalidEpsilon { epsilon });
         }
-        if !(lambda.is_finite() && lambda >= 0.0) {
-            return Err(FoxGlynnError::InvalidLambda { lambda });
-        }
+        Self::check_lambda(lambda)?;
         if epsilon < Self::min_certifiable_epsilon(lambda) {
             return Err(FoxGlynnError::Underflow { lambda, epsilon });
         }
@@ -381,20 +404,41 @@ impl WeightCache {
     ///
     /// # Panics
     ///
-    /// Panics under the conditions of [`FoxGlynn::new`] and
-    /// [`FoxGlynn::right_truncation`] (invalid `rate · t` or `epsilon`).
+    /// Panics where [`WeightCache::try_get`] returns an error.
     pub fn get(&mut self, rate: f64, t: f64, epsilon: f64) -> &CachedWeights {
+        self.try_get(rate, t, epsilon)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`WeightCache::get`] with its preconditions checked: the lookup
+    /// every engine takes, since `t` comes from the caller. A failed
+    /// lookup stores nothing and counts neither as a hit nor as a miss.
+    ///
+    /// # Errors
+    ///
+    /// [`FoxGlynnError::InvalidEpsilon`] for ε outside `(0, 1)` and
+    /// [`FoxGlynnError::InvalidLambda`] when `rate · t` is NaN, negative
+    /// or above [`FoxGlynn::MAX_LAMBDA`].
+    pub fn try_get(
+        &mut self,
+        rate: f64,
+        t: f64,
+        epsilon: f64,
+    ) -> Result<&CachedWeights, FoxGlynnError> {
+        if !(epsilon > 0.0 && epsilon < 1.0) {
+            return Err(FoxGlynnError::InvalidEpsilon { epsilon });
+        }
         let key = (rate.to_bits(), t.to_bits(), epsilon.to_bits());
         match self.entries.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 self.hits += 1;
-                e.into_mut()
+                Ok(e.into_mut())
             }
             std::collections::hash_map::Entry::Vacant(e) => {
+                let fg = FoxGlynn::try_new(rate * t)?;
                 self.misses += 1;
-                let fg = FoxGlynn::new(rate * t);
                 let truncation = fg.right_truncation(epsilon);
-                e.insert(CachedWeights { fg, truncation })
+                Ok(e.insert(CachedWeights { fg, truncation }))
             }
         }
     }

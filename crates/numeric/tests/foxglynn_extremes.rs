@@ -5,7 +5,7 @@
 //! typed [`FoxGlynnError`] — never NaN weights that would silently poison
 //! a value iteration.
 
-use unicon_numeric::{FoxGlynn, FoxGlynnError};
+use unicon_numeric::{FoxGlynn, FoxGlynnError, WeightCache};
 
 const LAMBDAS: [f64; 3] = [1e-8, 1e2, 1e6];
 const EPSILONS: [f64; 2] = [1e-3, 1e-12];
@@ -111,4 +111,57 @@ fn invalid_inputs_are_typed_not_panics() {
         FoxGlynn::try_weights(10.0, -1e-9),
         Err(FoxGlynnError::InvalidEpsilon { .. })
     ));
+}
+
+/// `λ = E·t` for the FTWC's uniform rate (about 2.0167) at `t = 1e308`
+/// (infinite), `1e300`, `1e20` and `4e14`. Past the 2³² cap, each is a
+/// typed `InvalidLambda` from every checked entry, and a cache that
+/// refuses it stores and counts nothing.
+#[test]
+fn lambdas_past_the_cap_are_typed_invalid() {
+    let rate = 2.0167;
+    // The underflow floor alone would admit t = 1e20 at ε = 1e-6.
+    assert!(1e-6 >= FoxGlynn::min_certifiable_epsilon(rate * 1e20));
+    let next_above_cap = f64::from_bits(FoxGlynn::MAX_LAMBDA.to_bits() + 1);
+    let mut cache = WeightCache::new();
+    for t in [1e308, 1e300, 1e20, 4e14] {
+        let lambda = rate * t;
+        assert!(lambda > FoxGlynn::MAX_LAMBDA);
+        for err in [
+            FoxGlynn::try_new(lambda).unwrap_err(),
+            FoxGlynn::try_weights(lambda, 1e-6).unwrap_err(),
+            cache.try_get(rate, t, 1e-6).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, FoxGlynnError::InvalidLambda { lambda: l } if l.to_bits() == lambda.to_bits()),
+                "t = {t}: {err:?}"
+            );
+            assert!(err.to_string().contains("2^32"), "{err}");
+        }
+    }
+    assert!(matches!(
+        FoxGlynn::check_lambda(next_above_cap),
+        Err(FoxGlynnError::InvalidLambda { .. })
+    ));
+    assert!(matches!(
+        cache.try_get(rate, 1.0, 0.0),
+        Err(FoxGlynnError::InvalidEpsilon { .. })
+    ));
+    assert_eq!((cache.len(), cache.hits(), cache.misses()), (0, 0, 0));
+    // A valid key after the refusals is an ordinary miss, then a hit.
+    let k = cache.try_get(rate, 10.0, 1e-6).unwrap().truncation;
+    assert_eq!(k, cache.get(rate, 10.0, 1e-6).truncation);
+    assert_eq!((cache.len(), cache.hits(), cache.misses()), (1, 1, 1));
+}
+
+/// The cap bounds the window: at `λ = 2³²` both recurrences stop about
+/// `9.1·√λ` steps from the mode, so the window holds about 1.2 million
+/// weights, under 10 MB per stored vector.
+#[test]
+fn window_at_the_cap_stays_small() {
+    let fg = FoxGlynn::try_new(FoxGlynn::MAX_LAMBDA).unwrap();
+    let width = fg.window_end() - fg.window_start();
+    assert!(width < 1_250_000, "width = {width}");
+    assert!(width * std::mem::size_of::<f64>() < 10_000_000);
+    assert_window_healthy(&fg, FoxGlynn::MAX_LAMBDA, 1e-6);
 }

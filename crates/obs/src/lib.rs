@@ -24,8 +24,8 @@
 //!   `unicon serve` and `unicon metrics` always install such a sink (the
 //!   metrics [`Registry`]). The readings only feed observations;
 //! * when no installed sink is interested in a [`Class`] (and no
-//!   thread-local collector is active), [`live`] is a single relaxed
-//!   atomic load plus a thread-local flag check, and [`emit`] never
+//!   thread-local collector captures it), [`live`] is a single relaxed
+//!   atomic load plus a thread-local mask check, and [`emit`] never
 //!   builds the event — the disabled handle costs near zero.
 //!
 //! ## Dispatch model
@@ -114,8 +114,9 @@ static SINKS: RwLock<Vec<Arc<dyn Sink>>> = RwLock::new(Vec::new());
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    /// The active [`collect`] buffer, if any.
-    static COLLECTOR: RefCell<Option<Vec<Event>>> = const { RefCell::new(None) };
+    /// The active [`collect`] buffer and the class mask it captures, if
+    /// any.
+    static COLLECTOR: RefCell<Option<(u32, Vec<Event>)>> = const { RefCell::new(None) };
     /// The open-span stack of this thread (parent tracking + timing).
     static SPAN_STACK: RefCell<Vec<OpenSpan>> = const { RefCell::new(Vec::new()) };
     /// The request id events on this thread are attributed to, if any.
@@ -157,8 +158,13 @@ pub fn flush() {
     }
 }
 
-fn collecting() -> bool {
-    COLLECTOR.with(|c| c.borrow().is_some())
+/// Whether this thread's collector captures `class`.
+fn collecting(class: Class) -> bool {
+    COLLECTOR.with(|c| {
+        c.borrow()
+            .as_ref()
+            .is_some_and(|(mask, _)| mask & class.bit() != 0)
+    })
 }
 
 /// Is any consumer interested in `class` right now? Engines guard the
@@ -166,7 +172,7 @@ fn collecting() -> bool {
 /// [`emit`] re-checks it internally, so plain call sites don't need to.
 #[must_use]
 pub fn live(class: Class) -> bool {
-    INTEREST.load(Ordering::Relaxed) & class.bit() != 0 || collecting()
+    INTEREST.load(Ordering::Relaxed) & class.bit() != 0 || collecting(class)
 }
 
 /// Emits an event lazily: `f` runs only when a sink or collector wants
@@ -174,15 +180,18 @@ pub fn live(class: Class) -> bool {
 pub fn emit(class: Class, f: impl FnOnce() -> Event) {
     let mask = INTEREST.load(Ordering::Relaxed);
     let wanted = mask & class.bit() != 0;
-    if !wanted && !collecting() {
+    let collected = collecting(class);
+    if !wanted && !collected {
         return;
     }
     let ev = f();
-    COLLECTOR.with(|c| {
-        if let Some(buf) = c.borrow_mut().as_mut() {
-            buf.push(ev.clone());
-        }
-    });
+    if collected {
+        COLLECTOR.with(|c| {
+            if let Some((_, buf)) = c.borrow_mut().as_mut() {
+                buf.push(ev.clone());
+            }
+        });
+    }
     if wanted {
         for s in sinks().iter() {
             if s.interest() & class.bit() != 0 {
@@ -194,14 +203,23 @@ pub fn emit(class: Class, f: impl FnOnce() -> Event) {
 
 /// Runs `f` with a thread-local event collector and returns its result
 /// together with every event emitted *on this thread* while it ran.
+/// Every class is live while it runs.
 ///
 /// Events still reach installed global sinks (tee). Collectors nest:
 /// an inner `collect` temporarily shadows the outer one, so the outer
 /// buffer does not see the inner run's events. If `f` panics, the
 /// previous collector is restored and the partial capture is dropped.
 pub fn collect<T>(f: impl FnOnce() -> T) -> (T, Vec<Event>) {
+    collect_classes(Class::all_mask(), f)
+}
+
+/// [`collect`] for the classes in `mask` only (an OR of [`Class::bit`]s):
+/// the collector makes no other class live, so code that tests [`live`]
+/// runs as it does with no collector at all, except for the classes
+/// collected.
+pub fn collect_classes<T>(mask: u32, f: impl FnOnce() -> T) -> (T, Vec<Event>) {
     struct Restore {
-        prev: Option<Option<Vec<Event>>>,
+        prev: Option<Option<(u32, Vec<Event>)>>,
     }
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -210,12 +228,12 @@ pub fn collect<T>(f: impl FnOnce() -> T) -> (T, Vec<Event>) {
             }
         }
     }
-    let prev = COLLECTOR.with(|c| c.borrow_mut().replace(Vec::new()));
+    let prev = COLLECTOR.with(|c| c.borrow_mut().replace((mask, Vec::new())));
     let mut restore = Restore { prev: Some(prev) };
     let out = f();
     let events = COLLECTOR.with(|c| {
         let mut buf = c.borrow_mut();
-        let captured = buf.take().unwrap_or_default();
+        let captured = buf.take().map(|(_, events)| events).unwrap_or_default();
         *buf = restore.prev.take().expect("restore guard is armed");
         captured
     });
@@ -470,6 +488,38 @@ mod tests {
         assert!(matches!(events[1], Event::Counter { name: "b", .. }));
         // the collector is gone afterwards
         assert!(!live(Class::Metric));
+    }
+
+    /// A span-only collector makes no other class live and captures
+    /// spans alone, even where other classes are emitted beside them.
+    #[test]
+    fn span_only_collector_captures_spans_alone() {
+        let ((), events) = collect_classes(Class::Span.bit(), || {
+            assert!(live(Class::Span));
+            assert!(!live(Class::Iter));
+            assert!(!live(Class::Metric));
+            let s = span("phase");
+            emit(Class::Metric, || panic!("a metric event must not be built"));
+            emit(Class::Iter, || {
+                panic!("an iteration event must not be built")
+            });
+            log(Level::Info, || panic!("a log message must not be built"));
+            drop(s);
+        });
+        assert_eq!(events.len(), 2);
+        assert!(matches!(events[0], Event::SpanOpen { name: "phase", .. }));
+        assert!(matches!(events[1], Event::SpanClose { name: "phase", .. }));
+        // Nested all-class collection still sees everything it wraps.
+        let (((), inner), outer) = collect_classes(Class::Span.bit(), || {
+            collect(|| {
+                emit(Class::Metric, || Event::Counter {
+                    name: "x",
+                    value: 1,
+                })
+            })
+        });
+        assert_eq!(inner.len(), 1);
+        assert!(outer.is_empty());
     }
 
     #[test]

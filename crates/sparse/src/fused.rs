@@ -17,18 +17,13 @@
 //!   goal states), so a sweep handles each fixed run as one tight
 //!   element-wise loop instead of taking a data-dependent branch per
 //!   state;
-//! * entry storage is **pooled** (one copy per interned row no matter
-//!   how many groups reference it) and **compressed**: columns narrow
-//!   to `u16` when the column space allows it, and weights/biases
-//!   dedupe into a cache-resident `f64` table indexed by `u16` when
-//!   they take few enough distinct values — both with transparent
-//!   wide/direct fallbacks chosen per model at build time
-//!   ([`FusedBuilder::build_direct`] keeps values uncompressed). A table
-//!   lookup returns the exact stored bits, so compression is invisible
-//!   to the arithmetic;
+//! * entry storage is **pooled**: one copy per interned row no matter
+//!   how many groups reference it, biases and weights as plain `f64`s.
+//!   Columns narrow to `u16` when the column space allows it and stay
+//!   `u32` otherwise, chosen per layout at build time;
 //! * the whole sweep ([`FusedGroups::sweep_best`]) is one pass in group
-//!   order, monomorphized per storage combination, so the per-entry
-//!   loop carries no representation branches;
+//!   order, monomorphized per column width, so the per-entry loop
+//!   carries no representation branches;
 //! * [`FusedGroups::sweep_lanes`] runs the same pass for up to [`LANES`]
 //!   independent problems at once over planes interleaved as
 //!   `[group][lane]`: each entry is streamed once and updates every
@@ -132,7 +127,8 @@ impl PoolRow {
 
 /// Column stream: narrow (`u16`) when the column space fits, wide
 /// (`u32`) otherwise. Chosen once at build time; the narrow form halves
-/// the bytes the hot sweep streams per entry.
+/// the bytes the hot sweep streams per column. The wide form is the only
+/// one for more than 65,536 columns.
 #[derive(Debug, Clone)]
 enum ColData {
     Narrow(Vec<u16>),
@@ -147,64 +143,20 @@ impl ColData {
         }
     }
 
+    #[inline]
+    fn at(&self, i: usize) -> usize {
+        match self {
+            ColData::Narrow(v) => usize::from(v[i]),
+            ColData::Wide(v) => v[i] as usize,
+        }
+    }
+
     fn memory_bytes(&self) -> usize {
         match self {
             ColData::Narrow(v) => v.len() * std::mem::size_of::<u16>(),
             ColData::Wide(v) => v.len() * std::mem::size_of::<u32>(),
         }
     }
-}
-
-/// Value stream (weights or biases): a `u16` index into a table of the
-/// distinct `f64` values when few enough exist (2 bytes streamed per
-/// value instead of 8, table stays cache-resident), the raw values
-/// otherwise. A table lookup returns the exact stored bits, so the two
-/// forms are bitwise interchangeable.
-#[derive(Debug, Clone)]
-enum ValData {
-    Direct(Vec<f64>),
-    Indexed { idx: Vec<u16>, table: Vec<f64> },
-}
-
-impl ValData {
-    #[inline]
-    fn at(&self, i: usize) -> f64 {
-        match self {
-            ValData::Direct(v) => v[i],
-            ValData::Indexed { idx, table } => table[idx[i] as usize],
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        match self {
-            ValData::Direct(v) => v.len() * std::mem::size_of::<f64>(),
-            ValData::Indexed { idx, table } => {
-                idx.len() * std::mem::size_of::<u16>() + table.len() * std::mem::size_of::<f64>()
-            }
-        }
-    }
-}
-
-/// Dedupes `vals` into a `u16`-indexed table of distinct bit patterns
-/// (first-encounter order, so the result is deterministic) when they
-/// fit, keeping the raw vector otherwise. Keying by bits preserves
-/// every value exactly — NaN payloads and signed zeros included.
-fn compress_vals(vals: Vec<f64>) -> ValData {
-    let mut seen = std::collections::HashMap::new();
-    let mut table: Vec<f64> = Vec::new();
-    let mut idx = Vec::with_capacity(vals.len());
-    for &v in &vals {
-        let next = table.len();
-        let slot = *seen.entry(v.to_bits()).or_insert(next);
-        if slot == next {
-            if next > usize::from(u16::MAX) {
-                return ValData::Direct(vals);
-            }
-            table.push(v);
-        }
-        idx.push(slot as u16);
-    }
-    ValData::Indexed { idx, table }
 }
 
 /// A fused, read-only group/row/entry structure: `group → pool-row ids →
@@ -234,9 +186,9 @@ pub struct FusedGroups {
     /// `col`/`weight`.
     pool_ptr: Vec<u32>,
     /// Pool row biases, indexed like `pool_ptr`.
-    bias: ValData,
+    bias: Vec<f64>,
     col: ColData,
-    weight: ValData,
+    weight: Vec<f64>,
 }
 
 impl FusedGroups {
@@ -304,24 +256,17 @@ impl FusedGroups {
         &self.row_pool[self.rows(g)]
     }
 
-    /// The `(col, weight)` entries of pool row `p`, in storage order
-    /// (decompressed on the fly).
+    /// The `(col, weight)` entries of pool row `p`, in storage order.
     pub fn pool_entries(&self, p: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
         let (lo, hi) = (self.pool_ptr[p] as usize, self.pool_ptr[p + 1] as usize);
-        (lo..hi).map(|i| {
-            let c = match &self.col {
-                ColData::Narrow(v) => u32::from(v[i]),
-                ColData::Wide(v) => v[i],
-            };
-            (c, self.weight.at(i))
-        })
+        (lo..hi).map(|i| (self.col.at(i) as u32, self.weight[i]))
     }
 
     /// The bias coefficient of pool row `p`.
     #[inline]
     #[must_use]
     pub fn pool_bias(&self, p: usize) -> f64 {
-        self.bias.at(p)
+        self.bias[p]
     }
 
     /// Evaluates pool row `p` against `x`:
@@ -334,13 +279,9 @@ impl FusedGroups {
     #[must_use]
     pub fn eval_pool_row(&self, p: usize, scale: f64, x: &[f64]) -> f64 {
         let (lo, hi) = (self.pool_ptr[p] as usize, self.pool_ptr[p + 1] as usize);
-        let mut v = scale * self.bias.at(p);
+        let mut v = scale * self.bias[p];
         for i in lo..hi {
-            let c = match &self.col {
-                ColData::Narrow(cv) => cv[i] as usize,
-                ColData::Wide(cv) => cv[i] as usize,
-            };
-            v += self.weight.at(i) * x[c];
+            v += self.weight[i] * x[self.col.at(i)];
         }
         v
     }
@@ -385,59 +326,17 @@ impl FusedGroups {
         decisions: Option<&mut [u16]>,
     ) {
         assert!(groups.end <= self.num_groups(), "group range out of bounds");
-        // One dispatch per sweep; each storage combination gets its own
+        // One dispatch per sweep; each column width gets its own
         // `inline(never)` instantiation so the per-entry loop carries no
         // representation branches (and the optimizer cannot tail-merge
         // the arms back into one branchy body).
-        match (&self.col, &self.weight) {
-            (ColData::Narrow(c), ValData::Indexed { idx, table }) => sweep_best_generic(
-                self,
-                c,
-                idx,
-                |ix| table[usize::from(ix)],
-                groups,
-                scale,
-                x,
-                maximize,
-                out,
-                decisions,
-            ),
-            (ColData::Narrow(c), ValData::Direct(w)) => sweep_best_generic(
-                self,
-                c,
-                w,
-                |w| w,
-                groups,
-                scale,
-                x,
-                maximize,
-                out,
-                decisions,
-            ),
-            (ColData::Wide(c), ValData::Indexed { idx, table }) => sweep_best_generic(
-                self,
-                c,
-                idx,
-                |ix| table[usize::from(ix)],
-                groups,
-                scale,
-                x,
-                maximize,
-                out,
-                decisions,
-            ),
-            (ColData::Wide(c), ValData::Direct(w)) => sweep_best_generic(
-                self,
-                c,
-                w,
-                |w| w,
-                groups,
-                scale,
-                x,
-                maximize,
-                out,
-                decisions,
-            ),
+        match &self.col {
+            ColData::Narrow(c) => {
+                sweep_best_generic(self, c, groups, scale, x, maximize, out, decisions);
+            }
+            ColData::Wide(c) => {
+                sweep_best_generic(self, c, groups, scale, x, maximize, out, decisions);
+            }
         }
     }
 
@@ -602,7 +501,7 @@ impl FusedGroups {
         });
     }
 
-    /// One dispatch per call on the storage combination, as in
+    /// One dispatch per call on the column width, as in
     /// [`FusedGroups::sweep_best`], for `A` active lanes.
     fn lanes_by_storage<const A: usize>(
         &self,
@@ -612,35 +511,9 @@ impl FusedGroups {
     ) {
         let psi: [f64; A] = psi.try_into().expect("one scale per active lane");
         let maximize: [bool; A] = maximize.try_into().expect("one objective per active lane");
-        match (&self.col, &self.weight) {
-            (ColData::Narrow(c), ValData::Indexed { idx, table }) => {
-                sweep_lanes_generic(
-                    self,
-                    c,
-                    idx,
-                    |ix| table[usize::from(ix)],
-                    lanes,
-                    psi,
-                    maximize,
-                );
-            }
-            (ColData::Narrow(c), ValData::Direct(w)) => {
-                sweep_lanes_generic(self, c, w, |w| w, lanes, psi, maximize);
-            }
-            (ColData::Wide(c), ValData::Indexed { idx, table }) => {
-                sweep_lanes_generic(
-                    self,
-                    c,
-                    idx,
-                    |ix| table[usize::from(ix)],
-                    lanes,
-                    psi,
-                    maximize,
-                );
-            }
-            (ColData::Wide(c), ValData::Direct(w)) => {
-                sweep_lanes_generic(self, c, w, |w| w, lanes, psi, maximize);
-            }
+        match &self.col {
+            ColData::Narrow(c) => sweep_lanes_generic(self, c, lanes, psi, maximize),
+            ColData::Wide(c) => sweep_lanes_generic(self, c, lanes, psi, maximize),
         }
     }
 
@@ -653,26 +526,21 @@ impl FusedGroups {
             + self.group_ptr.len() * std::mem::size_of::<u32>()
             + self.row_pool.len() * std::mem::size_of::<u32>()
             + self.pool_ptr.len() * std::mem::size_of::<u32>()
-            + self.bias.memory_bytes()
+            + self.bias.len() * std::mem::size_of::<f64>()
             + self.col.memory_bytes()
-            + self.weight.memory_bytes()
+            + self.weight.len() * std::mem::size_of::<f64>()
     }
 }
 
-/// The sweep body, monomorphized per storage combination: `C` is the
-/// column element (`u16`/`u32`), `wraw`/`wmap` realize the weight stream
-/// (raw `f64`s with an identity map, or `u16` indices mapped through the
-/// dedup table). `inline(never)` keeps the four instantiations as
-/// separate clean bodies. Entry loops zip subslices so the hot path
-/// carries no per-entry index checks beyond the unavoidable table/`x`
-/// gathers.
+/// The sweep body, monomorphized per column element `C` (`u16`/`u32`).
+/// `inline(never)` keeps the two instantiations as separate clean
+/// bodies. Entry loops zip subslices so the hot path carries no
+/// per-entry index checks beyond the unavoidable `x` gathers.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
-fn sweep_best_generic<C: Copy + Into<u32>, R: Copy>(
+fn sweep_best_generic<C: Copy + Into<u32>>(
     f: &FusedGroups,
     col: &[C],
-    wraw: &[R],
-    wmap: impl Fn(R) -> f64 + Copy,
     groups: Range<usize>,
     scale: f64,
     x: &Plane,
@@ -718,9 +586,9 @@ fn sweep_best_generic<C: Copy + Into<u32>, R: Copy>(
                     for (k, &p) in f.row_pool[rlo..rhi].iter().enumerate() {
                         let p = p as usize;
                         let (lo, hi) = (f.pool_ptr[p] as usize, f.pool_ptr[p + 1] as usize);
-                        let mut v = scale * f.bias.at(p);
-                        for (&c, &w) in col[lo..hi].iter().zip(&wraw[lo..hi]) {
-                            v += wmap(w) * plane::get(x, c.into() as usize);
+                        let mut v = scale * f.bias[p];
+                        for (&c, &w) in col[lo..hi].iter().zip(&f.weight[lo..hi]) {
+                            v += w * plane::get(x, c.into() as usize);
                         }
                         let better = if maximize { v > best } else { v < best };
                         if better {
@@ -748,17 +616,15 @@ struct LaneArgs<'a> {
     out: &'a Plane,
 }
 
-/// The lane sweep body, monomorphized per storage combination (as
+/// The lane sweep body, monomorphized per column element (as
 /// [`sweep_best_generic`]) and per active lane count `A`, so the
 /// per-lane loops have a fixed trip count. Per lane it is
 /// `sweep_best_generic`'s loop without decisions: the objective is a
 /// per-lane select instead of a per-sweep constant.
 #[inline(never)]
-fn sweep_lanes_generic<const A: usize, C: Copy + Into<u32>, R: Copy>(
+fn sweep_lanes_generic<const A: usize, C: Copy + Into<u32>>(
     f: &FusedGroups,
     col: &[C],
-    wraw: &[R],
-    wmap: impl Fn(R) -> f64 + Copy,
     lanes: LaneArgs<'_>,
     psi: [f64; A],
     maximize: [bool; A],
@@ -805,10 +671,9 @@ fn sweep_lanes_generic<const A: usize, C: Copy + Into<u32>, R: Copy>(
                     for &p in &f.row_pool[rlo..rhi] {
                         let p = p as usize;
                         let (lo, hi) = (f.pool_ptr[p] as usize, f.pool_ptr[p + 1] as usize);
-                        let bias = f.bias.at(p);
+                        let bias = f.bias[p];
                         let mut v: [f64; A] = std::array::from_fn(|l| psi[l] * bias);
-                        for (&c, &w) in col[lo..hi].iter().zip(&wraw[lo..hi]) {
-                            let w = wmap(w);
+                        for (&c, &w) in col[lo..hi].iter().zip(&f.weight[lo..hi]) {
                             let xs = &x[c.into() as usize * stride..][..A];
                             for (vl, xl) in v.iter_mut().zip(xs) {
                                 *vl += w * f64::from_bits(xl.load(Ordering::Relaxed));
@@ -838,8 +703,7 @@ fn sweep_lanes_generic<const A: usize, C: Copy + Into<u32>, R: Copy>(
 
 /// Builds a [`FusedGroups`]: intern shared rows first (or inline per
 /// push), then emit groups in group order. [`FusedBuilder::build`]
-/// selects the compressed storage forms the collected data admits and
-/// run-length encodes the class sequence.
+/// picks the column width and run-length encodes the class sequence.
 ///
 /// Call [`FusedBuilder::fixed_group`] for a rowless fixed group, or
 /// [`FusedBuilder::begin_group`] / [`FusedBuilder::push_row`] /
@@ -860,24 +724,18 @@ pub struct FusedBuilder {
 }
 
 impl FusedBuilder {
-    /// Starts a builder for groups whose rows index into `0..cols`,
-    /// reserving space for the expected totals up front (`groups`, `rows`
-    /// and `entries` are hints, not limits).
+    /// Starts a builder for groups whose rows index into `0..cols`.
     #[must_use]
-    pub fn with_capacity(cols: usize, groups: usize, rows: usize, entries: usize) -> Self {
-        let mut group_ptr = Vec::with_capacity(groups + 1);
-        group_ptr.push(0);
-        let mut pool_ptr = Vec::with_capacity(rows + 1);
-        pool_ptr.push(0);
+    pub fn new(cols: usize) -> Self {
         Self {
             cols,
-            class: Vec::with_capacity(groups),
-            group_ptr,
-            row_pool: Vec::with_capacity(rows),
-            pool_ptr,
+            class: Vec::new(),
+            group_ptr: vec![0],
+            row_pool: Vec::new(),
+            pool_ptr: vec![0],
             bias: Vec::new(),
-            col: Vec::with_capacity(entries),
-            weight: Vec::with_capacity(entries),
+            col: Vec::new(),
+            weight: Vec::new(),
             open: false,
         }
     }
@@ -970,32 +828,14 @@ impl FusedBuilder {
     }
 
     /// Finalizes the structure: run-length encodes the class sequence
-    /// and chooses the narrowest storage the collected data admits —
-    /// `u16` columns when the column space fits, `u16`-indexed value
-    /// tables when the distinct weight/bias counts fit. Every choice is
-    /// bitwise invisible to evaluation.
+    /// and stores columns as `u16` when the column space fits, `u32`
+    /// otherwise — a choice invisible to evaluation.
     ///
     /// # Panics
     ///
     /// Panics if a group is still open.
     #[must_use]
     pub fn build(self) -> FusedGroups {
-        self.finish(compress_vals)
-    }
-
-    /// [`FusedBuilder::build`] with weights and biases stored as plain
-    /// `f64`s, so an entry costs no table lookup: for a sweep bound by
-    /// that dependent lookup rather than by the extra bytes read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a group is still open.
-    #[must_use]
-    pub fn build_direct(self) -> FusedGroups {
-        self.finish(ValData::Direct)
-    }
-
-    fn finish(self, vals: fn(Vec<f64>) -> ValData) -> FusedGroups {
         assert!(!self.open, "close the open group before building");
         let mut runs: Vec<(u32, RunKind)> = Vec::new();
         let mut class_runs: Vec<(u32, GroupClass)> = Vec::new();
@@ -1023,9 +863,9 @@ impl FusedBuilder {
             group_ptr: self.group_ptr,
             row_pool: self.row_pool,
             pool_ptr: self.pool_ptr,
-            bias: vals(self.bias),
+            bias: self.bias,
             col,
-            weight: vals(self.weight),
+            weight: self.weight,
         }
     }
 }
@@ -1066,7 +906,7 @@ mod tests {
     }
 
     fn sample_builder() -> FusedBuilder {
-        let mut b = FusedBuilder::with_capacity(4, 4, 3, 5);
+        let mut b = FusedBuilder::new(4);
         b.fixed_group(); // group 0
         let shared = b.intern(0.25, [(0, 0.5), (3, 0.5)]);
         b.begin_group(); // group 1: two rows, one shared
@@ -1165,8 +1005,17 @@ mod tests {
     /// Many groups with varied classes and row lengths: every fourth
     /// group fixed, every fourth empty, the rest one to three rows of one
     /// to four entries into 16 columns.
-    fn varied(groups: u64, mut rng: u64) -> FusedBuilder {
-        let mut b = FusedBuilder::with_capacity(16, groups as usize, 24, 96);
+    fn varied(groups: u64, rng: u64) -> FusedBuilder {
+        varied_in(groups, rng, 16)
+    }
+
+    /// One column more than `u16` indexes.
+    const WIDE: usize = u16::MAX as usize + 2;
+
+    /// [`varied`] over `cols` columns; past the first 16 columns, every
+    /// row's last entry reads the highest column.
+    fn varied_in(groups: u64, mut rng: u64, cols: usize) -> FusedBuilder {
+        let mut b = FusedBuilder::new(cols);
         let mut next = || {
             rng ^= rng << 13;
             rng ^= rng >> 7;
@@ -1184,9 +1033,17 @@ mod tests {
                     b.begin_group();
                     for _ in 0..(next() % 3 + 1) {
                         let len = (next() % 4 + 1) as u32;
+                        let high = (cols - 1) as u32;
                         b.push_row_inline(
                             (next() % 8) as f64 * 0.125,
-                            (0..len).map(|j| ((next() % 16) as u32, f64::from(j + 1) * 0.0625)),
+                            (0..len).map(|j| {
+                                let c = if j + 1 == len && cols > 16 {
+                                    high
+                                } else {
+                                    (next() % 16) as u32
+                                };
+                                (c, f64::from(j + 1) * 0.0625)
+                            }),
                         );
                     }
                     b.end_group();
@@ -1295,7 +1152,7 @@ mod tests {
 
     #[test]
     fn sweep_best_ties_keep_first_and_nan_keeps_sentinel() {
-        let mut b = FusedBuilder::with_capacity(2, 2, 5, 5);
+        let mut b = FusedBuilder::new(2);
         b.begin_group(); // two equal rows: first must win
         b.push_row_inline(0.5, [(0, 1.0)]);
         b.push_row_inline(0.5, [(0, 1.0)]);
@@ -1313,7 +1170,7 @@ mod tests {
         assert_eq!(dec[1], 1, "NaN row never displaces the sentinel");
         assert_eq!(out[1], 0.25 + 0.25);
         // All-NaN group: the sentinel itself survives.
-        let mut b = FusedBuilder::with_capacity(1, 1, 1, 1);
+        let mut b = FusedBuilder::new(1);
         b.begin_group();
         b.push_row_inline(f64::NAN, [(0, 1.0)]);
         b.end_group();
@@ -1325,40 +1182,30 @@ mod tests {
         assert_eq!(out[0], f64::INFINITY);
     }
 
+    /// Past 65,536 columns the layout keeps `u32` columns, and the sweep
+    /// over them is still the oracle's, bit for bit.
     #[test]
-    fn build_direct_stores_plain_values() {
-        let f = sample_builder().build_direct();
-        assert!(matches!(f.weight, ValData::Direct(_)));
-        assert!(matches!(f.bias, ValData::Direct(_)));
-        assert!(matches!(sample().weight, ValData::Indexed { .. }));
-        assert_eq!(f.pool_bias(0), 0.25);
-        assert_eq!(
-            f.pool_entries(0).collect::<Vec<_>>(),
-            vec![(0, 0.5), (3, 0.5)]
-        );
-    }
-
-    #[test]
-    fn value_compression_preserves_exact_bits() {
-        // Values engineered to collide in magnitude but differ in bits:
-        // 0.0 vs -0.0 and two NaNs with different payloads.
-        let nan_a = f64::from_bits(0x7ff8_0000_0000_0001);
-        let nan_b = f64::from_bits(0x7ff8_0000_0000_0002);
-        let vals = vec![0.0, -0.0, nan_a, nan_b, 0.0, nan_a];
-        match compress_vals(vals.clone()) {
-            ValData::Indexed { idx, table } => {
-                assert_eq!(table.len(), 4); // 0.0, -0.0, nan_a, nan_b
-                for (i, v) in vals.iter().enumerate() {
-                    assert_eq!(table[idx[i] as usize].to_bits(), v.to_bits());
-                }
+    fn wide_columns_sweep_like_the_oracle() {
+        assert!(matches!(sample().col, ColData::Narrow(_)));
+        let f = varied_in(12, 0x2545_f491_4f6c_dd1d, WIDE).build();
+        assert!(matches!(f.col, ColData::Wide(_)));
+        assert!(f.pool_entries(1).any(|(c, _)| c > u32::from(u16::MAX)));
+        let x: Vec<f64> = (0..WIDE).map(|i| (i % 97) as f64 * 0.01).collect();
+        for &maximize in &[true, false] {
+            let mut out = vec![0.0; 12];
+            let mut dec = vec![u16::MAX; 12];
+            sweep(&f, 0..12, 0.9, &x, maximize, &mut out, Some(&mut dec));
+            for g in 0..12 {
+                let (v, d) = oracle(&f, g, 0.9, &x, maximize);
+                assert_eq!(out[g].to_bits(), v.to_bits(), "group {g}");
+                assert_eq!(dec[g], d, "group {g}");
             }
-            ValData::Direct(_) => panic!("six values must index"),
         }
     }
 
     #[test]
     fn empty_structure_builds() {
-        let f = FusedBuilder::with_capacity(0, 0, 0, 0).build();
+        let f = FusedBuilder::new(0).build();
         assert_eq!(f.num_groups(), 0);
         assert_eq!(f.num_rows(), 0);
         assert_eq!(f.num_pool_rows(), 0);
@@ -1371,7 +1218,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "open group")]
     fn unbalanced_groups_are_rejected() {
-        let mut b = FusedBuilder::with_capacity(1, 1, 1, 1);
+        let mut b = FusedBuilder::new(1);
         b.begin_group();
         b.begin_group();
     }
@@ -1379,13 +1226,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_columns_are_rejected() {
-        let mut b = FusedBuilder::with_capacity(2, 1, 1, 1);
+        let mut b = FusedBuilder::new(2);
         b.intern(0.0, [(2, 1.0)]);
     }
 
     /// Ties, a NaN row before a finite one, and an all-NaN group.
     fn ties_and_nans() -> FusedBuilder {
-        let mut b = FusedBuilder::with_capacity(3, 3, 5, 5);
+        let mut b = FusedBuilder::new(3);
         b.begin_group();
         b.push_row_inline(0.5, [(0, 1.0)]);
         b.push_row_inline(0.5, [(0, 1.0)]);
@@ -1416,24 +1263,20 @@ mod tests {
     }
 
     /// Every stride and active lane count, with mixed objectives, over
-    /// the whole range and every split of it, compressed and direct: each
-    /// active lane is bitwise the single-lane sweep of its own plane over
-    /// the compressed layout, and no inactive lane is written.
+    /// the whole range and every split of it, narrow and wide columns:
+    /// each active lane is bitwise the single-lane sweep of its own plane,
+    /// and no inactive lane is written.
     #[test]
     fn sweep_lanes_is_each_lanes_single_sweep_bitwise() {
         const MARK: f64 = 7.5;
-        let builders: [fn() -> FusedBuilder; 4] = [
+        let builders: [fn() -> FusedBuilder; 5] = [
             sample_builder,
             ties_and_nans,
             || varied(13, 0x9e37_79b9_7f4a_7c15),
             || varied(4, 7),
+            || varied_in(9, 0x9e37_79b9_7f4a_7c15, WIDE),
         ];
-        for (f, lanes) in builders.iter().flat_map(|b| {
-            [
-                (b().build(), b().build()),
-                (b().build(), b().build_direct()),
-            ]
-        }) {
+        for f in builders.iter().map(|b| b().build()) {
             let (n, cols) = (f.num_groups(), f.cols().max(f.num_groups()));
             for stride in 1..=LANES {
                 let planes: Vec<Vec<f64>> = (0..stride).map(|l| lane_x(cols, l)).collect();
@@ -1449,7 +1292,7 @@ mod tests {
                     }
                     for split in 0..=n {
                         let out = plane::from_slice(&vec![MARK; n * stride]);
-                        lanes.sweep_lanes(
+                        f.sweep_lanes(
                             0..split,
                             &psi,
                             &maximize,
@@ -1457,7 +1300,7 @@ mod tests {
                             stride,
                             &out[..split * stride],
                         );
-                        lanes.sweep_lanes(
+                        f.sweep_lanes(
                             split..n,
                             &psi,
                             &maximize,

@@ -741,6 +741,7 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, CliError> {
                         objective,
                     )
                 });
+                let bench = bench.map_err(runtime)?;
                 let initial = bench.initial;
                 emit_results(
                     &cli,
@@ -1060,9 +1061,11 @@ fn cmd_bench_build(args: &[String]) -> Result<ExitCode, CliError> {
 /// `unicon profile`: run an FTWC reach workload with span collection
 /// on, fold the nested span tree into flamegraph (`--folded`) and
 /// Chrome `trace_event` (`--chrome`) renderings, and print the hottest
-/// spans by self time. The profiled engine is the production engine —
-/// collection is the same bit-invisible telemetry every other sink
-/// uses, so the profile describes the code paths real queries take.
+/// spans by self time. Only spans are collected: iteration records and
+/// metrics stay dormant, so the engine takes the path of an untraced
+/// `unicon reach` (laned parts side by side, no per-step checksums, no
+/// per-class kernel clocks), and what the profile measures beyond that
+/// path is one clock read per span boundary.
 fn cmd_profile(args: &[String]) -> Result<ExitCode, CliError> {
     let cli = parse_cli(
         args,
@@ -1099,7 +1102,7 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, CliError> {
         .value("--top")
         .map_or(Ok(10), |s| parse_usize("--top", s))?;
 
-    let (bench, events) = obs::collect(|| {
+    let (bench, events) = obs::collect_classes(obs::Class::Span.bit(), || {
         experiment::reach_bench_with_kernel(
             &FtwcParams::new(n),
             &bounds,
@@ -1109,6 +1112,7 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, CliError> {
             Objective::Maximize,
         )
     });
+    let bench = bench.map_err(runtime)?;
     let tree = obs::profile::SpanTree::build(&events);
     if tree.is_empty() {
         return Err(runtime("the workload produced no spans to profile"));
@@ -1299,7 +1303,8 @@ fn cmd_metrics(args: &[String]) -> Result<ExitCode, CliError> {
 
     let registry = Arc::new(obs::Registry::new());
     obs::install(registry.clone());
-    let bench = experiment::reach_bench(&FtwcParams::new(n), &bounds, epsilon, threads);
+    let bench =
+        experiment::reach_bench(&FtwcParams::new(n), &bounds, epsilon, threads).map_err(runtime)?;
     obs::debug(|| {
         format!(
             "metrics workload: FTWC N={n}, {} states, {} queries",
@@ -1318,7 +1323,7 @@ fn cmd_ftwc(args: &[String]) -> Result<ExitCode, CliError> {
         .value("--time")
         .map_or(Ok(100.0), |s| parse_time("--time", s))?;
     let epsilon = epsilon_or_default(&cli)?;
-    let row = experiment::table1_row(&FtwcParams::new(n), &[t], epsilon);
+    let row = experiment::table1_row(&FtwcParams::new(n), &[t], epsilon).map_err(runtime)?;
     println!(
         "FTWC N={n}: CTMDP {} states / {} transitions, {} Markov states, built in {:?}",
         row.interactive_states, row.interactive_transitions, row.markov_states, row.transform_time

@@ -93,7 +93,7 @@ fn table1(args: &[String]) -> Result<ExitCode, CliError> {
         } else {
             &[t_short]
         };
-        let row = experiment::table1_row(&FtwcParams::new(n), bounds, epsilon);
+        let row = experiment::table1_row(&FtwcParams::new(n), bounds, epsilon).map_err(runtime)?;
         let (_, r100, it100, p100) = row.analyses[0];
         let long = row.analyses.get(1);
         println!(

@@ -575,7 +575,10 @@ impl ServeState {
             let weights = {
                 let mut cache = lock(&self.weights);
                 let hits_before = cache.hits();
-                let w = cache.get(rate, q.t, q.epsilon).clone();
+                let w = cache
+                    .try_get(rate, q.t, q.epsilon)
+                    .map_err(ProtoError::runtime)?
+                    .clone();
                 weights_cached = cache.hits() > hits_before;
                 w
             };

@@ -422,6 +422,38 @@ fn resume_from_a_missing_checkpoint_is_a_runtime_error() {
     assert!(err.starts_with("error: "), "{err}");
 }
 
+/// Time bounds whose `λ = E·t` is past the Fox–Glynn cap: infinite at
+/// `t = 1e308`, 2·10³⁰⁰ at `1e300`, 2·10²⁰ at `1e20` (which the guarded
+/// path's underflow floor alone would admit), 8·10¹⁴ at `4e14` (whose
+/// weight window alone would need gigabytes). Each is a runtime error
+/// with exit 1 on `reach`'s plain and budgeted paths and in `ftwc`, never
+/// a panic (exit 101) or an allocation that grows until it fails.
+#[test]
+fn time_bounds_past_the_weight_cap_are_runtime_errors() {
+    for t in ["1e308", "1e300", "1e20", "4e14"] {
+        let runs: [&[&str]; 3] = [
+            &["reach", "--ftwc", "1", "--time-bounds", t],
+            &[
+                "reach",
+                "--ftwc",
+                "1",
+                "--time-bounds",
+                t,
+                "--max-iters",
+                "5",
+            ],
+            &["ftwc", "--n", "1", "--time", t],
+        ];
+        for args in runs {
+            let out = unicon().args(args).output().expect("runs");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert!(err.starts_with("error: "), "{args:?}: {err}");
+            assert!(err.contains("2^32"), "{args:?}: {err}");
+        }
+    }
+}
+
 #[test]
 fn ftwc_subcommand_runs() {
     let out = unicon()

@@ -3,6 +3,7 @@
 //! overestimation phenomenon.
 
 use unicon::core::PreparedModel;
+use unicon::ctmdp::par::ReachEngine;
 use unicon::ctmdp::reachability::{timed_reachability, Objective, ReachOptions};
 use unicon::ctmdp::scheduler::UniformRandom;
 use unicon::ctmdp::simulate::{estimate_reachability, SimulationOptions};
@@ -16,7 +17,7 @@ fn table1_structure_matches_paper() {
         if n > 4 {
             break;
         }
-        let row = experiment::table1_row(&FtwcParams::new(n), &[], 1e-6);
+        let row = experiment::table1_row(&FtwcParams::new(n), &[], 1e-6).unwrap();
         // Our construction reproduces the published counts within a couple
         // of states (a fresh interactive prefix for the initial Markov
         // state plus its word transition).
@@ -127,6 +128,21 @@ fn transform_output_is_pinned_on_the_ftwc() {
     }
 }
 
+/// The reach engine keeps one copy of what it sweeps: the fused state
+/// layout, which interns only the rate functions non-goal states use. At
+/// N = 16 that, the goal vector and two value planes come to 278,880
+/// bytes, under a third of the CTMDP's own 914,264 (the engine held
+/// 1,062,966 while it also kept a CSR of every rate function and value
+/// tables).
+#[test]
+fn reach_engine_at_n16_keeps_one_copy_of_the_rows_it_sweeps() {
+    let (prepared, _) = experiment::prepare(&FtwcParams::new(16));
+    let engine = ReachEngine::new(&prepared.ctmdp, &prepared.goal).unwrap();
+    let bytes = engine.memory_bytes();
+    assert!(bytes < 350_000, "engine holds {bytes} bytes");
+    assert!(bytes < prepared.ctmdp.memory_bytes() / 3, "{bytes}");
+}
+
 #[test]
 fn compositional_route_agrees_with_generator_route() {
     for n in [1, 2, 8] {
@@ -142,7 +158,7 @@ fn compositional_route_agrees_with_generator_route() {
 fn worst_case_grows_with_cluster_stress() {
     // Larger horizons and smaller clusters both increase the probability of
     // losing premium quality.
-    let p1 = experiment::table1_row(&FtwcParams::new(1), &[100.0, 1000.0], 1e-8);
+    let p1 = experiment::table1_row(&FtwcParams::new(1), &[100.0, 1000.0], 1e-8).unwrap();
     assert!(p1.analyses[1].3 > p1.analyses[0].3);
 }
 
@@ -222,8 +238,14 @@ fn premium_down_probability_grows_with_cluster_size() {
     // in total across both, fully connected): more workstations mean more
     // single points of degradation, so the loss probability rises with N —
     // consistent with the spread between the two panels of Figure 4.
-    let small = experiment::table1_row(&FtwcParams::new(1), &[100.0], 1e-8).analyses[0].3;
-    let large = experiment::table1_row(&FtwcParams::new(8), &[100.0], 1e-8).analyses[0].3;
+    let small = experiment::table1_row(&FtwcParams::new(1), &[100.0], 1e-8)
+        .unwrap()
+        .analyses[0]
+        .3;
+    let large = experiment::table1_row(&FtwcParams::new(8), &[100.0], 1e-8)
+        .unwrap()
+        .analyses[0]
+        .3;
     assert!(
         large > small,
         "N=8 worst case {large} should exceed N=1 worst case {small}"

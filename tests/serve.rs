@@ -190,6 +190,40 @@ fn deeply_nested_line_gets_a_parse_error_and_the_session_survives() {
     assert_eq!(str_field(&parse(&responses[1]), "ok"), "register");
 }
 
+/// Time bounds past the Fox–Glynn cap (`λ = E·t` above 2³²) get typed
+/// runtime errors on the plain and the budgeted path — `t = 1e20` with a
+/// budget passes the guarded engine's underflow floor, and at `t = 4e14`
+/// the weight window alone would need gigabytes — and the session
+/// answers its next query.
+#[test]
+fn time_bounds_past_the_weight_cap_get_typed_errors_and_the_session_survives() {
+    let pre = stdin_session(&register_line(1));
+    let fp = str_field(&parse(&pre[0]), "model").to_string();
+
+    let query = |t: &str, budget: &str| {
+        format!("{{\"query\": {{\"model\": \"{fp}\", \"t\": {t}{budget}}}}}\n")
+    };
+    let budget = r#", "budget": {"max_iters": 5}"#;
+    let mut script = register_line(1);
+    for t in ["1e308", "1e300", "1e20", "4e14"] {
+        script += &query(t, "");
+        script += &query(t, budget);
+    }
+    script += &query("10", "");
+    let responses = stdin_session(&script);
+    assert_eq!(responses.len(), 10);
+    for resp in &responses[1..9] {
+        let v = parse(resp);
+        let err = v
+            .get("error")
+            .unwrap_or_else(|| panic!("not an error: {resp}"));
+        assert_eq!(str_field(err, "kind"), "runtime", "{resp}");
+        assert_eq!(num_field(err, "code"), 1.0, "{resp}");
+        assert!(str_field(err, "detail").contains("2^32"), "{resp}");
+    }
+    assert_eq!(str_field(&parse(&responses[9]), "ok"), "query");
+}
+
 #[test]
 fn exhausted_budget_answers_a_partial_record_bracketing_the_value() {
     let pre = stdin_session(&register_line(1));
