@@ -10,6 +10,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+# Intra-doc links name the engine's types and functions; a rename that
+# leaves a link dangling fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

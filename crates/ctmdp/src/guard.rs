@@ -30,7 +30,7 @@
 //!   [`GuardEvent::Degradation`] ([`DegradePolicy::Sequential`]).
 //!
 //! Under the `fault-inject` cargo feature a deterministic, seeded
-//! [`FaultPlan`] can flip a value to NaN at a chosen step, panic a chosen
+//! `FaultPlan` can flip a value to NaN at a chosen step, panic a chosen
 //! worker, or truncate every checkpoint it writes — the CI gate drives
 //! all three and asserts the typed outcomes above.
 //!
@@ -59,10 +59,9 @@ use unicon_sparse::{plane, Plane};
 #[cfg(feature = "fault-inject")]
 use unicon_numeric::rng::{Rng, XorShift64};
 
-use crate::par::{drive, Lane, Planes, ReachBatch, Steps, Supervisor};
+use crate::par::{Checks, Lane, Planes, ReachBatch, ReachEngine, StateRun, Supervisor};
 use crate::reachability::{
-    finalize_values, indicator_result, objective_lane, validate_epsilon, validate_time, Objective,
-    Precompute, ReachError, ReachResult, Sweep,
+    finalize_values, no_jump, uniform_rate, Layout, Objective, ReachError, ReachResult,
 };
 
 /// Tolerance of the out-of-range health check: iterates may drift this
@@ -467,8 +466,13 @@ impl std::error::Error for GuardError {
 }
 
 impl From<ReachError> for GuardError {
+    /// A Fox–Glynn failure is a [`GuardError::FoxGlynn`], whichever check
+    /// found it.
     fn from(e: ReachError) -> Self {
-        GuardError::Reach(e)
+        match e {
+            ReachError::FoxGlynn(e) => GuardError::FoxGlynn(e),
+            e => GuardError::Reach(e),
+        }
     }
 }
 
@@ -850,7 +854,7 @@ impl CheckpointData {
     /// Rejects checkpoints taken from a different batch. Comparisons are
     /// bitwise: resuming under a perturbed epsilon, rate or query list
     /// would silently break the determinism contract.
-    fn validate_against(&self, batch: &ReachBatch<'_>, pre: &Precompute) -> Result<(), GuardError> {
+    fn validate_against(&self, batch: &ReachBatch<'_>, rate: f64) -> Result<(), GuardError> {
         let mismatch = |reason: String| Err(GuardError::CheckpointMismatch { reason });
         if self.n != batch.ctmdp.num_states() {
             return mismatch(format!(
@@ -866,11 +870,11 @@ impl CheckpointData {
                 batch.epsilon
             ));
         }
-        if self.rate_bits != pre.rate.to_bits() {
+        if self.rate_bits != rate.to_bits() {
             return mismatch(format!(
                 "checkpoint uniform rate {} differs from the model's {}",
                 f64::from_bits(self.rate_bits),
-                pre.rate
+                rate
             ));
         }
         if self.queries.len() != batch.queries.len() {
@@ -899,15 +903,15 @@ impl CheckpointData {
 // The guarded engine
 // ---------------------------------------------------------------------
 
-/// Brackets the interrupted query of `batch` when stopping before step
-/// `next_i` with `q_next` holding `q_{next_i + 1}`.
+/// Brackets the interrupted query `lane` of `batch` when stopping before
+/// step `next_i` with `q_next` holding `q_{next_i + 1}`.
 fn make_partial(
     batch: &ReachBatch<'_>,
-    s: &Steps<'_>,
+    lane: Lane<'_>,
     next_i: usize,
     q_next: &Plane,
 ) -> PartialQuery {
-    let Lane { fg, k, qi: query } = s.lanes[0];
+    let Lane { fg, k, qi: query } = lane;
     let lower = finalize_values(&batch.goal, plane::values(q_next));
     // Soundness of the bracket: the truncated iterate counts exactly the
     // first-hit events "hit at the r-th jump AND at least next_i + r
@@ -952,7 +956,7 @@ fn worst_window(fg: &FoxGlynn, k: usize, len: usize) -> f64 {
 /// events and counters a checkpoint or the outcome reports.
 struct Guarded<'a, 'b> {
     batch: &'a ReachBatch<'b>,
-    pre: &'a Precompute,
+    rate: f64,
     guard: &'a GuardOptions,
     every: usize,
     results: Vec<ReachResult>,
@@ -979,7 +983,7 @@ impl Guarded<'_, '_> {
         let data = CheckpointData {
             n: batch.ctmdp.num_states(),
             epsilon_bits: batch.epsilon.to_bits(),
-            rate_bits: self.pre.rate.to_bits(),
+            rate_bits: self.rate.to_bits(),
             queries: batch
                 .queries
                 .iter()
@@ -1040,17 +1044,18 @@ fn apply_truncate_fault(guard: &GuardOptions, path: &Path) -> Result<(), GuardEr
     Ok(())
 }
 
-/// Worker 0's hooks for the query in flight: step counting and periodic
-/// checkpoints after each step, the budget before the next, and the
-/// reaction to a worker panic.
+/// Worker 0's hooks for the query in flight, `lane`, whose run starts at
+/// step `from`: step counting and periodic checkpoints after each step,
+/// the budget before the next, and the reaction to a worker panic.
 struct InFlight<'r, 'a, 'b> {
     run: &'r mut Guarded<'a, 'b>,
-    steps: &'r Steps<'r>,
+    lane: Lane<'r>,
+    from: usize,
 }
 
 impl InFlight<'_, '_, '_> {
     fn checkpoint(&mut self, i: usize, q: &Plane) -> Result<(), GuardError> {
-        let lane = self.steps.lanes[0];
+        let lane = self.lane;
         let in_progress = InProgress {
             query: lane.qi,
             k: lane.k,
@@ -1063,9 +1068,8 @@ impl InFlight<'_, '_, '_> {
 
 impl Supervisor for InFlight<'_, '_, '_> {
     fn proceed(&mut self, i: usize, q: &Plane) -> Result<bool, GuardError> {
-        let s = self.steps;
         let guard = self.run.guard;
-        if i <= s.from {
+        if i <= self.from {
             self.run.iterations_done += 1;
             self.run.steps_since_ck += 1;
             if guard.checkpoint.is_some() && self.run.steps_since_ck >= self.run.every {
@@ -1081,11 +1085,11 @@ impl Supervisor for InFlight<'_, '_, '_> {
         };
         unicon_obs::emit(unicon_obs::Class::Guard, || unicon_obs::Event::Guard {
             kind: "budget-exhausted",
-            query: s.lanes[0].qi,
+            query: self.lane.qi,
             step: i - 1,
             detail: reason.as_str().to_string(),
         });
-        self.run.stopped = Some((reason, make_partial(self.run.batch, s, i - 1, q)));
+        self.run.stopped = Some((reason, make_partial(self.run.batch, self.lane, i - 1, q)));
         if guard.checkpoint.is_some() {
             self.checkpoint(i, q)?;
         }
@@ -1099,7 +1103,7 @@ impl Supervisor for InFlight<'_, '_, '_> {
         workers: usize,
         _: Box<dyn Any + Send>,
     ) -> Result<(), GuardError> {
-        let query = self.steps.lanes[0].qi;
+        let query = self.lane.qi;
         if self.run.guard.on_degrade == DegradePolicy::Fail {
             return Err(GuardError::WorkerPanicked {
                 query,
@@ -1125,38 +1129,24 @@ impl Supervisor for InFlight<'_, '_, '_> {
 }
 
 /// The shared driver behind [`ReachBatch::run_guarded`],
-/// [`ReachBatch::run_guarded_with_engine`] and [`ReachBatch::resume`].
-/// `shared_pre` reuses a long-lived precomputation (the serve path);
-/// `None` builds a fresh one — the choice affects no result bit.
+/// [`ReachBatch::run_guarded_with_engine`] and [`ReachBatch::resume`]:
+/// runs the queries of `batch` after those `resume` completed, each over
+/// the states of `layout` — a fresh one or a long-lived engine's, which
+/// affects no result bit.
 fn run_guarded_inner(
     batch: &ReachBatch<'_>,
     guard: &GuardOptions,
     resume: Option<CheckpointData>,
-    shared_pre: Option<&Precompute>,
+    rate: f64,
+    layout: Layout<'_>,
     planes: &mut Planes,
 ) -> Result<GuardedRun, GuardError> {
-    validate_epsilon(batch.epsilon)?;
-    for q in &batch.queries {
-        validate_time(q.t)?;
-    }
-    let built;
-    let pre: &Precompute = match shared_pre {
-        Some(p) => p,
-        None => {
-            built = Precompute::new(batch.ctmdp, &batch.goal)?;
-            &built
-        }
-    };
-    // As on the plain path, a λ past the weight cap fails the batch
-    // before its first sweep.
-    for q in &batch.queries {
-        FoxGlynn::check_lambda(pre.rate * q.t)?;
-    }
+    batch.check(rate)?;
     let n = batch.ctmdp.num_states();
     let mut workers = batch.workers();
     let mut run = Guarded {
         batch,
-        pre,
+        rate,
         guard,
         every: guard.checkpoint.as_ref().map_or(1, |c| c.every.max(1)),
         results: Vec::new(),
@@ -1167,12 +1157,12 @@ fn run_guarded_inner(
     };
     let mut in_progress: Option<InProgress> = None;
     if let Some(ck) = resume {
-        ck.validate_against(batch, pre)?;
+        ck.validate_against(batch, rate)?;
         for done in ck.completed {
             run.results.push(ReachResult {
                 values: done.values,
                 iterations: done.iterations,
-                uniform_rate: pre.rate,
+                uniform_rate: rate,
                 runtime: Duration::ZERO,
                 decisions: Vec::new(),
             });
@@ -1192,41 +1182,31 @@ fn run_guarded_inner(
     }
     // The fault plan's (panic_at, nan_at).
     #[cfg(feature = "fault-inject")]
-    let faults = guard
+    let (panic_at, nan_at) = guard
         .fault_plan
         .map_or((None, None), |p| (p.panic_worker_at, p.nan_at));
     #[cfg(not(feature = "fault-inject"))]
-    let faults = (None, None);
+    let (panic_at, nan_at) = (None, None);
+    let checks = Checks {
+        record: false,
+        health: true,
+        panic_at,
+        nan_at,
+    };
 
     for qi in run.results.len()..batch.queries.len() {
         let query = batch.queries[qi];
-        let query_start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
-        if query.t == 0.0 || pre.rate == 0.0 {
-            run.results.push(indicator_result(&batch.goal, pre.rate));
+        if let Some(answer) = no_jump(&batch.goal, rate, query.t) {
+            run.results.push(answer);
             run.checkpoint(None, qi, 0)?;
             continue;
         }
-
-        // Bitwise identical to the plain batch path: try_weights runs the
-        // exact FoxGlynn::new + right_truncation the WeightCache runs,
-        // and additionally types the underflow regime.
-        let cached = FoxGlynn::try_weights(pre.rate * query.t, batch.epsilon)?;
-        let (fg, k) = (cached.fg, cached.truncation);
-        unicon_obs::emit(unicon_obs::Class::Metric, || {
-            unicon_obs::Event::QueryStart {
-                query: qi,
-                t: query.t,
-                lambda: fg.lambda(),
-                left: fg.left_truncation(batch.epsilon),
-                right: k,
-            }
-        });
-
+        let weights = FoxGlynn::try_weights(rate * query.t, batch.epsilon)?;
+        let k = weights.truncation;
         // q_{k+1} = 0, or the checkpoint's q_{current_i}, exact bits.
-        let mut from = k;
-        let mut init = None;
-        if let Some(ip) = in_progress.take() {
-            if ip.k != k {
+        let resumed = match in_progress.take() {
+            None => None,
+            Some(ip) if ip.k != k => {
                 return Err(GuardError::CheckpointMismatch {
                     reason: format!(
                         "query {qi} needs {k} steps but the checkpoint recorded {} — \
@@ -1235,49 +1215,34 @@ fn run_guarded_inner(
                     ),
                 });
             }
-            if ip.q.len() != n {
+            Some(ip) if ip.q.len() != n => {
                 return Err(GuardError::CheckpointMismatch {
                     reason: format!("stored iterate has {} entries, expected {n}", ip.q.len()),
                 });
             }
-            from = ip.current_i - 1;
-            init = Some(ip.q);
-        }
-        planes.prepare(n, from, init.as_deref());
-
-        let sweep = Sweep {
-            kernel: batch.kernel,
-            ctmdp: batch.ctmdp,
-            pre,
+            Some(ip) => Some((ip.current_i - 1, ip.q)),
+        };
+        let query_run = StateRun {
+            layout,
             goal: &batch.goal,
-            folded: None,
-            maximize: objective_lane(query.objective),
-            timed: unicon_obs::live(unicon_obs::Class::Metric),
+            rate,
+            query,
+            epsilon: batch.epsilon,
+            weights: &weights,
+            qi,
         };
-        let steps = Steps {
-            lanes: &[Lane { fg: &fg, k, qi }],
-            from,
-            record: false,
-            health: true,
-            panic_at: faults.0,
-            nan_at: faults.1,
-        };
+        let resume = resumed.as_ref().map(|(from, q)| (*from, q.as_slice()));
         let mut sup = InFlight {
             run: &mut run,
-            steps: &steps,
+            lane: query_run.lane(),
+            from: resume.map_or(k, |(from, _)| from),
         };
-        workers = drive(&sweep, &steps, workers, planes.pair(), &mut sup)?.0;
-        if run.stopped.is_some() {
+        let (left, answer) = query_run.run(resume, checks, false, workers, planes, &mut sup)?;
+        workers = left;
+        let Some(answer) = answer else {
             return Ok(run.finish());
-        }
-
-        run.results.push(ReachResult {
-            values: finalize_values(&batch.goal, plane::values(planes.q(1))),
-            iterations: k,
-            uniform_rate: pre.rate,
-            runtime: query_start.elapsed(),
-            decisions: Vec::new(),
-        });
+        };
+        run.results.push(answer);
         run.steps_since_ck = 0;
         run.checkpoint(None, qi, 0)?;
     }
@@ -1323,16 +1288,16 @@ impl ReachBatch<'_> {
     /// assert!(!partial.is_complete());
     /// ```
     pub fn run_guarded(&self, guard: &GuardOptions) -> Result<GuardedRun, GuardError> {
-        run_guarded_inner(self, guard, None, None, &mut Planes::default())
+        self.guarded(guard, None)
     }
 
-    /// Runs the batch under guard options while reusing the shared
-    /// precomputation held by a long-lived [`ReachEngine`] — the serve
-    /// path, where one engine answers many budgeted requests without
-    /// rebuilding the uniformised matrix per request.
+    /// Runs the batch under guard options while reusing the state layout
+    /// held by a long-lived [`ReachEngine`] — the serve path, where one
+    /// engine answers many budgeted requests without compiling the layout
+    /// per request.
     ///
     /// The result is bitwise identical to [`ReachBatch::run_guarded`];
-    /// sharing the precomputation affects no result bit.
+    /// sharing the layout affects no result bit.
     ///
     /// # Errors
     ///
@@ -1342,10 +1307,14 @@ impl ReachBatch<'_> {
     pub fn run_guarded_with_engine(
         &self,
         guard: &GuardOptions,
-        engine: &crate::par::ReachEngine,
+        engine: &ReachEngine,
     ) -> Result<GuardedRun, GuardError> {
         engine.check_compatible(self.ctmdp, &self.goal)?;
-        engine.with_planes(|planes| run_guarded_inner(self, guard, None, Some(&engine.pre), planes))
+        let (rate, layout) = (
+            engine.uniform_rate(),
+            engine.layout(self.kernel, self.ctmdp),
+        );
+        engine.with_planes(|planes| run_guarded_inner(self, guard, None, rate, layout, planes))
     }
 
     /// Resumes a guarded run from a checkpoint written by an earlier
@@ -1368,7 +1337,20 @@ impl ReachBatch<'_> {
         guard: &GuardOptions,
     ) -> Result<GuardedRun, GuardError> {
         let data = CheckpointData::read(path.as_ref())?;
-        run_guarded_inner(self, guard, Some(data), None, &mut Planes::default())
+        self.guarded(guard, Some(data))
+    }
+
+    /// A guarded run on a layout of its own: the state layout, compiled
+    /// only for the fused kernel.
+    fn guarded(
+        &self,
+        guard: &GuardOptions,
+        resume: Option<CheckpointData>,
+    ) -> Result<GuardedRun, GuardError> {
+        let rate = uniform_rate(self.ctmdp, &self.goal)?;
+        let mut slot = None;
+        let layout = Layout::states(self.kernel, self.ctmdp, &self.goal, &mut slot);
+        run_guarded_inner(self, guard, resume, rate, layout, &mut Planes::default())
     }
 }
 

@@ -6,12 +6,14 @@
 //!   a persistent pool of `std::thread` workers, each owning a contiguous
 //!   range of the state space ([`timed_reachability_par`]);
 //! * **across queries** — a [`ReachBatch`] answers many `(time bound,
-//!   objective)` queries in one pass, compiling the fused layout once and
-//!   caching Fox–Glynn weight vectors keyed by `(rate, t, epsilon)`.
+//!   objective)` queries in one pass, compiling the layout it sweeps once
+//!   and caching Fox–Glynn weight vectors keyed by `(rate, t, epsilon)`.
 //!
 //! Every engine — sequential, parallel, batched, served and guarded —
 //! runs its steps through the one driver here, `drive`: the sequential
-//! case is the 1-worker pool.
+//! case is the 1-worker pool. Every query that sweeps the states on a
+//! lane of its own — all but a laned batch's — is set up by one builder,
+//! `StateRun::run`.
 //!
 //! # Determinism contract
 //!
@@ -41,14 +43,13 @@ use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use unicon_numeric::{chunked_stable_sum, CachedWeights, FoxGlynn, WeightCache};
-use unicon_sparse::{assign_blocks, plane, Plane, LANES};
+use unicon_sparse::{assign_blocks, plane, ClassTiming, FusedGroups, Plane, LANES};
 
 use crate::guard::{check_health, GuardError, NumericHealthError};
 use crate::model::Ctmdp;
 use crate::reachability::{
-    emit_iteration, emit_kernel_timing, finalize_values, indicator_result, objective_lane,
-    validate_epsilon, validate_time, Folded, Kernel, Objective, Precompute, ReachError,
-    ReachOptions, ReachResult, Sweep,
+    check_query, emit_iteration, finalize_values, fuse, no_jump, objective_lane, observe_run,
+    uniform_rate, Folded, Kernel, Layout, Objective, ReachError, ReachOptions, ReachResult, Sweep,
 };
 
 /// Fixed block size of the deterministic checksum reduction — a property
@@ -59,7 +60,7 @@ pub const CHECKSUM_BLOCK: usize = 1024;
 /// hardware thread", and explicit requests are clamped to the hardware —
 /// oversubscribing workers onto fewer cores only adds scheduling noise
 /// (results are thread-count invariant either way, so the clamp is
-/// observable only in [`BatchStats::threads`] and wall time).
+/// observable only in [`BatchStats::threads_effective`] and wall time).
 pub fn resolve_threads(threads: usize) -> usize {
     let avail = std::thread::available_parallelism().map_or(1, usize::from);
     if threads == 0 {
@@ -107,87 +108,119 @@ pub fn timed_reachability_workers(
     opts: &ReachOptions,
     workers: usize,
 ) -> Result<ReachResult, ReachError> {
-    validate_time(t)?;
-    validate_epsilon(opts.epsilon)?;
-    let pre = Precompute::new(ctmdp, goal)?;
-    if t == 0.0 || pre.rate == 0.0 {
-        return Ok(indicator_result(goal, pre.rate));
+    let rate = uniform_rate(ctmdp, goal)?;
+    check_query(rate, t, opts.epsilon)?;
+    if let Some(answer) = no_jump(goal, rate, t) {
+        return Ok(answer);
     }
-    let start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
-    let fg = FoxGlynn::try_new(pre.rate * t)?;
-    let k = fg.right_truncation(opts.epsilon);
-    Ok(run_query(
-        ctmdp,
-        &pre,
+    let weights = FoxGlynn::try_weights(rate * t, opts.epsilon)?;
+    let mut slot = None;
+    let run = StateRun {
+        layout: Layout::states(opts.kernel, ctmdp, goal, &mut slot),
         goal,
-        &fg,
-        k,
-        opts,
-        workers,
-        0,
-        start,
-        &mut Planes::default(),
-    ))
+        rate,
+        query: ReachQuery {
+            t,
+            objective: opts.objective,
+        },
+        epsilon: opts.epsilon,
+        weights: &weights,
+        qi: 0,
+    };
+    Ok(run.plain(opts.record_decisions, workers, &mut Planes::default()))
 }
 
-/// Runs one unguarded query on `workers` workers. `qi` is the query's
-/// index within its batch, used only to tag telemetry; `planes` carries
-/// the value planes across the queries of a batch so repeated same-model
-/// queries run allocation-free.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_query(
-    ctmdp: &Ctmdp,
-    pre: &Precompute,
-    goal: &[bool],
-    fg: &FoxGlynn,
-    k: usize,
-    opts: &ReachOptions,
-    workers: usize,
-    qi: usize,
-    start: Instant,
-    planes: &mut Planes,
-) -> ReachResult {
-    // Per-query kernel-speed attribution: snapshot the shared class-time
-    // ledger around the iteration and emit the delta as picosecond-per-
-    // state observations. Read-only with respect to the iteration — the
-    // values are bitwise identical whether or not metrics are live.
-    let metrics_live = unicon_obs::live(unicon_obs::Class::Metric);
-    let before = metrics_live.then(|| pre.timing.snapshot());
-    planes.prepare(ctmdp.num_states(), k, None);
-    let sweep = Sweep {
-        kernel: opts.kernel,
-        ctmdp,
-        pre,
-        goal,
-        folded: None,
-        maximize: objective_lane(opts.objective),
-        timed: metrics_live,
-    };
-    let steps = Steps {
-        lanes: &[Lane { fg, k, qi }],
-        from: k,
-        record: opts.record_decisions,
-        health: false,
-        panic_at: None,
-        nan_at: None,
-    };
-    let (_, decisions) = drive(&sweep, &steps, workers, planes.pair(), &mut Plain)
-        .expect("an unguarded run has no hook that fails");
-    let result = ReachResult {
-        values: finalize_values(goal, plane::values(planes.q(1))),
-        iterations: k,
-        uniform_rate: pre.rate,
-        runtime: start.elapsed(),
-        decisions,
-    };
-    if let Some(before) = &before {
-        emit_kernel_timing(pre, before);
-        unicon_obs::observe(
-            "reach_query_ns",
-            u64::try_from(result.runtime.as_nanos()).unwrap_or(u64::MAX),
-        );
+/// One query over the n states on a lane of its own: the run of every
+/// query but a laned batch's — of [`timed_reachability_par`], a
+/// [`ReachEngine`], a batch that runs its queries one by one, and the
+/// guarded engine.
+pub(crate) struct StateRun<'a> {
+    /// The model itself or the state layout: never the folded one.
+    pub(crate) layout: Layout<'a>,
+    pub(crate) goal: &'a [bool],
+    pub(crate) rate: f64,
+    pub(crate) query: ReachQuery,
+    pub(crate) epsilon: f64,
+    /// The query's Poisson weights and step count `k`.
+    pub(crate) weights: &'a CachedWeights,
+    /// The query's index in its batch, for telemetry.
+    pub(crate) qi: usize,
+}
+
+impl StateRun<'_> {
+    /// The query's lane.
+    pub(crate) fn lane(&self) -> Lane<'_> {
+        Lane {
+            fg: &self.weights.fg,
+            k: self.weights.truncation,
+            qi: self.qi,
+        }
     }
-    result
+
+    /// Runs the query unguarded on `workers` workers from
+    /// `q_{k+1} = 0`, recording decisions when asked: the plain engines'
+    /// run. `planes` carries the value planes across the queries of a
+    /// batch (or, pooled, of an engine), so repeated same-model queries
+    /// run allocation-free.
+    pub(crate) fn plain(&self, record: bool, workers: usize, planes: &mut Planes) -> ReachResult {
+        let checks = Checks {
+            record,
+            ..Checks::default()
+        };
+        let timed = unicon_obs::live(unicon_obs::Class::Metric);
+        let (_, answer) = self
+            .run(None, checks, timed, workers, planes, &mut Plain)
+            .expect("an unguarded run has no hook that fails");
+        answer.expect("an unguarded run takes every step")
+    }
+
+    /// Emits the query's start record and runs its steps on `workers`
+    /// workers: from `resume`'s `(from, q_{from + 1})`, or from step `k`
+    /// and `q_{k+1} = 0`, with `checks` in every worker and `sup` on
+    /// worker 0 — the one place that sets up a one-lane state run. A
+    /// `timed` run times its kernel per state class and observes that and
+    /// its wall time. Returns the worker count at the end and the answer,
+    /// or `None` when `sup` stopped the run early.
+    pub(crate) fn run(
+        &self,
+        resume: Option<(usize, &[f64])>,
+        checks: Checks,
+        timed: bool,
+        workers: usize,
+        planes: &mut Planes,
+        sup: &mut dyn Supervisor,
+    ) -> Result<(usize, Option<ReachResult>), GuardError> {
+        let lane = self.lane();
+        lane.announce(self.query.t, self.epsilon);
+        let start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
+        let from = resume.map_or(lane.k, |(from, _)| from);
+        planes.prepare(self.goal.len(), from, resume.map(|(_, q)| q));
+        let sweep = Sweep {
+            layout: self.layout,
+            maximize: objective_lane(self.query.objective),
+            timed,
+        };
+        let steps = Steps {
+            lanes: &[lane],
+            from,
+            checks,
+        };
+        let done = drive(&sweep, &steps, workers, planes.pair(), sup)?;
+        if done.stopped {
+            return Ok((done.workers, None));
+        }
+        let answer = ReachResult {
+            values: finalize_values(self.goal, plane::values(planes.q(1))),
+            iterations: lane.k,
+            uniform_rate: self.rate,
+            runtime: start.elapsed(),
+            decisions: done.decisions,
+        };
+        if timed {
+            observe_run(&done.timing, [answer.runtime]);
+        }
+        Ok((done.workers, Some(answer)))
+    }
 }
 
 /// The driver's two value planes, kept across the queries of a batch (and,
@@ -284,8 +317,24 @@ pub(crate) struct Lane<'a> {
     pub(crate) qi: usize,
 }
 
+impl Lane<'_> {
+    /// Emits the query's start record: its time bound, `λ`, and the
+    /// truncation points at `epsilon`.
+    fn announce(&self, t: f64, epsilon: f64) {
+        unicon_obs::emit(unicon_obs::Class::Metric, || {
+            unicon_obs::Event::QueryStart {
+                query: self.qi,
+                t,
+                lambda: self.fg.lambda(),
+                left: self.fg.left_truncation(epsilon),
+                right: self.k,
+            }
+        });
+    }
+}
+
 /// A run's step schedule — steps `from` down to 1, each lane weighted by
-/// its own Poisson weights — and the hooks every worker runs on its own
+/// its own Poisson weights — and the checks every worker runs on its own
 /// range each step.
 pub(crate) struct Steps<'a> {
     /// The queries, `k` descending, in plane-lane order. Lane `l` joins
@@ -294,6 +343,14 @@ pub(crate) struct Steps<'a> {
     pub(crate) lanes: &'a [Lane<'a>],
     /// The first step to run; `q_{from + 1}` must be in its plane.
     pub(crate) from: usize,
+    pub(crate) checks: Checks,
+}
+
+/// What every worker does besides its sweep, on its own range each step.
+/// The plain engines record decisions on request; a guarded run scans
+/// the values' health and injects its planned faults.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Checks {
     pub(crate) record: bool,
     /// Scan each worker's fresh range for NaN, infinities and drift.
     pub(crate) health: bool,
@@ -349,6 +406,20 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// What a run of [`drive`], or one worker's pass of it, did.
+#[derive(Default)]
+pub(crate) struct Done {
+    /// The worker count at the end: 1 after a degradation.
+    pub(crate) workers: usize,
+    /// A hook stopped the run before its last step.
+    pub(crate) stopped: bool,
+    /// When recording: a run's `decisions[i - 1]` for each step `i`; a
+    /// worker's rows of its own range, in step order.
+    pub(crate) decisions: Vec<Vec<u16>>,
+    /// The kernel time per state class of timed sweeps.
+    pub(crate) timing: ClassTiming,
+}
+
 /// The state the workers of one [`drive`] share. The barrier publishes
 /// the planes and the `Relaxed` flags: `Barrier::wait` takes a mutex, so
 /// every write before a wait happens before every read after it.
@@ -374,8 +445,9 @@ struct Pool<'a> {
 }
 
 impl Pool<'_> {
-    /// Worker `w`'s share of step `i` over `range`, then the guard hooks:
-    /// a planned panic (unless `replay`), a planned NaN, the health scan.
+    /// Worker `w`'s share of step `i` over `range`, timed into `timing`,
+    /// then the guard hooks: a planned panic (unless `replay`), a planned
+    /// NaN, the health scan.
     fn share(
         &self,
         i: usize,
@@ -383,6 +455,7 @@ impl Pool<'_> {
         range: Range<usize>,
         decisions: &mut [u16],
         replay: bool,
+        timing: &mut ClassTiming,
     ) -> Option<Failure> {
         let steps = self.steps;
         let out = self.planes.q(i);
@@ -395,7 +468,7 @@ impl Pool<'_> {
         // AssertUnwindSafe: a failed share's range is rewritten by the
         // replay or abandoned with the run, never read as a result.
         let swept = catch_unwind(AssertUnwindSafe(|| {
-            if !replay && steps.panic_at == Some((i, w)) {
+            if !replay && steps.checks.panic_at == Some((i, w)) {
                 panic!("injected worker fault (step {i}, worker {w})");
             }
             self.sweep.run(
@@ -404,18 +477,19 @@ impl Pool<'_> {
                 self.planes.q(i + 1),
                 &out[range.start * stride..range.end * stride],
                 decisions,
+                timing,
             );
         }));
         if let Err(payload) = swept {
             return Some(Failure::Panic(payload));
         }
         // The guard hooks below index states: guarded runs sweep states.
-        if let Some((step, state)) = steps.nan_at {
+        if let Some((step, state)) = steps.checks.nan_at {
             if step == i && range.contains(&state) {
                 plane::set(out, state, f64::NAN);
             }
         }
-        if steps.health {
+        if steps.checks.health {
             return check_health(out, range, i).err().map(Failure::Health);
         }
         None
@@ -434,7 +508,7 @@ impl Pool<'_> {
 
     /// A decision row for `len` states, empty when not recording.
     fn row(&self, len: usize) -> Vec<u16> {
-        vec![0; if self.steps.record { len } else { 0 }]
+        vec![0; if self.steps.checks.record { len } else { 0 }]
     }
 
     /// Worker `w`'s pass over the steps — the driver's one step loop.
@@ -443,24 +517,24 @@ impl Pool<'_> {
     /// telemetry and the hooks, reading only the plane just written while
     /// the others already sweep the next step into the other plane; the
     /// others stop at the barrier of a failed step or of worker 0's stop.
-    /// Returns the worker count at the end and the decision rows in step
-    /// order.
     fn work(
         &self,
         w: usize,
         ranges: &[Range<usize>],
         mut sup: Option<&mut dyn Supervisor>,
-    ) -> Result<(usize, Vec<Vec<u16>>), GuardError> {
-        let mut workers = ranges.len();
+    ) -> Result<Done, GuardError> {
+        let mut done = Done {
+            workers: ranges.len(),
+            ..Done::default()
+        };
         let mut range = ranges[w].clone();
-        let mut rows = Vec::new();
         for i in (1..=self.steps.from).rev() {
             let mut row = self.row(range.len());
-            if let Some(f) = self.share(i, w, range.clone(), &mut row, false) {
+            if let Some(f) = self.share(i, w, range.clone(), &mut row, false, &mut done.timing) {
                 self.fail(i, w, f);
             }
-            rows.push(row);
-            if workers > 1 {
+            done.decisions.push(row);
+            if done.workers > 1 {
                 self.barrier.wait();
             }
             let failed = self.failed_at.load(Ordering::Relaxed) == i;
@@ -476,16 +550,16 @@ impl Pool<'_> {
                     Failure::Health(e) => return Err(e.into()),
                     Failure::Panic(payload) => payload,
                 };
-                sup.panicked(i, w, workers, payload)?;
+                sup.panicked(i, w, done.workers, payload)?;
                 // Every other worker stopped at this barrier: replay the
                 // step alone from the untouched plane of q_{i+1}.
                 debug_assert!(
-                    !self.steps.record,
+                    !self.steps.checks.record,
                     "decisions are never recorded with a degrade"
                 );
-                workers = 1;
+                done.workers = 1;
                 range = 0..self.sweep.groups();
-                match self.share(i, 0, range.clone(), &mut [], true) {
+                match self.share(i, 0, range.clone(), &mut [], true, &mut done.timing) {
                     Some(Failure::Health(e)) => return Err(e.into()),
                     Some(Failure::Panic(payload)) => std::panic::resume_unwind(payload),
                     None => {}
@@ -499,22 +573,25 @@ impl Pool<'_> {
             self.lane_steps.fetch_add(active.len(), Ordering::Relaxed);
             let go = sup.proceed(i, q);
             if !matches!(go, Ok(true)) {
-                if workers > 1 && i > 1 {
+                if done.workers > 1 && i > 1 {
                     // The others are sweeping step i - 1: stop them at its
                     // barrier.
                     self.stop_after.store(i - 1, Ordering::Relaxed);
                     self.barrier.wait();
                 }
-                return go.map(|_| (workers, rows));
+                done.stopped = true;
+                return go.map(|_| done);
             }
         }
-        Ok((workers, rows))
+        Ok(done)
     }
 }
 
-/// The value-iteration step loop — the only one. Returns the worker
-/// count at the end (1 after a degradation) and, when recording,
-/// `decisions[i - 1]` for each step `i`. Runs `steps` on
+/// The value-iteration step loop — the only one. Returns what the run
+/// did: the worker count at the end (1 after a degradation), whether a
+/// hook stopped it, when recording `decisions[i - 1]` for each step `i`,
+/// and the kernel time per class its workers' timed sweeps summed. Runs
+/// `steps` on
 /// `workers` workers (at most one per group) over the shared `planes`;
 /// the calling thread is worker 0 and workers `1..` live in one scope for
 /// the whole run. Each step, every worker sweeps its own group range —
@@ -529,10 +606,14 @@ pub(crate) fn drive(
     workers: usize,
     planes: Pair<'_>,
     sup: &mut dyn Supervisor,
-) -> Result<(usize, Vec<Vec<u16>>), GuardError> {
+) -> Result<Done, GuardError> {
     let workers = workers.clamp(1, sweep.groups().max(1));
     if !sup.proceed(steps.from + 1, planes.q(steps.from + 1))? {
-        return Ok((workers, Vec::new()));
+        return Ok(Done {
+            workers,
+            stopped: true,
+            ..Done::default()
+        });
     }
     let ranges = assign_blocks(sweep.groups(), workers);
     let pool = Pool {
@@ -545,23 +626,21 @@ pub(crate) fn drive(
         stop_after: AtomicUsize::new(0),
         lane_steps: AtomicUsize::new(0),
     };
-    let (lead, rows) = std::thread::scope(|scope| {
+    let (lead, followers) = std::thread::scope(|scope| {
         let (pool, ranges) = (&pool, &ranges);
         let followers: Vec<_> = (1..workers)
             .map(|w| scope.spawn(move || pool.work(w, ranges, None)))
             .collect();
         let lead = pool.work(0, ranges, Some(sup));
-        let rows: Vec<_> = followers
+        let followers: Vec<Done> = followers
             .into_iter()
             .map(|h| {
-                let (_, rows) = h
-                    .join()
+                h.join()
                     .expect("sweep workers catch their own panics")
-                    .expect("only worker 0 runs the hooks that fail");
-                rows
+                    .expect("only worker 0 runs the hooks that fail")
             })
             .collect();
-        (lead, rows)
+        (lead, followers)
     });
     // One count per run, so that a metrics registry needs no iteration
     // records: it counts steps without the checksum each record carries.
@@ -572,13 +651,17 @@ pub(crate) fn drive(
             value: lane_steps as u64,
         });
     }
-    let (workers, lead_rows) = lead?;
-    let decisions = if steps.record {
-        stitch(steps.from, std::iter::once(lead_rows).chain(rows))
+    let mut done = lead?;
+    for follower in &followers {
+        done.timing.add(&follower.timing);
+    }
+    done.decisions = if steps.checks.record {
+        let rows = followers.into_iter().map(|f| f.decisions);
+        stitch(steps.from, std::iter::once(done.decisions).chain(rows))
     } else {
         Vec::new()
     };
-    Ok((workers, decisions))
+    Ok(done)
 }
 
 /// Joins each step's per-worker decision rows, in worker order, into
@@ -805,7 +888,7 @@ impl<'a> ReachBatch<'a> {
         &self.queries
     }
 
-    /// Runs all queries, sharing precomputation and weight vectors.
+    /// Runs all queries, sharing the layout and weight vectors.
     ///
     /// Every returned [`ReachResult`]'s values are bitwise equal to the
     /// corresponding single-query [`timed_reachability_par`] call (and
@@ -822,21 +905,17 @@ impl<'a> ReachBatch<'a> {
     /// See [`crate::reachability::timed_reachability`].
     pub fn run(&self) -> Result<BatchResult, ReachError> {
         let pre_start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
-        let pre_span = unicon_obs::open_span("precompute");
-        // A laned batch sweeps its own folded layout, never the states'.
-        let pre = if self.laned() {
-            Precompute::rate_only(self.ctmdp, &self.goal)?
-        } else {
-            Precompute::new(self.ctmdp, &self.goal)?
-        };
-        let _ = unicon_obs::close_span(pre_span);
+        let pre_span = unicon_obs::span("precompute");
+        let rate = uniform_rate(self.ctmdp, &self.goal)?;
+        let mut slot = None;
+        let plan = self.plan(rate, &mut slot);
+        drop(pre_span);
         let precompute_time = pre_start.elapsed();
-        let mut cache = WeightCache::new();
-        self.run_inner(&pre, &mut cache, precompute_time)
+        self.run_inner(rate, plan, &mut WeightCache::new(), precompute_time)
     }
 
     /// Runs all queries against an externally owned [`ReachEngine`] and
-    /// weight cache: the engine's precomputation is reused (not rebuilt),
+    /// weight cache: the engine's state layout is reused (not rebuilt),
     /// and the cache persists across calls — the amortization path of a
     /// long-running query service, where one model answers many batches.
     ///
@@ -853,33 +932,55 @@ impl<'a> ReachBatch<'a> {
         cache: &mut WeightCache,
     ) -> Result<BatchResult, ReachError> {
         engine.check_compatible(self.ctmdp, &self.goal)?;
-        self.run_inner(&engine.pre, cache, Duration::ZERO)
+        let plan = if self.laned(engine.rate) {
+            Plan::Lanes
+        } else {
+            Plan::Each(engine.layout(self.kernel, self.ctmdp))
+        };
+        self.run_inner(engine.rate, plan, cache, Duration::ZERO)
+    }
+
+    /// How [`ReachBatch::run`] sweeps the queries. Only a fused batch
+    /// that runs them one by one compiles the state layout, into `slot`:
+    /// a laned batch folds its own layout, and the reference kernel reads
+    /// the model.
+    fn plan<'s>(&'s self, rate: f64, slot: &'s mut Option<FusedGroups>) -> Plan<'s> {
+        if self.laned(rate) {
+            Plan::Lanes
+        } else {
+            Plan::Each(Layout::states(self.kernel, self.ctmdp, &self.goal, slot))
+        }
     }
 
     /// Whether the queries run as lanes: two or more with `t > 0`, on
-    /// the fused kernel. (Lanes need a nonzero rate too; at rate 0 every
-    /// answer is the indicator and nothing is swept.)
-    fn laned(&self) -> bool {
-        self.kernel == Kernel::Fused && self.queries.iter().filter(|q| q.t != 0.0).count() >= 2
+    /// the fused kernel, at a nonzero rate (at rate 0 every answer is the
+    /// indicator and nothing is swept).
+    fn laned(&self, rate: f64) -> bool {
+        rate != 0.0
+            && self.kernel == Kernel::Fused
+            && self.queries.iter().filter(|q| q.t != 0.0).count() >= 2
+    }
+
+    /// Checks every query before the first sweep, so that a bad one fails
+    /// the batch before any work, whichever path would have run it.
+    pub(crate) fn check(&self, rate: f64) -> Result<(), ReachError> {
+        self.queries
+            .iter()
+            .try_for_each(|q| check_query(rate, q.t, self.epsilon))
     }
 
     /// The shared driver behind [`ReachBatch::run`] and
-    /// [`ReachBatch::run_with_engine`]: `pre` may be freshly built or a
-    /// long-lived shared precomputation, `cache` a per-run or cross-run
-    /// weight table — neither choice affects any result bit.
+    /// [`ReachBatch::run_with_engine`]: the layout `plan` sweeps may be
+    /// freshly built or a long-lived engine's, `cache` a per-run or
+    /// cross-run weight table — neither choice affects any result bit.
     fn run_inner(
         &self,
-        pre: &Precompute,
+        rate: f64,
+        plan: Plan<'_>,
         cache: &mut WeightCache,
         precompute_time: Duration,
     ) -> Result<BatchResult, ReachError> {
-        validate_epsilon(self.epsilon)?;
-        // A λ past the weight cap fails the batch before its first
-        // sweep, whichever path would have run it.
-        for q in &self.queries {
-            validate_time(q.t)?;
-            FoxGlynn::check_lambda(pre.rate * q.t)?;
-        }
+        self.check(rate)?;
         let threads = self.workers();
         // The cache may be shared across many runs (a serve session);
         // stats and counter events report this run's contribution only.
@@ -887,10 +988,9 @@ impl<'a> ReachBatch<'a> {
         // One pair of planes for the whole batch: the first query or lane
         // group sizes it, every later one runs allocation-free.
         let mut planes = Planes::default();
-        let pass = if self.laned() && pre.rate != 0.0 {
-            self.run_lanes(pre, cache, threads, &mut planes)?
-        } else {
-            self.run_each(pre, cache, threads, &mut planes)?
+        let pass = match plan {
+            Plan::Lanes => self.run_lanes(rate, cache, threads, &mut planes)?,
+            Plan::Each(layout) => self.run_each(layout, rate, cache, threads, &mut planes)?,
         };
 
         let query_stats: Vec<QueryStats> = self
@@ -948,48 +1048,42 @@ impl<'a> ReachBatch<'a> {
         })
     }
 
-    /// Runs the queries one after another, each over the n states.
+    /// Runs the queries one after another, each over the n states of
+    /// `layout`.
     fn run_each(
         &self,
-        pre: &Precompute,
+        layout: Layout<'_>,
+        rate: f64,
         cache: &mut WeightCache,
         threads: usize,
         planes: &mut Planes,
     ) -> Result<Pass, ReachError> {
-        let opts_base = ReachOptions::default()
-            .with_epsilon(self.epsilon)
-            .with_kernel(self.kernel);
         let mut pass = Pass::default();
-        for (qi, q) in self.queries.iter().enumerate() {
-            let result = if q.t == 0.0 || pre.rate == 0.0 {
-                indicator_result(&self.goal, pre.rate)
-            } else {
-                let query_span = unicon_obs::span("query");
-                let w_start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
-                let weights_span = unicon_obs::span("weights");
-                let cached = cache.try_get(pre.rate, q.t, self.epsilon)?.clone();
-                drop(weights_span);
-                pass.weights_time += w_start.elapsed();
-                self.emit_query_start(qi, &cached);
-                let opts = opts_base.with_objective(q.objective);
-                let result = run_query(
-                    self.ctmdp,
-                    pre,
-                    &self.goal,
-                    &cached.fg,
-                    cached.truncation,
-                    &opts,
-                    threads,
-                    qi,
-                    Instant::now(), // det-lint: allow(clock): event timestamp only.
-                    planes,
-                );
-                drop(query_span);
-                result
+        for (qi, &query) in self.queries.iter().enumerate() {
+            let answer = match no_jump(&self.goal, rate, query.t) {
+                Some(answer) => answer,
+                None => {
+                    let _query_span = unicon_obs::span("query");
+                    let w_start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
+                    let weights_span = unicon_obs::span("weights");
+                    let weights = cache.try_get(rate, query.t, self.epsilon)?;
+                    drop(weights_span);
+                    pass.weights_time += w_start.elapsed();
+                    let run = StateRun {
+                        layout,
+                        goal: &self.goal,
+                        rate,
+                        query,
+                        epsilon: self.epsilon,
+                        weights,
+                        qi,
+                    };
+                    run.plain(false, threads, planes)
+                }
             };
-            pass.iterate_time += result.runtime;
-            pass.sweeps += result.iterations;
-            pass.results.push(result);
+            pass.iterate_time += answer.runtime;
+            pass.sweeps += answer.iterations;
+            pass.results.push(answer);
         }
         Ok(pass)
     }
@@ -1005,7 +1099,7 @@ impl<'a> ReachBatch<'a> {
     /// Several workers first split the lanes: see [`lane_parts`].
     fn run_lanes(
         &self,
-        pre: &Precompute,
+        rate: f64,
         cache: &mut WeightCache,
         workers: usize,
         planes: &mut Planes,
@@ -1018,30 +1112,36 @@ impl<'a> ReachBatch<'a> {
         drop(fold_span);
         pass.fold_time = fold_start.elapsed();
 
-        let w_start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
-        let weights_span = unicon_obs::span("weights");
-        let weights: Vec<Option<CachedWeights>> = self
+        let mut results: Vec<Option<ReachResult>> = self
             .queries
             .iter()
-            .map(|q| {
-                (q.t != 0.0)
-                    .then(|| cache.try_get(pre.rate, q.t, self.epsilon).cloned())
-                    .transpose()
+            .map(|q| no_jump(&self.goal, rate, q.t))
+            .collect();
+        let w_start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
+        let weights_span = unicon_obs::span("weights");
+        let weights: Vec<(usize, CachedWeights)> = results
+            .iter()
+            .zip(&self.queries)
+            .enumerate()
+            .filter(|(_, (answer, _))| answer.is_none())
+            .map(|(qi, (_, q))| -> Result<_, ReachError> {
+                Ok((qi, cache.try_get(rate, q.t, self.epsilon)?.clone()))
             })
             .collect::<Result<_, _>>()?;
         drop(weights_span);
         pass.weights_time = w_start.elapsed();
-        let mut lanes = Vec::new();
-        for (qi, w) in weights.iter().enumerate() {
-            if let Some(w) = w {
-                self.emit_query_start(qi, w);
-                lanes.push(Lane {
+        let mut lanes: Vec<Lane<'_>> = weights
+            .iter()
+            .map(|(qi, w)| {
+                let lane = Lane {
                     fg: &w.fg,
                     k: w.truncation,
-                    qi,
-                });
-            }
-        }
+                    qi: *qi,
+                };
+                lane.announce(self.queries[*qi].t, self.epsilon);
+                lane
+            })
+            .collect();
         lanes.sort_by_key(|l| Reverse(l.k));
 
         let parts = lane_parts(&lanes, workers);
@@ -1051,13 +1151,11 @@ impl<'a> ReachBatch<'a> {
             .map(|(lanes, _)| slots * lanes.len().min(LANES))
             .collect();
         let pairs = planes.split(&lens);
-        let metrics_live = unicon_obs::live(unicon_obs::Class::Metric);
-        let before = metrics_live.then(|| pre.timing.snapshot());
         let part = Part {
             batch: self,
-            pre,
+            rate,
             folded: &folded,
-            timed: metrics_live,
+            timed: unicon_obs::live(unicon_obs::Class::Metric),
         };
         // Telemetry collection and request ids are thread-local: while
         // iteration telemetry is live, the parts run on this thread.
@@ -1088,43 +1186,25 @@ impl<'a> ReachBatch<'a> {
         };
         pass.iterate_time = start.elapsed();
 
-        let mut results: Vec<Option<ReachResult>> = vec![None; self.queries.len()];
+        let mut timing = ClassTiming::default();
         let mut walls = Vec::new();
         for answers in answers {
             pass.sweeps += answers.sweeps;
             walls.extend(answers.walls);
+            timing.add(&answers.timing);
             for (qi, r) in answers.results {
                 results[qi] = Some(r);
             }
         }
-        if let Some(before) = &before {
-            emit_kernel_timing(pre, before);
-            // One run of the model per lane group, so one observation.
-            for wall in walls {
-                unicon_obs::observe(
-                    "reach_query_ns",
-                    u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
-                );
-            }
+        if part.timed {
+            // One run of the model per lane group, so one wall each.
+            observe_run(&timing, walls);
         }
         pass.results = results
             .into_iter()
-            .map(|r| r.unwrap_or_else(|| indicator_result(&self.goal, pre.rate)))
+            .map(|r| r.expect("every query with t > 0 ran as a lane"))
             .collect();
         Ok(pass)
-    }
-
-    /// Emits query `qi`'s start record.
-    fn emit_query_start(&self, qi: usize, w: &CachedWeights) {
-        unicon_obs::emit(unicon_obs::Class::Metric, || {
-            unicon_obs::Event::QueryStart {
-                query: qi,
-                t: self.queries[qi].t,
-                lambda: w.fg.lambda(),
-                left: w.fg.left_truncation(self.epsilon),
-                right: w.truncation,
-            }
-        });
     }
 }
 
@@ -1170,16 +1250,18 @@ fn lane_parts<'a>(lanes: &[Lane<'a>], workers: usize) -> Vec<(Vec<Lane<'a>>, usi
 /// What every part of a laned batch shares.
 struct Part<'a, 'b> {
     batch: &'a ReachBatch<'b>,
-    pre: &'a Precompute,
+    rate: f64,
     folded: &'a Folded,
     timed: bool,
 }
 
-/// One part's answers, sweep count and wall time per lane group.
+/// One part's answers, sweep count, wall time per lane group and kernel
+/// time per state class.
 struct Answers {
     results: Vec<(usize, ReachResult)>,
     sweeps: usize,
     walls: Vec<Duration>,
+    timing: ClassTiming,
 }
 
 impl Part<'_, '_> {
@@ -1190,6 +1272,7 @@ impl Part<'_, '_> {
             results: Vec::with_capacity(lanes.len()),
             sweeps: 0,
             walls: Vec::new(),
+            timing: ClassTiming::default(),
         };
         for group in lanes.chunks(LANES) {
             let start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
@@ -1198,28 +1281,22 @@ impl Part<'_, '_> {
                 .map(|l| batch.queries[l.qi].objective == Objective::Maximize)
                 .collect();
             let sweep = Sweep {
-                kernel: Kernel::Fused,
-                ctmdp: batch.ctmdp,
-                pre: self.pre,
-                goal: &batch.goal,
-                folded: Some(self.folded),
+                layout: Layout::Folded(self.folded),
                 maximize: &maximize,
                 timed: self.timed,
             };
             let steps = Steps {
                 lanes: group,
                 from: group[0].k,
-                record: false,
-                health: false,
-                panic_at: None,
-                nan_at: None,
+                checks: Checks::default(),
             };
             let pair = pair.zeroed(self.folded.groups.num_groups() * group.len());
-            drive(&sweep, &steps, workers, pair, &mut Plain)
+            let done = drive(&sweep, &steps, workers, pair, &mut Plain)
                 .expect("an unguarded run has no hook that fails");
             let runtime = start.elapsed();
             answers.sweeps += steps.from;
             answers.walls.push(runtime);
+            answers.timing.add(&done.timing);
             for (l, lane) in group.iter().enumerate() {
                 let q1 = self.folded.expand(pair.q(1), group.len(), l);
                 answers.results.push((
@@ -1227,7 +1304,7 @@ impl Part<'_, '_> {
                     ReachResult {
                         values: finalize_values(&batch.goal, q1),
                         iterations: lane.k,
-                        uniform_rate: self.pre.rate,
+                        uniform_rate: self.rate,
                         runtime,
                         decisions: Vec::new(),
                     },
@@ -1249,12 +1326,20 @@ struct Pass {
     sweeps: usize,
 }
 
+/// How a batch sweeps its queries.
+enum Plan<'a> {
+    /// As lanes of the goal-folded layout, which the batch folds itself.
+    Lanes,
+    /// One by one, over the states of this layout.
+    Each(Layout<'a>),
+}
+
 /// A re-entrant query engine over one `(model, goal)` pair.
 ///
-/// `Precompute` — the uniform rate and the fused state layout every
-/// value-iteration step reads — is built **once** at construction and
-/// only ever read afterwards, so a `&ReachEngine` can answer queries from
-/// many threads concurrently without locking.
+/// The uniform rate and the fused state layout every query sweeps are
+/// built **once** at construction and only ever read afterwards, so a
+/// `&ReachEngine` can answer queries from many threads concurrently
+/// without locking.
 /// This is the amortization core of a long-running reachability service:
 /// the model is prepared one time, after which every `(t, objective,
 /// epsilon)` query touches only immutable shared state plus its own
@@ -1278,7 +1363,12 @@ pub struct ReachEngine {
     goal: Vec<bool>,
     num_states: usize,
     num_transitions: usize,
-    pub(crate) pre: Precompute,
+    /// The uniform exit rate `E`.
+    rate: f64,
+    /// The state layout: one group per state, one row per emanating
+    /// transition referencing its rate function's interned row, the goal
+    /// mass as the row bias, and each state's class precomputed.
+    states: FusedGroups,
     planes: PlanePool,
 }
 
@@ -1302,7 +1392,7 @@ impl Clone for PlanePool {
 }
 
 impl ReachEngine {
-    /// Builds the shared precomputation for `(ctmdp, goal)`.
+    /// Checks the model and compiles the state layout of `(ctmdp, goal)`.
     ///
     /// # Errors
     ///
@@ -1310,14 +1400,24 @@ impl ReachEngine {
     /// under the conditions of
     /// [`crate::reachability::timed_reachability`].
     pub fn new(ctmdp: &Ctmdp, goal: &[bool]) -> Result<Self, ReachError> {
-        let pre = Precompute::new(ctmdp, goal)?;
+        let rate = uniform_rate(ctmdp, goal)?;
         Ok(Self {
             goal: goal.to_vec(),
             num_states: ctmdp.num_states(),
             num_transitions: ctmdp.num_transitions(),
-            pre,
+            rate,
+            states: fuse(ctmdp, goal, None),
             planes: PlanePool::default(),
         })
+    }
+
+    /// The layout a one-lane run of `kernel` sweeps: the engine's state
+    /// layout, or the model itself.
+    pub(crate) fn layout<'a>(&'a self, kernel: Kernel, ctmdp: &'a Ctmdp) -> Layout<'a> {
+        match kernel {
+            Kernel::Reference => Layout::Reference(ctmdp, &self.goal),
+            Kernel::Fused => Layout::States(&self.states),
+        }
     }
 
     /// Runs `f` on the engine's spare pair of planes, or on a fresh pair
@@ -1343,7 +1443,7 @@ impl ReachEngine {
     /// The uniform exit rate `E` of the model the engine was built from.
     #[must_use]
     pub fn uniform_rate(&self) -> f64 {
-        self.pre.rate
+        self.rate
     }
 
     /// The goal vector the engine answers queries against.
@@ -1361,7 +1461,7 @@ impl ReachEngine {
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.goal.len() * std::mem::size_of::<bool>()
-            + self.pre.memory_bytes()
+            + self.states.memory_bytes()
             + 2 * self.num_states * std::mem::size_of::<AtomicU64>()
     }
 
@@ -1386,7 +1486,8 @@ impl ReachEngine {
     /// # Errors
     ///
     /// [`ReachError::InvalidTimeBound`], [`ReachError::InvalidEpsilon`] or
-    /// [`ReachError::FoxGlynn`] on bad parameters,
+    /// [`ReachError::FoxGlynn`] on bad parameters (ε below the floor
+    /// [`FoxGlynn::min_certifiable_epsilon`] included),
     /// [`ReachError::GoalLengthMismatch`] when `ctmdp` is not the model
     /// the engine was built from.
     pub fn query(
@@ -1397,16 +1498,7 @@ impl ReachEngine {
         epsilon: f64,
         threads: usize,
     ) -> Result<ReachResult, ReachError> {
-        // The weights need a valid t and epsilon; the rest is checked
-        // where they are used.
-        validate_time(t)?;
-        validate_epsilon(epsilon)?;
-        let fg = FoxGlynn::try_new(self.pre.rate * t)?;
-        let weights = CachedWeights {
-            truncation: fg.right_truncation(epsilon),
-            fg,
-        };
-        self.query_with_weights(ctmdp, t, objective, epsilon, &weights, threads)
+        self.answer(ctmdp, ReachQuery { t, objective }, epsilon, None, threads)
     }
 
     /// Answers one query from pre-fetched Fox–Glynn weights — the
@@ -1429,39 +1521,44 @@ impl ReachEngine {
         weights: &CachedWeights,
         threads: usize,
     ) -> Result<ReachResult, ReachError> {
-        validate_time(t)?;
-        validate_epsilon(epsilon)?;
+        let query = ReachQuery { t, objective };
+        self.answer(ctmdp, query, epsilon, Some(weights), threads)
+    }
+
+    /// Checks one query against the engine and answers it: at once when
+    /// no jump can happen, else by a sweep of the state layout with
+    /// `weights`, or with weights computed here.
+    fn answer(
+        &self,
+        ctmdp: &Ctmdp,
+        query: ReachQuery,
+        epsilon: f64,
+        weights: Option<&CachedWeights>,
+        threads: usize,
+    ) -> Result<ReachResult, ReachError> {
+        check_query(self.rate, query.t, epsilon)?;
         self.check_compatible(ctmdp, &self.goal)?;
-        if t == 0.0 || self.pre.rate == 0.0 {
-            return Ok(indicator_result(&self.goal, self.pre.rate));
+        if let Some(answer) = no_jump(&self.goal, self.rate, query.t) {
+            return Ok(answer);
         }
-        unicon_obs::emit(unicon_obs::Class::Metric, || {
-            unicon_obs::Event::QueryStart {
-                query: 0,
-                t,
-                lambda: weights.fg.lambda(),
-                left: weights.fg.left_truncation(epsilon),
-                right: weights.truncation,
+        let computed;
+        let weights = match weights {
+            Some(weights) => weights,
+            None => {
+                computed = FoxGlynn::try_weights(self.rate * query.t, epsilon)?;
+                &computed
             }
-        });
-        let opts = ReachOptions::default()
-            .with_epsilon(epsilon)
-            .with_objective(objective);
-        let start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
-        Ok(self.with_planes(|planes| {
-            run_query(
-                ctmdp,
-                &self.pre,
-                &self.goal,
-                &weights.fg,
-                weights.truncation,
-                &opts,
-                resolve_threads(threads),
-                0,
-                start,
-                planes,
-            )
-        }))
+        };
+        let run = StateRun {
+            layout: Layout::States(&self.states),
+            goal: &self.goal,
+            rate: self.rate,
+            query,
+            epsilon,
+            weights,
+            qi: 0,
+        };
+        Ok(self.with_planes(|planes| run.plain(false, resolve_threads(threads), planes)))
     }
 }
 
@@ -1687,7 +1784,7 @@ mod tests {
     }
 
     /// `&ReachEngine` is shared across threads: concurrent queries read
-    /// the one precomputation and still return the serial bits.
+    /// the one state layout and still return the serial bits.
     #[test]
     fn engine_is_reentrant_across_threads() {
         let m = chain();
@@ -1825,6 +1922,32 @@ mod tests {
             );
             assert!(no_query_starts(&events), "guarded {kernel:?}");
         }
+    }
+
+    /// A run compiles only the layout it sweeps: a laned batch folds its
+    /// own and the reference kernel reads the model, so neither builds
+    /// the state layout; a fused batch of one bound does.
+    #[test]
+    fn a_batch_compiles_only_the_layout_it_sweeps() {
+        let m = chain();
+        let goal = [false, false, true];
+        let two = ReachBatch::new(&m, &goal).query(1.0).query(2.0);
+        for (batch, states) in [
+            (two.clone(), false),
+            (two.with_kernel(Kernel::Reference), false),
+            (ReachBatch::new(&m, &goal).query(1.0), true),
+        ] {
+            let mut slot = None;
+            let plan = batch.plan(2.0, &mut slot);
+            let laned = matches!(plan, Plan::Lanes);
+            assert_eq!(
+                laned,
+                batch.queries.len() == 2 && batch.kernel == Kernel::Fused
+            );
+            assert_eq!(slot.is_some(), states, "{:?}", batch.kernel);
+        }
+        // At rate 0 every answer is the indicator: no lanes.
+        assert!(!ReachBatch::new(&m, &goal).query(1.0).query(2.0).laned(0.0));
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! sampling error, unlike the [`simulate`](crate::simulate) engine.
 
 use unicon_ctmc::Ctmc;
-use unicon_numeric::FoxGlynn;
+use unicon_numeric::{CachedWeights, FoxGlynn};
 
 use crate::model::Ctmdp;
-use crate::reachability::{row, validate_epsilon, validate_goal, validate_time, ReachError};
+use crate::reachability::{check_query, row, uniform_rate, ReachError};
 use crate::scheduler::{Stationary, StepDependent};
 
 /// Builds the CTMC induced by resolving every choice of `ctmdp` with the
@@ -86,16 +86,13 @@ pub fn evaluate_step_dependent(
     t: f64,
     epsilon: f64,
 ) -> Result<f64, ReachError> {
-    validate_time(t)?;
-    validate_epsilon(epsilon)?;
-    validate_goal(goal, ctmdp)?;
-    let rate = ctmdp.uniform_rate()?;
+    let rate = uniform_rate(ctmdp, goal)?;
+    check_query(rate, t, epsilon)?;
     let init = ctmdp.initial() as usize;
     if t == 0.0 || rate == 0.0 {
         return Ok(f64::from(u8::from(goal[init])));
     }
-    let fg = FoxGlynn::try_new(rate * t)?;
-    let k = fg.right_truncation(epsilon);
+    let CachedWeights { fg, truncation: k } = FoxGlynn::try_weights(rate * t, epsilon)?;
     let n = ctmdp.num_states();
     let decisions = sched.decisions();
 

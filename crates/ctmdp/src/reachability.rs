@@ -13,7 +13,7 @@
 //! state may carry several transitions with the same label.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use unicon_numeric::sum::combine_chunk_sums;
 use unicon_numeric::{stable_sum, FoxGlynn, FoxGlynnError};
@@ -93,34 +93,31 @@ impl From<FoxGlynnError> for ReachError {
     }
 }
 
-/// Validates a truncation precision, mirroring the Fox–Glynn contract.
-pub(crate) fn validate_epsilon(epsilon: f64) -> Result<(), ReachError> {
-    if epsilon > 0.0 && epsilon < 1.0 {
-        Ok(())
-    } else {
-        Err(ReachError::InvalidEpsilon { epsilon })
-    }
-}
-
-/// Validates a time bound: finite and nonnegative (NaN fails both tests).
-pub(crate) fn validate_time(t: f64) -> Result<(), ReachError> {
-    if t.is_finite() && t >= 0.0 {
-        Ok(())
-    } else {
-        Err(ReachError::InvalidTimeBound { t })
-    }
-}
-
-/// Validates that a goal vector covers the state space exactly.
-pub(crate) fn validate_goal(goal: &[bool], ctmdp: &Ctmdp) -> Result<(), ReachError> {
-    if goal.len() == ctmdp.num_states() {
-        Ok(())
-    } else {
-        Err(ReachError::GoalLengthMismatch {
+/// Checks that `goal` covers the states of `ctmdp` and that the model is
+/// uniform, and returns its uniform rate `E`: what every engine checks
+/// once per model.
+pub(crate) fn uniform_rate(ctmdp: &Ctmdp, goal: &[bool]) -> Result<f64, ReachError> {
+    if goal.len() != ctmdp.num_states() {
+        return Err(ReachError::GoalLengthMismatch {
             goal_len: goal.len(),
             num_states: ctmdp.num_states(),
-        })
+        });
     }
+    Ok(ctmdp.uniform_rate()?)
+}
+
+/// Checks one query before any weight is computed: the precision ε in
+/// `(0, 1)`, the time bound `t` finite and nonnegative (NaN fails both),
+/// and `λ = rate·t` at most [`FoxGlynn::MAX_LAMBDA`]. Every engine checks
+/// every query here, the `t = 0` ones included.
+pub(crate) fn check_query(rate: f64, t: f64, epsilon: f64) -> Result<(), ReachError> {
+    if !(epsilon > 0.0 && epsilon < 1.0) {
+        return Err(ReachError::InvalidEpsilon { epsilon });
+    }
+    if !(t.is_finite() && t >= 0.0) {
+        return Err(ReachError::InvalidTimeBound { t });
+    }
+    Ok(FoxGlynn::check_lambda(rate * t)?)
 }
 
 /// Optimization direction.
@@ -148,11 +145,11 @@ pub enum Kernel {
     /// → `rate_fn` → the rate function's entries in the model's pool,
     /// each probability and goal mass computed where it is read.
     Reference,
-    /// The fused layout compiled once per model by `Precompute`: one
-    /// group per state, the rate functions non-goal states use interned
-    /// once as rows of plain `f64` probabilities with the goal mass as
-    /// the row bias, split column/weight arrays and run-length encoded
-    /// state classes.
+    /// A compiled [`FusedGroups`] layout: one group per state (in a laned
+    /// batch, per non-goal state plus one goal slot), the rate functions
+    /// non-goal states use interned once as rows of plain `f64`
+    /// probabilities with the goal mass as the row bias, split
+    /// column/weight arrays and run-length encoded group classes.
     #[default]
     Fused,
 }
@@ -251,114 +248,35 @@ impl ReachResult {
     }
 }
 
-/// The query-independent precomputation shared by every engine: the
-/// uniform rate and the fused state layout. Neither kernel keeps another
-/// copy of the model: both read the rate functions through [`row`].
-#[derive(Debug, Clone)]
-pub(crate) struct Precompute {
-    /// The uniform exit rate `E`.
-    pub(crate) rate: f64,
-    /// The fused state layout ([`Kernel::Fused`], built by [`fuse`]):
-    /// one group per state, one row per emanating transition referencing
-    /// its rate function's interned row, the goal mass as the row bias,
-    /// and the goal/absorbing/single/multi class precomputed per state.
-    /// `None` in a precomputation built for a laned batch, which sweeps a
-    /// [`Folded`] layout instead.
-    pub(crate) fused: Option<FusedGroups>,
-    /// Cross-thread per-[`unicon_sparse::GroupClass`] time attribution,
-    /// filled by the fused kernel only while metric telemetry is live.
-    /// Purely observational — no value-iteration bit depends on it.
-    pub(crate) timing: KernelTiming,
-}
-
-/// Atomic per-class kernel-time accumulator shared by all sweep workers
-/// of a precomputation. Workers *accumulate* here (they never emit
-/// telemetry themselves); the calling thread snapshots deltas per query
-/// and emits the derived histograms.
-#[derive(Debug, Default)]
-pub(crate) struct KernelTiming {
-    ns: [AtomicU64; 4],
-    groups: [AtomicU64; 4],
-}
-
-impl Clone for KernelTiming {
-    /// A cloned precomputation starts a fresh ledger: the counters are
-    /// observability state, not model state.
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl KernelTiming {
-    /// Folds one sweep's timing into the shared ledger.
-    pub(crate) fn add(&self, t: &ClassTiming) {
-        for i in 0..4 {
-            self.ns[i].fetch_add(t.ns[i], Ordering::Relaxed);
-            self.groups[i].fetch_add(t.groups[i], Ordering::Relaxed);
-        }
-    }
-
-    /// A point-in-time copy of the ledger.
-    pub(crate) fn snapshot(&self) -> ClassTiming {
-        let mut out = ClassTiming::default();
-        for i in 0..4 {
-            out.ns[i] = self.ns[i].load(Ordering::Relaxed);
-            out.groups[i] = self.groups[i].load(Ordering::Relaxed);
-        }
-        out
-    }
-}
-
 /// Metric names of the per-class kernel speed histograms, indexed by
 /// `GroupClass as usize` (the `unicon_` exposition prefix is added by
 /// the registry). Picoseconds per state: the fixed/empty classes sweep
 /// well under a nanosecond per state, so nanosecond-resolution
 /// histograms would collapse them into the first bucket.
-pub(crate) const CLASS_PS_NAMES: [&str; 4] = [
+const CLASS_PS_NAMES: [&str; 4] = [
     "kernel_fixed_ps_per_state",
     "kernel_empty_ps_per_state",
     "kernel_single_ps_per_state",
     "kernel_multi_ps_per_state",
 ];
 
-/// Emits one `Observe` per group class the query actually swept, with
-/// the class's picoseconds-per-state average since `before`. Called on
-/// the query's calling thread after all workers have joined.
-pub(crate) fn emit_kernel_timing(pre: &Precompute, before: &ClassTiming) {
-    let now = pre.timing.snapshot();
+/// Observes one timed run on its calling thread, after its workers have
+/// joined: the picoseconds per state of each class its sweeps timed, and
+/// the wall time of each of its lane groups (one for a one-lane run).
+pub(crate) fn observe_run(timing: &ClassTiming, walls: impl IntoIterator<Item = Duration>) {
     for (i, name) in CLASS_PS_NAMES.iter().enumerate() {
-        let groups = now.groups[i].saturating_sub(before.groups[i]);
-        if groups == 0 {
-            continue;
+        if let Some(ps) = timing.ns[i]
+            .saturating_mul(1000)
+            .checked_div(timing.groups[i])
+        {
+            unicon_obs::observe(name, ps);
         }
-        let ns = now.ns[i].saturating_sub(before.ns[i]);
-        unicon_obs::observe(name, ns.saturating_mul(1000) / groups);
     }
-}
-
-impl Precompute {
-    /// Verifies uniformity and compiles the fused state layout, once per
-    /// model.
-    pub(crate) fn new(ctmdp: &Ctmdp, goal: &[bool]) -> Result<Self, ReachError> {
-        let mut pre = Self::rate_only(ctmdp, goal)?;
-        pre.fused = Some(fuse(ctmdp, goal, None));
-        Ok(pre)
-    }
-
-    /// [`Precompute::new`] without the state layout: all a laned batch
-    /// reads before it folds the goal states.
-    pub(crate) fn rate_only(ctmdp: &Ctmdp, goal: &[bool]) -> Result<Self, ReachError> {
-        validate_goal(goal, ctmdp)?;
-        Ok(Self {
-            rate: ctmdp.uniform_rate()?,
-            fused: None,
-            timing: KernelTiming::default(),
-        })
-    }
-
-    /// Heap bytes held by the fused state layout.
-    pub(crate) fn memory_bytes(&self) -> usize {
-        self.fused.as_ref().map_or(0, FusedGroups::memory_bytes)
+    for wall in walls {
+        unicon_obs::observe(
+            "reach_query_ns",
+            u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
+        );
     }
 }
 
@@ -513,27 +431,49 @@ pub(crate) fn step_state(
     (best, best_idx)
 }
 
+/// The layout a run sweeps, which also names its kernel.
+#[derive(Clone, Copy)]
+pub(crate) enum Layout<'a> {
+    /// [`Kernel::Reference`]: the model itself, one [`step_state`] per
+    /// state.
+    Reference(&'a Ctmdp, &'a [bool]),
+    /// [`Kernel::Fused`] over the state layout [`fuse`] compiles: one
+    /// group per state.
+    States(&'a FusedGroups),
+    /// [`Kernel::Fused`] over the goal-folded layout: up to
+    /// [`unicon_sparse::LANES`] queries as lanes, the planes interleaved
+    /// as `[slot][lane]`.
+    Folded(&'a Folded),
+}
+
+impl<'a> Layout<'a> {
+    /// The layout a one-lane run of `kernel` sweeps over the states of
+    /// `(ctmdp, goal)`: the model itself, or the state layout compiled
+    /// into `slot`. Only the fused kernel compiles it.
+    pub(crate) fn states(
+        kernel: Kernel,
+        ctmdp: &'a Ctmdp,
+        goal: &'a [bool],
+        slot: &'a mut Option<FusedGroups>,
+    ) -> Self {
+        match kernel {
+            Kernel::Reference => Layout::Reference(ctmdp, goal),
+            Kernel::Fused => Layout::States(slot.insert(fuse(ctmdp, goal, None))),
+        }
+    }
+}
+
 /// What every sweep of one run reads besides the value planes. All
 /// workers of the driver share one `Sweep`, so every group runs the same
 /// operations whichever worker computes it.
-///
-/// A run sweeps either the n states, one query on `kernel`, or — with
-/// `folded` — up to [`unicon_sparse::LANES`] queries as lanes of the
-/// goal-folded layout on the fused kernel, its planes interleaved as
-/// `[slot][lane]`.
 #[derive(Clone, Copy)]
 pub(crate) struct Sweep<'a> {
-    pub(crate) kernel: Kernel,
-    pub(crate) ctmdp: &'a Ctmdp,
-    pub(crate) pre: &'a Precompute,
-    pub(crate) goal: &'a [bool],
-    /// The laned run's layout; `None` sweeps the states.
-    pub(crate) folded: Option<&'a Folded>,
-    /// Each lane's objective, lane 0 first: one unless `folded`. Its
-    /// length is the planes' stride.
+    pub(crate) layout: Layout<'a>,
+    /// Each lane's objective, lane 0 first: one unless the layout is
+    /// folded. Its length is the planes' stride.
     pub(crate) maximize: &'a [bool],
-    /// Attribute kernel time per state class into `pre.timing`; decided
-    /// once per run, while metric telemetry is live.
+    /// Time the fused kernel per state class; decided once per run, while
+    /// metric telemetry is live.
     pub(crate) timed: bool,
 }
 
@@ -548,8 +488,11 @@ pub(crate) fn objective_lane(objective: Objective) -> &'static [bool] {
 impl Sweep<'_> {
     /// The groups a step sweeps: the states, or the folded slots.
     pub(crate) fn groups(&self) -> usize {
-        self.folded
-            .map_or(self.goal.len(), |f| f.groups.num_groups())
+        match self.layout {
+            Layout::Reference(_, goal) => goal.len(),
+            Layout::States(groups) => groups.num_groups(),
+            Layout::Folded(f) => f.groups.num_groups(),
+        }
     }
 
     /// Plane entries per group.
@@ -562,14 +505,14 @@ impl Sweep<'_> {
     /// [`unicon_numeric::chunked_stable_sum`] returns for that vector.
     pub(crate) fn checksum(&self, q: &Plane, lane: usize) -> f64 {
         let block = crate::par::CHECKSUM_BLOCK;
-        match self.folded {
-            None => plane::chunked_sum(q, block),
-            Some(f) => {
+        match self.layout {
+            Layout::Folded(f) => {
                 let stride = self.stride();
                 combine_chunk_sums(f.slot.chunks(block).map(|c| {
                     stable_sum(c.iter().map(|&s| plane::get(q, s as usize * stride + lane)))
                 }))
             }
+            Layout::Reference(..) | Layout::States(_) => plane::chunked_sum(q, block),
         }
     }
 
@@ -578,7 +521,8 @@ impl Sweep<'_> {
     /// `range`, indexed from `range.start`). `psi` holds the active
     /// lanes' Poisson weights, lane 0 first. `decisions` must either be
     /// empty (recording off) or exactly `range.len()`; laned runs never
-    /// record.
+    /// record. A timed sweep adds its kernel time per state class to
+    /// `timing`.
     ///
     /// The fused arms delegate the whole range to
     /// [`FusedGroups::sweep_best`] or [`FusedGroups::sweep_lanes`], whose
@@ -596,6 +540,7 @@ impl Sweep<'_> {
         q_next: &Plane,
         out: &Plane,
         decisions: &mut [u16],
+        timing: &mut ClassTiming,
     ) {
         debug_assert_eq!(out.len(), range.len() * self.stride());
         debug_assert!(decisions.is_empty() || decisions.len() == range.len());
@@ -603,63 +548,50 @@ impl Sweep<'_> {
         // `sweep_best_timed`), so the values never depend on which path
         // ran — the bit-invisibility contract the CI trace-on/trace-off
         // cmp gate pins.
-        let mut t = ClassTiming::default();
         let (psi0, maximize0) = (psi[0], self.maximize[0]);
-        match (self.folded, self.kernel) {
-            (Some(folded), _) if self.stride() > 1 => {
-                let (groups, stride) = (&folded.groups, self.stride());
+        let mut decisions = (!decisions.is_empty()).then_some(decisions);
+        match self.layout {
+            Layout::Reference(ctmdp, goal) => {
+                for (i, s) in range.enumerate() {
+                    let (v, idx) = step_state(ctmdp, goal, s, psi0, q_next, maximize0);
+                    plane::set(out, i, v);
+                    if let Some(d) = decisions.as_deref_mut() {
+                        d[i] = idx;
+                    }
+                }
+            }
+            Layout::Folded(f) if self.stride() > 1 => {
+                let (groups, stride) = (&f.groups, self.stride());
                 let maximize = &self.maximize[..psi.len()];
                 if self.timed {
-                    groups.sweep_lanes_timed(range, psi, maximize, q_next, stride, out, &mut t);
+                    groups.sweep_lanes_timed(range, psi, maximize, q_next, stride, out, timing);
                 } else {
                     groups.sweep_lanes(range, psi, maximize, q_next, stride, out);
                 }
             }
-            (None, Kernel::Reference) => {
-                let record = !decisions.is_empty();
-                for (i, s) in range.enumerate() {
-                    let (v, idx) = step_state(self.ctmdp, self.goal, s, psi0, q_next, maximize0);
-                    plane::set(out, i, v);
-                    if record {
-                        decisions[i] = idx;
-                    }
-                }
-            }
-            (folded, _) => {
-                // One lane: the scalar fused sweep, of the folded layout
-                // (a lane group of one) or of the states.
-                let groups = match folded {
-                    Some(f) => &f.groups,
-                    None => self
-                        .pre
-                        .fused
-                        .as_ref()
-                        .expect("a state sweep runs on a full precomputation"),
-                };
-                let decisions = (!decisions.is_empty()).then_some(decisions);
+            // One lane: the scalar fused sweep, of the states or of the
+            // folded layout (a lane group of one).
+            Layout::States(groups) | Layout::Folded(Folded { groups, .. }) => {
                 if self.timed {
-                    groups.sweep_best_timed(range, psi0, q_next, maximize0, out, decisions, &mut t);
+                    groups.sweep_best_timed(range, psi0, q_next, maximize0, out, decisions, timing);
                 } else {
                     groups.sweep_best(range, psi0, q_next, maximize0, out, decisions);
                 }
             }
         }
-        if self.timed {
-            self.pre.timing.add(&t);
-        }
     }
 }
 
-/// The trivial result when no Markov jump can happen (`t = 0` or `E = 0`):
-/// the indicator of the goal set.
-pub(crate) fn indicator_result(goal: &[bool], rate: f64) -> ReachResult {
-    ReachResult {
+/// The answer when no Markov jump can happen (`t = 0` or `E = 0`): the
+/// indicator of the goal set. `None` when the query needs a run.
+pub(crate) fn no_jump(goal: &[bool], rate: f64, t: f64) -> Option<ReachResult> {
+    (t == 0.0 || rate == 0.0).then(|| ReachResult {
         values: goal.iter().map(|&g| f64::from(u8::from(g))).collect(),
         iterations: 0,
         uniform_rate: rate,
-        runtime: std::time::Duration::ZERO,
+        runtime: Duration::ZERO,
         decisions: Vec::new(),
-    }
+    })
 }
 
 /// Clamps the iterated vector `q1`, one value per state, into
@@ -850,9 +782,6 @@ mod tests {
     fn folding_keeps_non_goal_states_and_one_goal_slot() {
         let (m, _) = chain_as_ctmdp();
         let goal = [false, true, true];
-        // A laned batch sweeps the folded layout and builds no other.
-        let pre = Precompute::rate_only(&m, &goal).unwrap();
-        assert!(pre.fused.is_none() && pre.memory_bytes() == 0);
         let folded = Folded::new(&m, &goal);
         let g = &folded.groups;
         assert_eq!(g.num_groups(), 2);

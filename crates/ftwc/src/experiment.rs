@@ -8,6 +8,7 @@ use unicon_ctmdp::export;
 use unicon_ctmdp::par::BatchResult;
 use unicon_ctmdp::reachability::{Kernel, Objective, ReachError, ReachResult};
 use unicon_imc::audit::{with_recording, Obligation};
+use unicon_numeric::FoxGlynn;
 
 use crate::compositional::{self, BuildTimings};
 use crate::generator;
@@ -446,30 +447,48 @@ pub struct Figure4Point {
 
 /// Computes the Figure-4 curves for the given time grid.
 ///
+/// The CTMC's uniformization rate grows with Γ, so a large Γ can take
+/// its `λ` past the weight cap at later grid points: every point's `λ`
+/// is checked before the first point is computed.
+///
+/// # Errors
+///
+/// [`ReachError::FoxGlynn`] when `λ = E·t` exceeds
+/// [`FoxGlynn::MAX_LAMBDA`] at a grid point, for the
+/// CTMC's uniformization rate `E` (its maximal exit rate) or for the
+/// CTMDP's uniform rate, and the other errors of
+/// [`PreparedModel::worst_case`].
+///
 /// # Panics
 ///
 /// Panics if the models fail to build (cannot happen for well-formed
 /// parameters).
-pub fn figure4(params: &FtwcParams, times: &[f64], epsilon: f64) -> Vec<Figure4Point> {
+pub fn figure4(
+    params: &FtwcParams,
+    times: &[f64],
+    epsilon: f64,
+) -> Result<Vec<Figure4Point>, ReachError> {
     let model = generator::build_uimc(params);
     let prepared =
         PreparedModel::new(&model.uniform, &model.premium_down).expect("FTWC transforms cleanly");
     let (ctmc, ctmc_down, _) = generator::build_ctmc(params);
+    for &t in times {
+        FoxGlynn::check_lambda(ctmc.max_exit_rate() * t)?;
+    }
 
     times
         .iter()
         .map(|&t| {
             let worst = prepared
-                .worst_case(t, epsilon)
-                .expect("uniform CTMDP")
+                .worst_case(t, epsilon)?
                 .from_state(prepared.ctmdp.initial());
             let copts = TransientOptions::default().with_epsilon(epsilon);
             let ctmc_p = transient::reachability(&ctmc, &ctmc_down, t, &copts).from_state(0);
-            Figure4Point {
+            Ok(Figure4Point {
                 t,
                 ctmdp_worst: worst,
                 ctmc: ctmc_p,
-            }
+            })
         })
         .collect()
 }
@@ -615,7 +634,7 @@ mod tests {
         // windows that the faithful (urgent) interpretation does not have.
         let mut params = FtwcParams::new(1);
         params.gamma = 100.0;
-        let pts = figure4(&params, &[20.0, 100.0, 500.0], 1e-9);
+        let pts = figure4(&params, &[20.0, 100.0, 500.0], 1e-9).unwrap();
         for p in &pts {
             assert!(
                 p.ctmc > p.ctmdp_worst + 1e-8,

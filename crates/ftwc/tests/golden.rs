@@ -89,7 +89,7 @@ fn golden_ctmc_overestimates_the_worst_case() {
     // nondeterminism by a rate-Γ race makes the classic CTMC treatment
     // OVERestimate even the worst-case probability of losing premium
     // service, at every time bound.
-    let pts = experiment::figure4(&FtwcParams::new(1), &bounds(), EPS);
+    let pts = experiment::figure4(&FtwcParams::new(1), &bounds(), EPS).unwrap();
     for (p, (&(t, gw, _), &(_, gc))) in pts.iter().zip(GOLDEN_WORST.iter().zip(&GOLDEN_CTMC)) {
         assert_eq!(p.t, t);
         assert!((p.ctmdp_worst - gw).abs() <= TOL, "t = {t} ctmdp drifted");

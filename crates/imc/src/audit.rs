@@ -2,7 +2,7 @@
 //!
 //! Two layers share this module:
 //!
-//! 1. **Debug assertions** ([`preserves_uniformity`]): the paper's
+//! 1. **Debug assertions** (`preserves_uniformity`): the paper's
 //!    uniformity-preservation lemmas (Lemma 1 for hiding, Lemma 2 for
 //!    parallel composition, Lemma 3 for bisimulation minimization) restated
 //!    as executable post-conditions. In release builds they compile to

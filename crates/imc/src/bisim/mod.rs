@@ -28,7 +28,7 @@
 //!   of its dependency states changed in the previous round. Signatures are
 //!   interned into flat `Vec` scratch buffers hashed with FNV-1a instead of
 //!   per-state `BTreeSet`s, and closures reuse stamp-based visited buffers.
-//! * [`reference`] — the original full-resweep refiner, kept verbatim as a
+//! * [`mod@reference`] — the original full-resweep refiner, kept verbatim as a
 //!   correctness oracle and as the honest baseline timed by `bench-build`.
 //!
 //! Both run the *same synchronous refinement rounds* (the worklist variant
@@ -94,7 +94,7 @@ pub enum Refiner {
     /// Dirty-block worklist refinement with interned FNV-hashed signatures.
     #[default]
     Worklist,
-    /// The original full-resweep refiner (see [`reference`]).
+    /// The original full-resweep refiner (see [`mod@reference`]).
     Reference,
 }
 

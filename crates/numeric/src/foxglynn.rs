@@ -192,18 +192,6 @@ impl FoxGlynn {
         }
     }
 
-    /// Non-panicking constructor: [`FoxGlynn::new`] with the precondition
-    /// surfaced as [`FoxGlynnError::InvalidLambda`].
-    ///
-    /// # Errors
-    ///
-    /// [`FoxGlynnError::InvalidLambda`] if `lambda` is negative, NaN or
-    /// above [`FoxGlynn::MAX_LAMBDA`].
-    pub fn try_new(lambda: f64) -> Result<Self, FoxGlynnError> {
-        Self::check_lambda(lambda)?;
-        Ok(Self::new(lambda))
-    }
-
     /// Checks that weights can be computed for `lambda`, without
     /// computing them: a batch checks every query's `λ` before it sweeps.
     ///
@@ -236,9 +224,10 @@ impl FoxGlynn {
     }
 
     /// Computes the weights and right truncation point for `λ = rate·t`
-    /// with every failure surfaced as a typed [`FoxGlynnError`] — the
-    /// guarded engines' entry point, bitwise identical to
-    /// [`FoxGlynn::new`] + [`FoxGlynn::right_truncation`] on success.
+    /// with every failure surfaced as a typed [`FoxGlynnError`] — the one
+    /// entry every reachability engine and [`WeightCache::try_get`] take,
+    /// bitwise identical to [`FoxGlynn::new`] +
+    /// [`FoxGlynn::right_truncation`] on success.
     ///
     /// # Errors
     ///
@@ -411,23 +400,20 @@ impl WeightCache {
     }
 
     /// [`WeightCache::get`] with its preconditions checked: the lookup
-    /// every engine takes, since `t` comes from the caller. A failed
-    /// lookup stores nothing and counts neither as a hit nor as a miss.
+    /// every engine takes, since `t` comes from the caller. A miss
+    /// computes the weights with [`FoxGlynn::try_weights`], so a hit only
+    /// ever returns weights that passed its checks. A failed lookup
+    /// stores nothing and counts neither as a hit nor as a miss.
     ///
     /// # Errors
     ///
-    /// [`FoxGlynnError::InvalidEpsilon`] for ε outside `(0, 1)` and
-    /// [`FoxGlynnError::InvalidLambda`] when `rate · t` is NaN, negative
-    /// or above [`FoxGlynn::MAX_LAMBDA`].
+    /// Those of [`FoxGlynn::try_weights`] for `λ = rate · t`.
     pub fn try_get(
         &mut self,
         rate: f64,
         t: f64,
         epsilon: f64,
     ) -> Result<&CachedWeights, FoxGlynnError> {
-        if !(epsilon > 0.0 && epsilon < 1.0) {
-            return Err(FoxGlynnError::InvalidEpsilon { epsilon });
-        }
         let key = (rate.to_bits(), t.to_bits(), epsilon.to_bits());
         match self.entries.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => {
@@ -435,10 +421,9 @@ impl WeightCache {
                 Ok(e.into_mut())
             }
             std::collections::hash_map::Entry::Vacant(e) => {
-                let fg = FoxGlynn::try_new(rate * t)?;
+                let weights = FoxGlynn::try_weights(rate * t, epsilon)?;
                 self.misses += 1;
-                let truncation = fg.right_truncation(epsilon);
-                Ok(e.insert(CachedWeights { fg, truncation }))
+                Ok(e.insert(weights))
             }
         }
     }
@@ -583,11 +568,10 @@ mod tests {
     }
 
     #[test]
-    fn try_new_matches_new_and_reports_bad_lambda() {
-        let a = FoxGlynn::try_new(42.5).unwrap();
-        assert_eq!(a, FoxGlynn::new(42.5));
+    fn check_lambda_reports_bad_lambda() {
+        assert!(FoxGlynn::check_lambda(42.5).is_ok());
         for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = FoxGlynn::try_new(bad).unwrap_err();
+            let err = FoxGlynn::check_lambda(bad).unwrap_err();
             assert!(
                 matches!(err, FoxGlynnError::InvalidLambda { lambda } if lambda.to_bits() == bad.to_bits())
             );

@@ -128,7 +128,7 @@ fn lambdas_past_the_cap_are_typed_invalid() {
         let lambda = rate * t;
         assert!(lambda > FoxGlynn::MAX_LAMBDA);
         for err in [
-            FoxGlynn::try_new(lambda).unwrap_err(),
+            FoxGlynn::check_lambda(lambda).unwrap_err(),
             FoxGlynn::try_weights(lambda, 1e-6).unwrap_err(),
             cache.try_get(rate, t, 1e-6).unwrap_err(),
         ] {
@@ -159,7 +159,7 @@ fn lambdas_past_the_cap_are_typed_invalid() {
 /// weights, under 10 MB per stored vector.
 #[test]
 fn window_at_the_cap_stays_small() {
-    let fg = FoxGlynn::try_new(FoxGlynn::MAX_LAMBDA).unwrap();
+    let fg = FoxGlynn::new(FoxGlynn::MAX_LAMBDA);
     let width = fg.window_end() - fg.window_start();
     assert!(width < 1_250_000, "width = {width}");
     assert!(width * std::mem::size_of::<f64>() < 10_000_000);

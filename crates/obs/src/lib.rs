@@ -16,13 +16,13 @@
 //!
 //! * emission sites only **read** engine state (residuals, checksums);
 //!   no instrumented code path writes into the numeric pipeline;
-//! * `Instant` is read at span boundaries ([`open_span`] /
-//!   [`close_span`]), never inside a per-iteration event — iteration
-//!   records are timestamp-free. The hot loop does read the clock while a
-//!   sink wants [`Class::Metric`]: the reach engine then times its kernel
-//!   per class, one clock read per class run per worker per step, and
-//!   `unicon serve` and `unicon metrics` always install such a sink (the
-//!   metrics [`Registry`]). The readings only feed observations;
+//! * `Instant` is read at span boundaries ([`span`]), never inside a
+//!   per-iteration event — iteration records are timestamp-free. The hot
+//!   loop does read the clock while a sink wants [`Class::Metric`]: an
+//!   unguarded reach run then times its kernel per class, one clock read
+//!   per class run per worker per step, and `unicon serve` and
+//!   `unicon metrics` always install such a sink (the metrics
+//!   [`Registry`]). The readings only feed observations;
 //! * when no installed sink is interested in a [`Class`] (and no
 //!   thread-local collector captures it), [`live`] is a single relaxed
 //!   atomic load plus a thread-local mask check, and [`emit`] never
@@ -41,12 +41,11 @@
 //! use unicon_obs as obs;
 //!
 //! let ((), events) = obs::collect(|| {
-//!     let span = obs::open_span("phase");
+//!     let _span = obs::span("phase");
 //!     obs::emit(obs::Class::Metric, || obs::Event::Counter {
 //!         name: "things_done",
 //!         value: 3,
 //!     });
-//!     obs::close_span(span).expect("balanced");
 //! });
 //! assert_eq!(events.len(), 3); // open, counter, close
 //! ```
@@ -292,62 +291,26 @@ struct OpenSpan {
     start: Instant,
 }
 
-/// Proof of an open span, consumed by [`close_span`]. A token obtained
-/// while observability was dormant is inert: closing it is a no-op.
-/// Tokens are `Copy` so an out-of-order close (a typed error) can be
-/// retried once the child spans have closed.
-#[derive(Debug, Clone, Copy)]
-#[must_use = "close the span with close_span (or use span() for RAII)"]
-pub struct SpanToken {
+/// An open span: opened by [`span`], closed when it drops, so spans nest
+/// by construction. A span opened while no consumer wanted span events
+/// is inert: it read no clock and emits nothing.
+#[derive(Debug)]
+#[must_use = "a span closes when it drops"]
+pub struct Span {
+    /// The span's id, or 0 when inert.
     id: u64,
-    name: &'static str,
 }
 
-/// A typed span-discipline violation. Spans form a per-thread stack;
-/// closing anything but the innermost open span is an error, never a
-/// panic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpanError {
-    /// The token's span is not open on this thread (already closed, or
-    /// opened on another thread).
-    NotOpen {
-        /// The stale token's span name.
-        closing: &'static str,
-    },
-    /// The token's span is open but not innermost: a child is still
-    /// running.
-    OutOfOrder {
-        /// The span the token refers to.
-        closing: &'static str,
-        /// The innermost open span that must close first.
-        innermost: &'static str,
-    },
-}
-
-impl std::fmt::Display for SpanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpanError::NotOpen { closing } => {
-                write!(f, "span '{closing}' is not open on this thread")
-            }
-            SpanError::OutOfOrder { closing, innermost } => write!(
-                f,
-                "span '{closing}' cannot close before its child '{innermost}'"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SpanError {}
-
-/// Opens a span named `name` on this thread's span stack and emits a
-/// [`Event::SpanOpen`] record (with the parent span's id, if any).
+/// Opens a span named `name` on this thread's span stack, emitting an
+/// [`Event::SpanOpen`] record with the parent span's id, if any. The
+/// span closes when the returned value drops, emitting an
+/// [`Event::SpanClose`] with its wall-clock duration.
 ///
 /// When no consumer wants span events, this reads no clock and returns
-/// an inert token.
-pub fn open_span(name: &'static str) -> SpanToken {
+/// an inert span.
+pub fn span(name: &'static str) -> Span {
     if !live(Class::Span) {
-        return SpanToken { id: 0, name };
+        return Span { id: 0 };
     }
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     let parent = SPAN_STACK.with(|s| s.borrow().last().map(|o| o.id));
@@ -359,66 +322,29 @@ pub fn open_span(name: &'static str) -> SpanToken {
         })
     });
     emit(Class::Span, || Event::SpanOpen { name, id, parent });
-    SpanToken { id, name }
-}
-
-/// Closes the span `token` refers to, emitting a [`Event::SpanClose`]
-/// with its wall-clock duration.
-///
-/// # Errors
-///
-/// [`SpanError::OutOfOrder`] if a child span is still open,
-/// [`SpanError::NotOpen`] if the token's span is not on this thread's
-/// stack at all. Neither panics, and the stack is left unchanged on
-/// error.
-pub fn close_span(token: SpanToken) -> Result<(), SpanError> {
-    if token.id == 0 {
-        return Ok(());
-    }
-    let closed = SPAN_STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        match stack.last() {
-            Some(top) if top.id == token.id => Ok(stack.pop().expect("non-empty stack")),
-            Some(top) if stack.iter().any(|o| o.id == token.id) => Err(SpanError::OutOfOrder {
-                closing: token.name,
-                innermost: top.name,
-            }),
-            _ => Err(SpanError::NotOpen {
-                closing: token.name,
-            }),
-        }
-    })?;
-    let nanos = u64::try_from(closed.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    emit(Class::Span, || Event::SpanClose {
-        name: closed.name,
-        id: closed.id,
-        nanos,
-    });
-    Ok(())
-}
-
-/// An RAII span: opened on construction, closed on drop. Drop order
-/// guarantees balanced nesting, so the close cannot fail.
-#[derive(Debug)]
-pub struct Span {
-    token: Option<SpanToken>,
+    Span { id }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(token) = self.token.take() {
-            // Balanced by construction; a failure here means the user
-            // mixed RAII and manual closes, which the manual API already
-            // reported as a typed error.
-            let _ = close_span(token);
+        if self.id == 0 {
+            return;
         }
-    }
-}
-
-/// Opens an RAII [`Span`]; it closes when the value drops.
-pub fn span(name: &'static str) -> Span {
-    Span {
-        token: Some(open_span(name)),
+        // The innermost span, unless the caller dropped spans out of
+        // order; a span moved to another thread is not on this stack.
+        let closed = SPAN_STACK.with(|s| {
+            let mut stack = s.borrow_mut();
+            let at = stack.iter().rposition(|o| o.id == self.id)?;
+            Some(stack.remove(at))
+        });
+        if let Some(closed) = closed {
+            let nanos = u64::try_from(closed.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            emit(Class::Span, || Event::SpanClose {
+                name: closed.name,
+                id: closed.id,
+                nanos,
+            });
+        }
     }
 }
 
@@ -466,9 +392,11 @@ mod tests {
             }
         });
         assert!(!ran, "payload closure must not run while dormant");
-        // dormant spans are inert and close cleanly
-        let token = open_span("dormant");
-        assert!(close_span(token).is_ok());
+        // dormant spans are inert and close without a trace
+        let s = span("dormant");
+        assert_eq!(s.id, 0);
+        assert!(SPAN_STACK.with(|s| s.borrow().is_empty()));
+        drop(s);
     }
 
     #[test]
@@ -525,10 +453,8 @@ mod tests {
     #[test]
     fn span_nesting_records_parents() {
         let ((), events) = collect(|| {
-            let outer = open_span("outer");
-            let inner = open_span("inner");
-            close_span(inner).expect("inner closes first");
-            close_span(outer).expect("outer closes last");
+            let _outer = span("outer");
+            let _inner = span("inner");
         });
         let opens: Vec<_> = events
             .iter()
@@ -549,34 +475,25 @@ mod tests {
         assert_eq!(closes, 2);
     }
 
+    /// A span dropped before its child still closes, and the child then
+    /// closes too: no span stays open on the thread's stack.
     #[test]
-    fn unbalanced_close_is_a_typed_error_not_a_panic() {
-        let ((), _) = collect(|| {
-            let outer = open_span("outer");
-            let inner = open_span("inner");
-            let err = close_span(outer).expect_err("inner still open");
-            assert_eq!(
-                err,
-                SpanError::OutOfOrder {
-                    closing: "outer",
-                    innermost: "inner",
-                }
-            );
-            // recover in order — the stack was left intact, and tokens
-            // are Copy, so the retry succeeds
-            close_span(inner).expect("inner closes");
-            close_span(outer).expect("outer closes after the child");
+    fn spans_dropped_out_of_order_still_close() {
+        let ((), events) = collect(|| {
+            let outer = span("outer");
+            let inner = span("inner");
+            drop(outer);
+            drop(inner);
+            assert!(SPAN_STACK.with(|s| s.borrow().is_empty()));
         });
-    }
-
-    #[test]
-    fn double_close_is_not_open() {
-        let ((), _) = collect(|| {
-            let a = open_span("a");
-            close_span(a).expect("first close works");
-            let err = close_span(a).expect_err("second close fails");
-            assert_eq!(err, SpanError::NotOpen { closing: "a" });
-        });
+        let closes: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::SpanClose { name, .. } => Some(*name),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(closes, ["outer", "inner"]);
     }
 
     #[test]

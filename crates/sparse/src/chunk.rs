@@ -1,38 +1,12 @@
-//! Deterministic row chunking for parallel kernels.
+//! Deterministic work split for parallel kernels.
 //!
-//! Parallel sweeps over a state space (or the rows of a matrix) must not
-//! let the thread count leak into the arithmetic: the reachability
-//! engine's determinism contract demands bitwise-identical results for 1,
-//! 2 or 64 workers. The helpers here fix the granularity once — blocks of
-//! a constant size — and only vary *which worker owns which blocks*, never
-//! where block boundaries fall, so per-block partial results are
-//! reproducible by construction.
+//! Parallel sweeps over a state space must not let the thread count leak
+//! into the arithmetic: the reachability engine's determinism contract
+//! demands bitwise-identical results for 1, 2 or 64 workers. Each item's
+//! update reads only the previous iterate, so the split below only
+//! decides *which worker owns which items*, never what any item computes.
 
 use std::ops::Range;
-
-use crate::CsrMatrix;
-
-/// Splits `0..n` into consecutive blocks of `block_size` items (the last
-/// block may be shorter).
-///
-/// # Panics
-///
-/// Panics if `block_size == 0`.
-///
-/// # Examples
-///
-/// ```
-/// use unicon_sparse::chunk::fixed_blocks;
-///
-/// assert_eq!(fixed_blocks(10, 4), vec![0..4, 4..8, 8..10]);
-/// assert_eq!(fixed_blocks(0, 4), Vec::<std::ops::Range<usize>>::new());
-/// ```
-pub fn fixed_blocks(n: usize, block_size: usize) -> Vec<Range<usize>> {
-    assert!(block_size > 0, "block size must be positive");
-    (0..n.div_ceil(block_size))
-        .map(|b| b * block_size..((b + 1) * block_size).min(n))
-        .collect()
-}
 
 /// Assigns `num_blocks` consecutive blocks to `workers` contiguous
 /// shares, as evenly as possible (the first `num_blocks % workers` shares
@@ -65,132 +39,9 @@ pub fn assign_blocks(num_blocks: usize, workers: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// A borrowed view of a consecutive row range of a [`CsrMatrix`] —
-/// the unit of work a parallel kernel hands to one worker.
-#[derive(Debug, Clone)]
-pub struct RowChunk<'a> {
-    matrix: &'a CsrMatrix,
-    rows: Range<usize>,
-}
-
-impl<'a> RowChunk<'a> {
-    /// The global row range this chunk covers.
-    pub fn rows(&self) -> Range<usize> {
-        self.rows.clone()
-    }
-
-    /// Number of rows in the chunk.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the chunk covers no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Iterates one row of the chunk by *global* row index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` lies outside the chunk's range.
-    pub fn row(&self, row: usize) -> crate::RowIter<'a> {
-        assert!(self.rows.contains(&row), "row {row} outside chunk");
-        self.matrix.row(row)
-    }
-
-    /// Chunk-local matrix–vector product: writes `A[r]·x` for every row
-    /// `r` of the chunk into `y[r - start]`, leaving other rows to other
-    /// chunks. Row arithmetic is identical to [`CsrMatrix::matvec`], so
-    /// assembling all chunk outputs reproduces the full product bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` mismatches the matrix columns or `y.len()`
-    /// mismatches the chunk length.
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.matrix.cols(), "dimension mismatch");
-        assert_eq!(y.len(), self.rows.len(), "chunk output length mismatch");
-        for (out, r) in y.iter_mut().zip(self.rows.clone()) {
-            let mut acc = 0.0;
-            for (c, v) in self.matrix.row(r) {
-                acc += v * x[c];
-            }
-            *out = acc;
-        }
-    }
-}
-
-impl CsrMatrix {
-    /// A borrowed view of the consecutive row range `rows`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the row count.
-    pub fn row_chunk(&self, rows: Range<usize>) -> RowChunk<'_> {
-        assert!(
-            rows.start <= rows.end && rows.end <= self.rows(),
-            "row range {rows:?} out of bounds ({})",
-            self.rows()
-        );
-        RowChunk { matrix: self, rows }
-    }
-
-    /// Splits the matrix into row chunks of `block_size` rows each (the
-    /// last may be shorter) — the deterministic work units for parallel
-    /// kernels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_size == 0`.
-    pub fn row_chunks(&self, block_size: usize) -> Vec<RowChunk<'_>> {
-        fixed_blocks(self.rows(), block_size)
-            .into_iter()
-            .map(|r| self.row_chunk(r))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> CsrMatrix {
-        CsrMatrix::from_triplets(
-            5,
-            4,
-            [
-                (0, 0, 1.0),
-                (0, 3, 2.0),
-                (1, 1, -1.5),
-                (2, 0, 4.0),
-                (2, 2, 5.0),
-                (4, 3, 0.5),
-            ],
-        )
-    }
-
-    #[test]
-    fn fixed_blocks_cover_exactly_once() {
-        for (n, b) in [(0, 3), (1, 3), (9, 3), (10, 3), (11, 3), (5, 100)] {
-            let blocks = fixed_blocks(n, b);
-            let mut covered = 0;
-            let mut expected_start = 0;
-            for r in &blocks {
-                assert_eq!(r.start, expected_start);
-                assert!(r.len() <= b && !r.is_empty());
-                covered += r.len();
-                expected_start = r.end;
-            }
-            assert_eq!(covered, n);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "block size must be positive")]
-    fn fixed_blocks_rejects_zero() {
-        fixed_blocks(4, 0);
-    }
 
     #[test]
     fn assign_blocks_is_balanced_and_contiguous() {
@@ -215,46 +66,5 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn assign_blocks_rejects_zero_workers() {
         assign_blocks(4, 0);
-    }
-
-    #[test]
-    fn chunked_matvec_reassembles_bitwise() {
-        let m = sample();
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let full = m.matvec(&x);
-        for block in [1, 2, 3, 100] {
-            let mut assembled = vec![0.0; m.rows()];
-            for chunk in m.row_chunks(block) {
-                let rows = chunk.rows();
-                chunk.matvec_into(&x, &mut assembled[rows.start..rows.end]);
-            }
-            let full_bits: Vec<u64> = full.iter().map(|v| v.to_bits()).collect();
-            let asm_bits: Vec<u64> = assembled.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(full_bits, asm_bits, "block size {block}");
-        }
-    }
-
-    #[test]
-    fn row_chunk_views_expose_global_rows() {
-        let m = sample();
-        let chunk = m.row_chunk(2..4);
-        assert_eq!(chunk.len(), 2);
-        assert!(!chunk.is_empty());
-        assert_eq!(chunk.rows(), 2..4);
-        let row2: Vec<_> = chunk.row(2).collect();
-        assert_eq!(row2, vec![(0, 4.0), (2, 5.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside chunk")]
-    fn row_chunk_rejects_foreign_row() {
-        let m = sample();
-        m.row_chunk(0..2).row(3);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn row_chunk_rejects_bad_range() {
-        sample().row_chunk(3..9);
     }
 }

@@ -64,11 +64,6 @@ pub enum GroupClass {
     Multi = 3,
 }
 
-impl GroupClass {
-    /// Display names, indexed like the [`ClassTiming`] arrays.
-    pub const NAMES: [&'static str; 4] = ["fixed", "empty", "single", "multi"];
-}
-
 /// Per-[`GroupClass`] time attribution for one or more timed sweeps:
 /// nanoseconds spent in, and groups processed under, each class
 /// (indexed by `GroupClass as usize`). Filled by
@@ -88,26 +83,6 @@ impl ClassTiming {
         for i in 0..4 {
             self.ns[i] += other.ns[i];
             self.groups[i] += other.groups[i];
-        }
-    }
-}
-
-/// What a sweep does with a run of equally-classed groups. `Single` and
-/// `Multi` share the evaluate-and-compare path, so they merge into one
-/// run kind — fewer, longer runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunKind {
-    Fixed,
-    Empty,
-    Active,
-}
-
-impl RunKind {
-    fn of(class: GroupClass) -> Self {
-        match class {
-            GroupClass::Fixed => RunKind::Fixed,
-            GroupClass::Empty => RunKind::Empty,
-            GroupClass::Single | GroupClass::Multi => RunKind::Active,
         }
     }
 }
@@ -168,15 +143,10 @@ impl ColData {
 pub struct FusedGroups {
     cols: usize,
     class: Vec<GroupClass>,
-    /// Run-length encoding of `class` (with `Single`/`Multi` merged):
-    /// `(end, kind)` per run, ends strictly increasing, last end equals
-    /// `class.len()`.
-    runs: Vec<(u32, RunKind)>,
-    /// Exact-class run-length encoding (`Single` and `Multi` kept
-    /// distinct), same `(end, class)` shape as `runs`. The sweep itself
-    /// dispatches on the merged `runs`; this finer RLE exists so a
-    /// timed sweep can attribute time per [`GroupClass`] without a
-    /// per-group branch.
+    /// Run-length encoding of `class`: `(end, class)` per run, ends
+    /// strictly increasing, last end equal to `class.len()`. Sweeps
+    /// dispatch once per run, and a timed sweep reads the clock once per
+    /// run, attributing the time to the run's [`GroupClass`].
     class_runs: Vec<(u32, GroupClass)>,
     /// `group_ptr[g]..group_ptr[g+1]` is group `g`'s range in `row_pool`.
     group_ptr: Vec<u32>,
@@ -214,12 +184,6 @@ impl FusedGroups {
     #[must_use]
     pub fn num_entries(&self) -> usize {
         self.col.len()
-    }
-
-    /// Number of class runs the sweep dispatches over.
-    #[must_use]
-    pub fn num_runs(&self) -> usize {
-        self.runs.len()
     }
 
     /// Width of the column space rows index into.
@@ -340,8 +304,8 @@ impl FusedGroups {
         }
     }
 
-    /// The exact-class run-length encoding: `(end, class)` per run,
-    /// ends strictly increasing, last end equal to
+    /// The run-length encoding of the class sequence: `(end, class)` per
+    /// run, ends strictly increasing, last end equal to
     /// [`FusedGroups::num_groups`].
     #[inline]
     #[must_use]
@@ -352,7 +316,7 @@ impl FusedGroups {
     /// [`FusedGroups::sweep_best`] with per-[`GroupClass`] time
     /// attribution accumulated into `timing`.
     ///
-    /// The walk splits `groups` at the precomputed exact-class run
+    /// The walk splits `groups` at the precomputed class run
     /// boundaries and sweeps each subrange through the ordinary
     /// [`FusedGroups::sweep_best`] — which produces bitwise identical
     /// output at any range partition (see
@@ -391,7 +355,7 @@ impl FusedGroups {
         });
     }
 
-    /// Splits `groups` at the exact-class run boundaries and runs `sweep`
+    /// Splits `groups` at the class run boundaries and runs `sweep`
     /// on each piece between two clock reads, attributing the time, and
     /// `per_group` units for each group of the piece, to its class.
     fn time_by_class(
@@ -521,7 +485,6 @@ impl FusedGroups {
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.class.len() * std::mem::size_of::<GroupClass>()
-            + self.runs.len() * std::mem::size_of::<(u32, RunKind)>()
             + self.class_runs.len() * std::mem::size_of::<(u32, GroupClass)>()
             + self.group_ptr.len() * std::mem::size_of::<u32>()
             + self.row_pool.len() * std::mem::size_of::<u32>()
@@ -551,14 +514,14 @@ fn sweep_best_generic<C: Copy + Into<u32>>(
     let base = groups.start;
     // First run overlapping the range start.
     let mut ri = f
-        .runs
+        .class_runs
         .partition_point(|&(end, _)| (end as usize) <= groups.start);
     let mut g = groups.start;
     while g < groups.end {
-        let (run_end, kind) = f.runs[ri];
+        let (run_end, class) = f.class_runs[ri];
         let end = (run_end as usize).min(groups.end);
-        match kind {
-            RunKind::Fixed => {
+        match class {
+            GroupClass::Fixed => {
                 // Element-wise: each output is exactly `scale + x[g]`,
                 // independent of its neighbors.
                 for (o, xi) in out[g - base..end - base].iter().zip(&x[g..end]) {
@@ -569,7 +532,7 @@ fn sweep_best_generic<C: Copy + Into<u32>>(
                     d[g - base..end - base].fill(0);
                 }
             }
-            RunKind::Empty => {
+            GroupClass::Empty => {
                 for o in &out[g - base..end - base] {
                     o.store(0.0f64.to_bits(), Ordering::Relaxed);
                 }
@@ -577,7 +540,7 @@ fn sweep_best_generic<C: Copy + Into<u32>>(
                     d[g - base..end - base].fill(0);
                 }
             }
-            RunKind::Active => {
+            GroupClass::Single | GroupClass::Multi => {
                 for s in g..end {
                     let rlo = f.group_ptr[s] as usize;
                     let rhi = f.group_ptr[s + 1] as usize;
@@ -640,14 +603,14 @@ fn sweep_lanes_generic<const A: usize, C: Copy + Into<u32>>(
         std::array::from_fn(|l| if maximize[l] { -1.0 } else { f64::INFINITY });
     let lane_out = |s: usize| &out[(s - base) * stride..][..A];
     let mut ri = f
-        .runs
+        .class_runs
         .partition_point(|&(end, _)| (end as usize) <= groups.start);
     let mut g = groups.start;
     while g < groups.end {
-        let (run_end, kind) = f.runs[ri];
+        let (run_end, class) = f.class_runs[ri];
         let end = (run_end as usize).min(groups.end);
-        match kind {
-            RunKind::Fixed => {
+        match class {
+            GroupClass::Fixed => {
                 for s in g..end {
                     let xs = &x[s * stride..][..A];
                     for ((o, xi), p) in lane_out(s).iter().zip(xs).zip(psi) {
@@ -656,14 +619,14 @@ fn sweep_lanes_generic<const A: usize, C: Copy + Into<u32>>(
                     }
                 }
             }
-            RunKind::Empty => {
+            GroupClass::Empty => {
                 for s in g..end {
                     for o in lane_out(s) {
                         o.store(0.0f64.to_bits(), Ordering::Relaxed);
                     }
                 }
             }
-            RunKind::Active => {
+            GroupClass::Single | GroupClass::Multi => {
                 for s in g..end {
                     let rlo = f.group_ptr[s] as usize;
                     let rhi = f.group_ptr[s + 1] as usize;
@@ -837,14 +800,8 @@ impl FusedBuilder {
     #[must_use]
     pub fn build(self) -> FusedGroups {
         assert!(!self.open, "close the open group before building");
-        let mut runs: Vec<(u32, RunKind)> = Vec::new();
         let mut class_runs: Vec<(u32, GroupClass)> = Vec::new();
         for (g, &c) in self.class.iter().enumerate() {
-            let kind = RunKind::of(c);
-            match runs.last_mut() {
-                Some((end, k)) if *k == kind => *end = g as u32 + 1,
-                _ => runs.push((g as u32 + 1, kind)),
-            }
             match class_runs.last_mut() {
                 Some((end, k)) if *k == c => *end = g as u32 + 1,
                 _ => class_runs.push((g as u32 + 1, c)),
@@ -858,7 +815,6 @@ impl FusedBuilder {
         FusedGroups {
             cols: self.cols,
             class: self.class,
-            runs,
             class_runs,
             group_ptr: self.group_ptr,
             row_pool: self.row_pool,
@@ -938,8 +894,6 @@ mod tests {
         assert_eq!(f.rows(2), 2..2);
         assert_eq!(f.rows(3), 2..3);
         assert_eq!(f.classes().len(), 4);
-        // Runs: Fixed | Active | Empty | Active — 4 runs.
-        assert_eq!(f.num_runs(), 4);
     }
 
     #[test]
@@ -1083,7 +1037,7 @@ mod tests {
     #[test]
     fn class_runs_keep_single_and_multi_distinct() {
         let f = sample();
-        // Classes: Fixed, Multi, Empty, Single — four exact-class runs.
+        // Classes: Fixed, Multi, Empty, Single — four runs.
         assert_eq!(
             f.class_runs(),
             &[
@@ -1209,7 +1163,7 @@ mod tests {
         assert_eq!(f.num_groups(), 0);
         assert_eq!(f.num_rows(), 0);
         assert_eq!(f.num_pool_rows(), 0);
-        assert_eq!(f.num_runs(), 0);
+        assert!(f.class_runs().is_empty());
         assert!(f.memory_bytes() > 0); // the sentinel pointers
         let mut out: Vec<f64> = Vec::new();
         sweep(&f, 0..0, 1.0, &[], true, &mut out, None); // no-op, no panic

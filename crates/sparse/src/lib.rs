@@ -33,7 +33,7 @@ mod csr;
 pub mod fused;
 pub mod plane;
 
-pub use chunk::{assign_blocks, fixed_blocks, RowChunk};
+pub use chunk::assign_blocks;
 pub use coo::CooBuilder;
 pub use csr::{CsrMatrix, RowIter};
 pub use fused::{ClassTiming, FusedBuilder, FusedGroups, GroupClass, PoolRow, LANES};

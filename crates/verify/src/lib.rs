@@ -33,7 +33,7 @@
 //! [`rates_approx_eq`] (re-exported from `unicon-numeric`), so the lints
 //! can never disagree with the model types' own uniformity checks.
 //!
-//! Beyond the lint passes, [`certify`] replays the obligation ledger that
+//! Beyond the lint passes, [`certify()`] replays the obligation ledger that
 //! the certified construction operators record (`unicon_imc::audit`) and
 //! independently re-establishes every claim — the machine-checkable side
 //! of "uniformity by construction". [`srclint`] is the companion *source*

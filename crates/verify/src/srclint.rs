@@ -1,7 +1,7 @@
 //! Determinism source lint: scans this workspace's own Rust sources for
 //! constructs that would silently undermine replayability.
 //!
-//! The certificate checker ([`crate::certify`]) leans on one assumption:
+//! The certificate checker ([`crate::certify()`]) leans on one assumption:
 //! re-running a construction operator on the same inputs reproduces the
 //! same output, bit for bit. That assumption is easy to break from the
 //! source side — iterate a `HashMap` while accumulating floats and the

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("computing P(premium service lost within t) both ways…\n");
 
     let times = [10.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2000.0];
-    let points = experiment::figure4(&params, &times, 1e-9);
+    let points = experiment::figure4(&params, &times, 1e-9)?;
 
     println!("   t (h)      CTMDP (worst case)        CTMC (Γ-resolved)      CTMC − CTMDP");
     for p in &points {

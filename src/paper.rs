@@ -156,7 +156,10 @@ fn figure4(args: &[String]) -> Result<ExitCode, CliError> {
     println!("(the CTMC consistently overestimates: its high-rate assignment races");
     println!(" leave failed components unattended for windows the faithful urgent");
     println!(" interpretation does not have)\n");
-    let points = experiment::figure4(&params, &times, 1e-9);
+    // Γ·t can pass the weight cap: checked at every grid point before
+    // the first one is computed.
+    let points = experiment::figure4(&params, &times, 1e-9)
+        .map_err(|e| runtime(format!("figure4: {e} (lower --gamma or --max-t)")))?;
     println!(
         "{:>7} | {:>16} | {:>16} | {:>12} | {:>9}",
         "t (h)", "CTMDP worst", "CTMC", "CTMC-CTMDP", "rel. (%)"
@@ -265,7 +268,8 @@ fn ablation(args: &[String]) -> Result<ExitCode, CliError> {
     for gamma in [10.0, 100.0, 1000.0, 10_000.0] {
         let mut params = FtwcParams::new(2);
         params.gamma = gamma;
-        let p = experiment::figure4(&params, &[500.0], 1e-9)[0];
+        let p = experiment::figure4(&params, &[500.0], 1e-9)
+            .map_err(|e| runtime(format!("ablation: {e}")))?[0];
         let gap = p.ctmc - p.ctmdp_worst;
         println!(
             "   {gamma:<6} | {gap:>+18.3e} | {:>+8.4}%",

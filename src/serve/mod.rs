@@ -11,7 +11,7 @@
 //!   their FNV-1a content fingerprint ([`unicon::ctmdp::Ctmdp::fingerprint`]);
 //!   re-registering is a cache hit and never rebuilds.
 //! * Each registered model owns a re-entrant
-//!   [`ReachEngine`] whose shared precomputation answers queries from
+//!   [`ReachEngine`] whose shared state layout answers queries from
 //!   any number of sessions concurrently without locking.
 //! * Fox–Glynn weight vectors live in one process-wide
 //!   [`WeightCache`] shared across sessions; responses carry cache-hit
@@ -53,7 +53,7 @@
 //! chaos (evictions, rejected neighbors, quarantined models) or at any
 //! thread count, and identical to one-shot `unicon reach` on the same
 //! model: every execution path funnels into the same per-state kernel
-//! over the same shared precomputation, and the chunked-Neumaier
+//! over the same shared state layout, and the chunked-Neumaier
 //! checksum rides along to prove it. The only nondeterministic response
 //! fields are the wall-clock `*_ms` measurements.
 //!
@@ -93,7 +93,7 @@ struct ModelEntry {
     n: usize,
     /// The transformed uniform CTMDP and its goal vector.
     prepared: PreparedModel,
-    /// Re-entrant engine holding the shared precomputation.
+    /// Re-entrant engine holding the shared state layout.
     engine: ReachEngine,
     /// Wall-clock build time, echoed on cached registers.
     build_ms: f64,
@@ -452,7 +452,7 @@ impl ServeState {
     /// Handles `query`: admission first (shed with a retriable
     /// `overloaded` when `--max-inflight` is reached), then the entry is
     /// pinned for the duration of the run so eviction can never pull
-    /// the precomputation out from under an in-flight query.
+    /// the state layout out from under an in-flight query.
     fn query(&self, q: &QueryRequest) -> Result<String, ProtoError> {
         let Some(_permit) = self.inflight.try_acquire() else {
             self.count("serve_queries_shed", 1);
@@ -494,7 +494,7 @@ impl ServeState {
     /// Runs one admitted query. Plain queries share the weight cache
     /// and the model's engine; budgeted queries (`max_iters`, a
     /// deadline, or an ongoing drain) run the guarded engine over the
-    /// same shared precomputation (the guard computes its own weights,
+    /// same shared state layout (the guard computes its own weights,
     /// so those bypass the cache — `weights_cached` reports `false`).
     fn run_query(
         &self,

@@ -423,13 +423,21 @@ fn resume_from_a_missing_checkpoint_is_a_runtime_error() {
 }
 
 /// Time bounds whose `λ = E·t` is past the Fox–Glynn cap: infinite at
-/// `t = 1e308`, 2·10³⁰⁰ at `1e300`, 2·10²⁰ at `1e20` (which the guarded
-/// path's underflow floor alone would admit), 8·10¹⁴ at `4e14` (whose
-/// weight window alone would need gigabytes). Each is a runtime error
-/// with exit 1 on `reach`'s plain and budgeted paths and in `ftwc`, never
-/// a panic (exit 101) or an allocation that grows until it fails.
+/// `t = 1e308`, 2·10³⁰⁰ at `1e300`, 2·10²⁰ at `1e20` (which the
+/// underflow floor alone would admit), 8·10¹⁴ at `4e14` (whose weight
+/// window alone would need gigabytes). Each is a runtime error with exit
+/// 1 on `reach`'s plain and budgeted paths and in `ftwc`, never a panic
+/// (exit 101) or an allocation that grows until it fails. So is an ε
+/// below the underflow floor, on both paths.
 #[test]
 fn time_bounds_past_the_weight_cap_are_runtime_errors() {
+    let fails_with = |args: &[&str], needle: &str| {
+        let out = unicon().args(args).output().expect("runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.starts_with("error: "), "{args:?}: {err}");
+        assert!(err.contains(needle), "{args:?}: {err}");
+    };
     for t in ["1e308", "1e300", "1e20", "4e14"] {
         let runs: [&[&str]; 3] = [
             &["reach", "--ftwc", "1", "--time-bounds", t],
@@ -445,12 +453,46 @@ fn time_bounds_past_the_weight_cap_are_runtime_errors() {
             &["ftwc", "--n", "1", "--time", t],
         ];
         for args in runs {
-            let out = unicon().args(args).output().expect("runs");
-            let err = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
-            assert!(err.starts_with("error: "), "{args:?}: {err}");
-            assert!(err.contains("2^32"), "{args:?}: {err}");
+            fails_with(args, "2^32");
         }
+    }
+    // No weights either for an ε below the Fox–Glynn certifiable floor
+    // (4.8e-17 at λ ≈ 2005): the plain and the budgeted engine take them
+    // from one checked entry.
+    let tiny = [
+        "reach",
+        "--ftwc",
+        "1",
+        "--time-bounds",
+        "1000",
+        "--epsilon",
+        "1e-17",
+    ];
+    fails_with(&tiny, "underflow");
+    fails_with(
+        &[&tiny[..], &["--max-iters", "100000"]].concat(),
+        "underflow",
+    );
+}
+
+/// `paper figure4` checks the CTMC's λ at every grid point before the
+/// first one is computed: a Γ that takes a later point past 2^32 fails at
+/// once, with no panic.
+#[test]
+fn figure4_checks_the_weight_cap_before_computing() {
+    for gamma in ["1e300", "1e7"] {
+        let start = std::time::Instant::now();
+        let out = unicon()
+            .args(["paper", "figure4", "--n", "1", "--gamma", gamma])
+            .output()
+            .expect("runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--gamma {gamma}: {err}");
+        assert!(err.contains("2^32"), "--gamma {gamma}: {err}");
+        assert!(
+            start.elapsed().as_secs() < 30,
+            "--gamma {gamma} computed points"
+        );
     }
 }
 

@@ -167,7 +167,7 @@ fn figure4_overestimation_holds_across_sizes() {
     for n in [1, 2] {
         let mut params = FtwcParams::new(n);
         params.gamma = 100.0;
-        let pts = experiment::figure4(&params, &[50.0, 500.0], 1e-9);
+        let pts = experiment::figure4(&params, &[50.0, 500.0], 1e-9).unwrap();
         for p in pts {
             assert!(
                 p.ctmc > p.ctmdp_worst,

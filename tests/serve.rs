@@ -191,9 +191,9 @@ fn deeply_nested_line_gets_a_parse_error_and_the_session_survives() {
 }
 
 /// Time bounds past the Fox–Glynn cap (`λ = E·t` above 2³²) get typed
-/// runtime errors on the plain and the budgeted path — `t = 1e20` with a
-/// budget passes the guarded engine's underflow floor, and at `t = 4e14`
-/// the weight window alone would need gigabytes — and the session
+/// runtime errors on the plain and the budgeted path — `t = 1e20` passes
+/// the underflow floor, and at `t = 4e14` the weight window alone would
+/// need gigabytes — and so does an ε below that floor; the session
 /// answers its next query.
 #[test]
 fn time_bounds_past_the_weight_cap_get_typed_errors_and_the_session_survives() {
@@ -209,19 +209,28 @@ fn time_bounds_past_the_weight_cap_get_typed_errors_and_the_session_survives() {
         script += &query(t, "");
         script += &query(t, budget);
     }
+    // An ε below the Fox–Glynn certifiable floor gets no weights either,
+    // plain or budgeted.
+    let tiny = r#", "epsilon": 1e-17"#;
+    script += &query("1000", tiny);
+    script += &query(
+        "1000",
+        &format!(r#"{tiny}, "budget": {{"max_iters": 100000}}"#),
+    );
     script += &query("10", "");
     let responses = stdin_session(&script);
-    assert_eq!(responses.len(), 10);
-    for resp in &responses[1..9] {
+    assert_eq!(responses.len(), 12);
+    for (i, resp) in responses[1..11].iter().enumerate() {
         let v = parse(resp);
         let err = v
             .get("error")
             .unwrap_or_else(|| panic!("not an error: {resp}"));
         assert_eq!(str_field(err, "kind"), "runtime", "{resp}");
         assert_eq!(num_field(err, "code"), 1.0, "{resp}");
-        assert!(str_field(err, "detail").contains("2^32"), "{resp}");
+        let needle = if i < 8 { "2^32" } else { "underflow" };
+        assert!(str_field(err, "detail").contains(needle), "{resp}");
     }
-    assert_eq!(str_field(&parse(&responses[9]), "ok"), "query");
+    assert_eq!(str_field(&parse(&responses[11]), "ok"), "query");
 }
 
 #[test]
