@@ -26,8 +26,22 @@ cargo test --release -q --test ftwc_integration
 echo "==> fault-injection gate (deterministic seeded faults)"
 cargo test -q -p unicon-ctmdp --features fault-inject
 
-echo "==> reach determinism contract (--threads 1 vs --threads 4)"
+echo "==> release build"
 cargo build --release -q
+
+echo "==> examples (every examples/*.rs runs to completion in release)"
+# The examples are the main callers of LtsBuilder + UniformImc::from_lts,
+# and model_exchange asserts that an AUT round trip keeps the analysis.
+for ex in examples/*.rs; do
+    name=$(basename "$ex" .rs)
+    cargo run --release -q --example "$name" >/dev/null || {
+        echo "FAIL: example $name exited nonzero"
+        exit 1
+    }
+done
+echo "every example exited 0"
+
+echo "==> reach determinism contract (--threads 1 vs --threads 4)"
 CI_DIR=target/ci
 mkdir -p "$CI_DIR"
 BOUNDS="100,500,1000"

@@ -16,7 +16,6 @@
 //!   twist behind uniformity by construction,
 //! * **transient analysis** and **timed reachability** via uniformization
 //!   with Fox–Glynn Poisson weights ([`transient`]),
-//! * exact **lumping** (ordinary lumpability, [`lumping`]),
 //! * [`PhaseType`] distributions with the standard constructors.
 //!
 //! # Examples
@@ -35,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod lumping;
 mod model;
 pub mod phase_type;
 pub mod steady;

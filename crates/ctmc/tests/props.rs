@@ -1,9 +1,9 @@
-//! Randomized tests for CTMC analyses: uniformization invariance, lumping
-//! correctness, phase-type identities. Driven by the in-tree deterministic
+//! Randomized tests for CTMC analyses: uniformization invariance and
+//! phase-type identities. Driven by the in-tree deterministic
 //! [`XorShift64`] generator (fixed seeds, no external PRNG).
 
 use unicon_ctmc::transient::{self, TransientOptions};
-use unicon_ctmc::{lumping, Ctmc, PhaseType};
+use unicon_ctmc::{Ctmc, PhaseType};
 use unicon_numeric::rng::{Rng, XorShift64};
 
 const CASES: u64 = 96;
@@ -26,12 +26,6 @@ fn raw_ctmc(rng: &mut XorShift64) -> (usize, Vec<(u8, u8, f64)>) {
         })
         .collect();
     (n, ts)
-}
-
-fn labels(rng: &mut XorShift64, n: usize, num: u32) -> Vec<u32> {
-    (0..n)
-        .map(|_| rng.random_range(num as usize) as u32)
-        .collect()
 }
 
 fn build(n: usize, triplets: &[(u8, u8, f64)]) -> Ctmc {
@@ -118,54 +112,6 @@ fn reachability_monotone() {
         let p1 = transient::reachability(&c, &goal, t, &opts()).from_state(0);
         let p2 = transient::reachability(&c, &goal, 2.0 * t, &opts()).from_state(0);
         assert!(p2 >= p1 - 1e-9);
-    }
-}
-
-/// Lumping preserves label-aggregated transient probabilities.
-#[test]
-fn lumping_preserves_transients() {
-    for case in 0..CASES {
-        let mut rng = XorShift64::seed_from_u64(0x10B8 + case);
-        let (n, ts) = raw_ctmc(&mut rng);
-        let labels = labels(&mut rng, n, 2);
-        let t = uniform(&mut rng, 0.1, 5.0);
-        let c = build(n, &ts);
-        let part = lumping::coarsest_lumping(&c, &labels);
-        let q = lumping::quotient(&c, &part);
-        let pi = transient::distribution(&c, t, &opts());
-        let qi = transient::distribution(&q, t, &opts());
-        // aggregate per block
-        let mut agg = vec![0.0; part.num_blocks];
-        for (s, &p) in pi.iter().enumerate() {
-            agg[part.block[s] as usize] += p;
-        }
-        for (b, (&x, &y)) in agg.iter().zip(qi.iter()).enumerate() {
-            assert!((x - y).abs() < 1e-7, "block {b}: {x} vs {y}");
-        }
-    }
-}
-
-/// Lumping never merges differently labeled states and is idempotent.
-#[test]
-fn lumping_respects_labels() {
-    for case in 0..CASES {
-        let mut rng = XorShift64::seed_from_u64(0x10BE + case);
-        let (n, ts) = raw_ctmc(&mut rng);
-        let labels = labels(&mut rng, n, 3);
-        let c = build(n, &ts);
-        let part = lumping::coarsest_lumping(&c, &labels);
-        for s in 0..n {
-            for t2 in 0..n {
-                if part.block[s] == part.block[t2] {
-                    assert_eq!(labels[s], labels[t2]);
-                }
-            }
-        }
-        // idempotence: lumping the quotient with block labels changes nothing
-        let q = lumping::quotient(&c, &part);
-        let block_labels: Vec<u32> = (0..part.num_blocks as u32).collect();
-        let part2 = lumping::coarsest_lumping(&q, &block_labels);
-        assert_eq!(part2.num_blocks, part.num_blocks);
     }
 }
 

@@ -17,7 +17,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use unicon_ctmc::lumping::quantize;
+use unicon_numeric::approx::quantize;
 use unicon_numeric::NeumaierSum;
 
 use super::Partition;

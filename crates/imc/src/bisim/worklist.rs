@@ -31,8 +31,8 @@
 
 use std::collections::HashMap;
 
-use unicon_ctmc::lumping::quantize;
 use unicon_lts::ActionId;
+use unicon_numeric::approx::quantize;
 use unicon_numeric::fnv::{self, fnv_word, BuildFnv};
 use unicon_numeric::NeumaierSum;
 

@@ -48,6 +48,6 @@ pub mod bisim;
 pub mod elapse;
 pub mod io;
 mod model;
-pub mod ops;
+mod ops;
 
 pub use model::{Imc, ImcBuilder, MarkovTransition, StateKind, Uniformity, View};

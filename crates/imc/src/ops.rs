@@ -398,41 +398,6 @@ impl Imc {
     }
 }
 
-/// Parallel composition of a whole list of IMCs over pairwise-distinct
-/// synchronization needs: composes left to right with the given per-step
-/// synchronization sets (`parts.len() - 1` entries).
-///
-/// # Panics
-///
-/// Panics if `parts` is empty or the number of sync sets does not match.
-pub fn compose_chain(parts: &[Imc], syncs: &[&[&str]]) -> Imc {
-    assert!(!parts.is_empty(), "need at least one IMC");
-    assert_eq!(
-        syncs.len(),
-        parts.len().saturating_sub(1),
-        "need one synchronization set per composition step"
-    );
-    let mut acc = parts[0].clone();
-    for (p, sync) in parts[1..].iter().zip(syncs) {
-        acc = acc.parallel(p, sync);
-    }
-    acc
-}
-
-/// Fully interleaves a list of IMCs (no synchronization at all).
-///
-/// # Panics
-///
-/// Panics if `parts` is empty.
-pub fn interleave_all(parts: &[Imc]) -> Imc {
-    assert!(!parts.is_empty(), "need at least one IMC");
-    let mut acc = parts[0].clone();
-    for p in &parts[1..] {
-        acc = acc.parallel(p, &[]);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,20 +513,6 @@ mod tests {
         assert_eq!(m.num_states(), 2);
         assert_eq!(m.initial(), 0);
         assert_eq!(m.num_markov(), 1);
-    }
-
-    #[test]
-    fn compose_chain_and_interleave() {
-        let a = uniform_pair(1.0, "a");
-        let b = uniform_pair(2.0, "b");
-        let c = uniform_pair(4.0, "c");
-        let all = interleave_all(&[a.clone(), b.clone(), c.clone()]);
-        match all.uniformity(View::Open) {
-            Uniformity::Uniform(e) => assert_close!(e, 7.0, 1e-12),
-            other => panic!("{other:?}"),
-        }
-        let chained = compose_chain(&[a, b, c], &[&[], &[]]);
-        assert_eq!(chained.num_states(), all.num_states());
     }
 
     #[test]

@@ -10,8 +10,8 @@ use std::fmt;
 
 /// The name of the internal action τ.
 ///
-/// The Aldebaran format uses `"i"` for the internal action; [`crate::io`]
-/// converts between the two spellings.
+/// The Aldebaran format uses `"i"` for the internal action; `unicon-imc`'s
+/// reader and writer convert between the two spellings.
 pub const TAU_NAME: &str = "tau";
 
 /// Compact identifier of an action within a model's [`ActionTable`].

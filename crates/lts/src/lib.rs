@@ -6,15 +6,14 @@
 //! timing by composition with *time-constraint* IMCs. An LTS is also the
 //! degenerate uniform IMC with rate `E = 0`.
 //!
-//! The crate provides:
+//! This crate holds the input form of those components only:
 //!
 //! * interned [`action`] labels with the distinguished internal action τ,
-//! * the [`Lts`] model with a builder,
-//! * the process-algebraic operators of the paper — [`Lts::hide`],
-//!   [`Lts::relabel`], and CSP/LOTOS-style parallel composition
-//!   [`Lts::parallel`] with a synchronization set,
-//! * strong [`bisim`]ulation minimization,
-//! * Aldebaran (`.aut`, CADP-compatible) and GraphViz DOT [`io`].
+//! * the [`Lts`] model with its [`LtsBuilder`].
+//!
+//! Every operator on them lives in `unicon-imc`, which embeds an LTS with
+//! `Imc::from_lts`: hiding, relabelling, parallel composition, restriction,
+//! bisimulation minimization, and the Aldebaran (`.aut`) and DOT formats.
 //!
 //! # Examples
 //!
@@ -26,20 +25,15 @@
 //! b.add("fail", 0, 1);
 //! b.add("repair", 1, 0);
 //! let component = b.build();
-//!
-//! // Two interleaved copies, synchronized on nothing.
-//! let two = component.parallel(&component, &[]);
-//! assert_eq!(two.num_states(), 4);
+//! assert_eq!(component.num_states(), 2);
+//! assert_eq!(component.num_transitions(), 2);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod action;
-pub mod bisim;
-pub mod io;
 mod model;
-pub mod ops;
 
 pub use action::{ActionId, ActionTable, TAU_NAME};
 pub use model::{Lts, LtsBuilder, Transition};

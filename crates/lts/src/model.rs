@@ -15,9 +15,9 @@ pub struct Transition {
 
 /// A finite labeled transition system.
 ///
-/// States are `0..num_states()`; transitions are stored grouped by source
-/// state. The model is immutable after construction — build one with
-/// [`LtsBuilder`].
+/// States are `0..num_states()`; transitions are sorted by
+/// `(source, action, target)`. The model is immutable after construction —
+/// build one with [`LtsBuilder`].
 ///
 /// # Examples
 ///
@@ -29,7 +29,7 @@ pub struct Transition {
 /// b.add("b", 1, 2);
 /// let lts = b.build();
 /// assert_eq!(lts.num_transitions(), 2);
-/// assert_eq!(lts.successors(0).count(), 1);
+/// assert_eq!(lts.transitions()[0].target, 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lts {
@@ -38,46 +38,9 @@ pub struct Lts {
     initial: u32,
     /// Transition list sorted by (source, action, target), deduplicated.
     transitions: Vec<Transition>,
-    /// `offsets[s]..offsets[s+1]` indexes the transitions of source `s`.
-    offsets: Vec<usize>,
 }
 
 impl Lts {
-    pub(crate) fn from_raw(
-        actions: ActionTable,
-        num_states: usize,
-        initial: u32,
-        mut transitions: Vec<Transition>,
-    ) -> Self {
-        assert!(num_states > 0, "an LTS needs at least one state");
-        assert!(
-            (initial as usize) < num_states,
-            "initial state {initial} out of bounds"
-        );
-        for t in &transitions {
-            assert!(
-                (t.source as usize) < num_states && (t.target as usize) < num_states,
-                "transition {t:?} out of bounds for {num_states} states"
-            );
-        }
-        transitions.sort_unstable();
-        transitions.dedup();
-        let mut offsets = vec![0usize; num_states + 1];
-        for t in &transitions {
-            offsets[t.source as usize + 1] += 1;
-        }
-        for s in 0..num_states {
-            offsets[s + 1] += offsets[s];
-        }
-        Self {
-            actions,
-            num_states,
-            initial,
-            transitions,
-            offsets,
-        }
-    }
-
     /// Number of states.
     pub fn num_states(&self) -> usize {
         self.num_states
@@ -102,56 +65,6 @@ impl Lts {
     pub fn transitions(&self) -> &[Transition] {
         &self.transitions
     }
-
-    /// Transitions emanating from `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of bounds.
-    pub fn successors(&self, state: u32) -> impl Iterator<Item = &Transition> {
-        self.successors_slice(state).iter()
-    }
-
-    /// Transitions emanating from `state`, as an O(1) slice view into the
-    /// (source, action, target)-sorted transition array — the CSR row of
-    /// `state`. Sortedness lets callers binary-search by action.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of bounds.
-    pub fn successors_slice(&self, state: u32) -> &[Transition] {
-        let s = state as usize;
-        assert!(s < self.num_states, "state {state} out of bounds");
-        &self.transitions[self.offsets[s]..self.offsets[s + 1]]
-    }
-
-    /// Whether `state` has an outgoing τ-transition (i.e. is *unstable*
-    /// under the closed-system urgency convention when all actions count;
-    /// for plain LTSs only τ matters).
-    pub fn has_tau(&self, state: u32) -> bool {
-        self.successors(state).any(|t| t.action.is_tau())
-    }
-
-    /// The set of states reachable from the initial state.
-    pub fn reachable_states(&self) -> Vec<bool> {
-        let mut seen = vec![false; self.num_states];
-        let mut stack = vec![self.initial];
-        seen[self.initial as usize] = true;
-        while let Some(s) = stack.pop() {
-            for t in self.successors(s) {
-                if !seen[t.target as usize] {
-                    seen[t.target as usize] = true;
-                    stack.push(t.target);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Returns `true` if every state is reachable from the initial state.
-    pub fn is_fully_reachable(&self) -> bool {
-        self.reachable_states().iter().all(|&r| r)
-    }
 }
 
 /// Builder for [`Lts`].
@@ -165,7 +78,7 @@ impl Lts {
 /// b.add("go", 0, 1);
 /// b.add_tau(1, 0);
 /// let lts = b.build();
-/// assert!(lts.has_tau(1));
+/// assert!(lts.transitions()[1].action.is_tau());
 /// ```
 #[derive(Debug, Clone)]
 pub struct LtsBuilder {
@@ -220,14 +133,16 @@ impl LtsBuilder {
         self.add(crate::TAU_NAME, source, target)
     }
 
-    /// Finalizes the LTS.
-    pub fn build(self) -> Lts {
-        Lts::from_raw(
-            self.actions,
-            self.num_states,
-            self.initial,
-            self.transitions,
-        )
+    /// Finalizes the LTS: sorts the transitions and merges duplicates.
+    pub fn build(mut self) -> Lts {
+        self.transitions.sort_unstable();
+        self.transitions.dedup();
+        Lts {
+            actions: self.actions,
+            num_states: self.num_states,
+            initial: self.initial,
+            transitions: self.transitions,
+        }
     }
 }
 
@@ -252,11 +167,11 @@ mod tests {
     }
 
     #[test]
-    fn successors_grouped() {
+    fn transitions_are_sorted_by_source() {
         let l = abc();
-        let succ: Vec<_> = l.successors(1).map(|t| t.target).collect();
-        assert_eq!(succ, vec![2]);
-        assert_eq!(l.successors(0).count(), 1);
+        let sources: Vec<u32> = l.transitions().iter().map(|t| t.source).collect();
+        assert_eq!(sources, vec![0, 1, 2]);
+        assert_eq!(l.transitions()[1].target, 2);
     }
 
     #[test]
@@ -268,24 +183,13 @@ mod tests {
     }
 
     #[test]
-    fn tau_detection() {
+    fn tau_is_action_zero() {
         let mut b = LtsBuilder::new(2, 0);
         b.add_tau(0, 1);
         b.add("v", 1, 0);
         let l = b.build();
-        assert!(l.has_tau(0));
-        assert!(!l.has_tau(1));
-    }
-
-    #[test]
-    fn reachability() {
-        let mut b = LtsBuilder::new(3, 0);
-        b.add("a", 0, 1);
-        // state 2 unreachable
-        let l = b.build();
-        assert_eq!(l.reachable_states(), vec![true, true, false]);
-        assert!(!l.is_fully_reachable());
-        assert!(abc().is_fully_reachable());
+        assert!(l.transitions()[0].action.is_tau());
+        assert!(!l.transitions()[1].action.is_tau());
     }
 
     #[test]

@@ -96,6 +96,41 @@ pub fn rates_approx_eq(a: f64, b: f64) -> bool {
     a == b || (a - b).abs() <= rate_tolerance(a, b)
 }
 
+/// Quantizes a rate for signature hashing with ~1e-9 relative tolerance.
+///
+/// Two rates that differ by less than about one part in 10⁹ map to the same
+/// key; rates further apart map to different keys. Shared by the stochastic
+/// bisimulation refiners of `unicon-imc`.
+pub fn quantize(r: f64) -> u64 {
+    // Map to an integer grid: floor(r * 2^30 / scale) with a power-of-two
+    // scale chosen from the exponent, keeping ~9 significant decimal digits.
+    if r == 0.0 {
+        return 0;
+    }
+    let (m, e) = frexp(r);
+    // m in [0.5, 1): keep 30 bits of mantissa plus the exponent.
+    let mant = (m * (1u64 << 30) as f64).round() as u64;
+    ((e + 1024) as u64) << 32 | mant
+}
+
+fn frexp(x: f64) -> (f64, i32) {
+    if x == 0.0 || !x.is_finite() {
+        return (x, 0);
+    }
+    let bits = x.to_bits();
+    let exp = ((bits >> 52) & 0x7ff) as i32;
+    if exp == 0 {
+        // subnormal: scale up
+        let scaled = x * (1u64 << 54) as f64;
+        let (m, e) = frexp(scaled);
+        (m, e - 54)
+    } else {
+        let e = exp - 1022;
+        let mantissa_bits = (bits & !(0x7ffu64 << 52)) | (1022u64 << 52);
+        (f64::from_bits(mantissa_bits), e)
+    }
+}
+
 /// Asserts approximate equality with a helpful message.
 ///
 /// Accepts an optional absolute tolerance (defaults to `1e-9`).
@@ -176,6 +211,23 @@ mod tests {
         assert!(rates_approx_eq(f64::INFINITY, f64::INFINITY));
         assert!(!rates_approx_eq(f64::INFINITY, 1e300));
         assert!(!rates_approx_eq(f64::NAN, 1.0));
+    }
+
+    #[test]
+    fn quantize_distinguishes_far_rates_not_near_ones() {
+        assert_eq!(quantize(1.0), quantize(1.0 + 1e-12));
+        assert_ne!(quantize(1.0), quantize(1.001));
+        assert_ne!(quantize(0.5), quantize(2.0));
+        assert_eq!(quantize(0.0), 0);
+    }
+
+    #[test]
+    fn frexp_reconstructs() {
+        for x in [1.0, 0.3, 123.456, 1e-12, 7e20] {
+            let (m, e) = frexp(x);
+            assert!((0.5..1.0).contains(&m.abs()), "m = {m}");
+            assert_close!(m * 2f64.powi(e), x, x * 1e-15);
+        }
     }
 
     #[test]

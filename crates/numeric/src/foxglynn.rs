@@ -51,7 +51,7 @@ impl std::fmt::Display for FoxGlynnError {
             FoxGlynnError::InvalidLambda { lambda } => write!(
                 f,
                 "Fox-Glynn requires a finite nonnegative lambda = rate*t of at most \
-                 2^32 = {:e}, got {lambda}",
+                 2^32 = {:e}, got {lambda:e}",
                 FoxGlynn::MAX_LAMBDA
             ),
             FoxGlynnError::InvalidEpsilon { epsilon } => {

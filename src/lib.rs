@@ -12,11 +12,11 @@
 //!
 //! * [`numeric`] — Fox–Glynn Poisson weights, compensated summation,
 //! * [`sparse`] — CSR matrices,
-//! * [`lts`] — labeled transition systems and process-algebraic operators,
+//! * [`lts`] — labeled transition systems: actions, the model, its builder,
 //! * [`ctmc`] — CTMCs, uniformization, transient analysis, phase-type
-//!   distributions, lumping,
-//! * [`imc`] — interactive Markov chains, the elapse operator, stochastic
-//!   branching bisimulation,
+//!   distributions,
+//! * [`imc`] — interactive Markov chains: the process-algebraic operators,
+//!   the elapse operator, stochastic branching bisimulation, AUT and DOT,
 //! * [`ctmdp`] — CTMDPs, Algorithm 1 (timed reachability), schedulers,
 //!   simulation,
 //! * [`transform`] — the uIMC → uCTMDP trajectory,

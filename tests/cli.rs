@@ -44,6 +44,20 @@ fn check_reports_structure_and_uniformity() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A header whose state count is past the `u32` state ids is a typed
+/// parse error (exit 1), not an allocation that aborts the process.
+#[test]
+fn check_rejects_a_state_count_past_the_u32_ids() {
+    let path = model_path("huge_header");
+    std::fs::write(&path, "des (0, 0, 4294967297)\n").expect("write model");
+    let out = unicon().arg("check").arg(&path).output().expect("runs");
+    std::fs::remove_file(&path).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.starts_with("error: "), "{err}");
+    assert!(err.contains("2^32"), "{err}");
+}
+
 #[test]
 fn transform_and_analyze_roundtrip() {
     let path = model_path("analyze");
@@ -422,6 +436,13 @@ fn resume_from_a_missing_checkpoint_is_a_runtime_error() {
     assert!(err.starts_with("error: "), "{err}");
 }
 
+/// Whether `text` holds `len` or more consecutive ASCII digits.
+fn has_digit_run(text: &str, len: usize) -> bool {
+    text.as_bytes()
+        .split(|b| !b.is_ascii_digit())
+        .any(|run| run.len() >= len)
+}
+
 /// Time bounds whose `λ = E·t` is past the Fox–Glynn cap: infinite at
 /// `t = 1e308`, 2·10³⁰⁰ at `1e300`, 2·10²⁰ at `1e20` (which the
 /// underflow floor alone would admit), 8·10¹⁴ at `4e14` (whose weight
@@ -437,6 +458,7 @@ fn time_bounds_past_the_weight_cap_are_runtime_errors() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
         assert!(err.starts_with("error: "), "{args:?}: {err}");
         assert!(err.contains(needle), "{args:?}: {err}");
+        err.into_owned()
     };
     for t in ["1e308", "1e300", "1e20", "4e14"] {
         let runs: [&[&str]; 3] = [
@@ -453,7 +475,12 @@ fn time_bounds_past_the_weight_cap_are_runtime_errors() {
             &["ftwc", "--n", "1", "--time", t],
         ];
         for args in runs {
-            fails_with(args, "2^32");
+            let err = fails_with(args, "2^32");
+            if t == "1e300" {
+                // λ is printed in scientific notation, not as 301 digits
+                assert!(err.contains("e300"), "{args:?}: {err}");
+                assert!(!has_digit_run(&err, 20), "{args:?}: {err}");
+            }
         }
     }
     // No weights either for an ε below the Fox–Glynn certifiable floor
@@ -489,6 +516,11 @@ fn figure4_checks_the_weight_cap_before_computing() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "--gamma {gamma}: {err}");
         assert!(err.contains("2^32"), "--gamma {gamma}: {err}");
+        if gamma == "1e300" {
+            // λ = Γ·t = 5·10³⁰¹ at the grid point that fails first
+            assert!(err.contains("got 5e301"), "--gamma {gamma}: {err}");
+            assert!(!has_digit_run(&err, 20), "--gamma {gamma}: {err}");
+        }
         assert!(
             start.elapsed().as_secs() < 30,
             "--gamma {gamma} computed points"
