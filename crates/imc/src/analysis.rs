@@ -84,14 +84,15 @@ pub fn absorbing_states(imc: &Imc) -> Vec<u32> {
         .collect()
 }
 
-/// Renders an IMC as GraphViz DOT: solid edges for interactive transitions,
-/// dashed edges for Markov transitions (mirroring the paper's `-->` vs
-/// `--->` notation).
+/// Renders an IMC as GraphViz DOT: the initial state as a bold circle,
+/// solid edges for interactive transitions, dashed edges for Markov
+/// transitions (mirroring the paper's `-->` vs `--->` notation).
 pub fn to_dot(imc: &Imc, name: &str) -> String {
     let mut out = String::new();
     writeln!(out, "digraph \"{name}\" {{").expect("writing to a String cannot fail");
     writeln!(out, "  rankdir=LR;").expect("writing to a String cannot fail");
-    writeln!(out, "  {} [style=bold];", imc.initial()).expect("writing to a String cannot fail");
+    writeln!(out, "  {} [shape=circle, style=bold];", imc.initial())
+        .expect("writing to a String cannot fail");
     for t in imc.interactive() {
         writeln!(
             out,
@@ -164,6 +165,7 @@ mod tests {
         b.interactive("act", 0, 1);
         b.markov(1, 2.5, 0);
         let d = to_dot(&b.build(), "m");
+        assert!(d.contains("  0 [shape=circle, style=bold];"));
         assert!(d.contains("label=\"act\""));
         assert!(d.contains("style=dashed"));
         assert!(d.contains("2.5"));

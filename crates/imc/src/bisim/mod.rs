@@ -196,18 +196,57 @@ pub fn minimize_weak(imc: &Imc, view: View) -> Imc {
     out
 }
 
-/// Builds the quotient IMC of `imc` under `partition`.
+/// Builds the quotient IMC of `imc` under a branching or weak bisimulation
+/// `partition`.
 ///
 /// Interactive transitions: `B --a--> C` iff some `s ∈ B` moves `a` to
 /// `C`, except inert τ self-loops, which vanish. Markov transitions: the
 /// per-block rates of any *stable* member of `B` (all stable members agree
 /// once the partition is a bisimulation); blocks without stable members get
-/// none — their rates are pre-empted anyway.
+/// none — their rates are pre-empted anyway. For a strong partition use
+/// [`strong_quotient`].
 ///
 /// # Panics
 ///
 /// Panics if the partition length does not match the model.
 pub fn quotient(imc: &Imc, partition: &Partition, view: View) -> Imc {
+    quotient_with(imc, partition, view, true)
+}
+
+/// Builds the quotient IMC of `imc` under a strong bisimulation
+/// `partition`: like [`quotient`], except that a τ step inside a block
+/// stays, as a τ self-loop of that block.
+///
+/// Strong bisimilarity observes τ like any other action, so every member
+/// of such a block has a τ step into it; dropping the loop would turn
+/// τ-divergence into deadlock and make the quotient inequivalent to its
+/// input.
+///
+/// # Examples
+///
+/// ```
+/// use unicon_imc::{bisim, ImcBuilder, View};
+///
+/// // Two τ-divergent states form one block, which keeps its τ loop.
+/// let mut b = ImcBuilder::new(2, 0);
+/// b.tau(0, 1);
+/// b.tau(1, 0);
+/// let m = b.build();
+/// let part = bisim::strong_stochastic_bisimulation(&m, View::Open);
+/// let q = bisim::strong_quotient(&m, &part, View::Open);
+/// assert_eq!((q.num_states(), q.num_interactive()), (1, 1));
+/// assert_eq!(bisim::quotient(&m, &part, View::Open).num_interactive(), 0);
+/// ```
+///
+/// # Panics
+///
+/// Panics if the partition length does not match the model.
+pub fn strong_quotient(imc: &Imc, partition: &Partition, view: View) -> Imc {
+    quotient_with(imc, partition, view, false)
+}
+
+/// The quotient of [`quotient`] (`drop_inert_tau`) or [`strong_quotient`].
+fn quotient_with(imc: &Imc, partition: &Partition, view: View, drop_inert_tau: bool) -> Imc {
     assert_eq!(
         partition.block.len(),
         imc.num_states(),
@@ -220,7 +259,7 @@ pub fn quotient(imc: &Imc, partition: &Partition, view: View) -> Imc {
     for t in m.interactive() {
         let sb = partition.block[t.source as usize];
         let tb = partition.block[t.target as usize];
-        if t.action.is_tau() && sb == tb {
+        if drop_inert_tau && t.action.is_tau() && sb == tb {
             continue; // inert
         }
         interactive.push(Transition {
@@ -309,10 +348,11 @@ pub fn minimize(imc: &Imc, view: View) -> Imc {
     out
 }
 
-/// Minimizes modulo strong stochastic bisimilarity.
+/// Minimizes modulo strong stochastic bisimilarity: the
+/// [`strong_quotient`], restricted to the reachable part.
 pub fn minimize_strong(imc: &Imc, view: View) -> Imc {
     let part = strong_stochastic_bisimulation(imc, view);
-    let out = quotient(imc, &part, view).restrict_to_reachable();
+    let out = strong_quotient(imc, &part, view).restrict_to_reachable();
     crate::audit::preserves_uniformity("minimize_strong (Lemma 3)", view, &[imc], &out);
     out
 }
@@ -496,6 +536,32 @@ mod tests {
         // strong keeps the tau state separate; branching merges everything
         assert_eq!(strong.num_blocks, 2);
         assert_eq!(branching.num_blocks, 1);
+    }
+
+    #[test]
+    fn strong_minimization_keeps_tau_divergence() {
+        // 0 has a τ self-loop and 2 does not, so the two stay apart, and
+        // the quotient keeps the loop: minimizing again changes nothing.
+        let mut b = ImcBuilder::new(4, 3);
+        b.interactive("b", 3, 0);
+        b.interactive("c", 3, 2);
+        b.tau(0, 0);
+        b.interactive("a", 0, 1);
+        b.interactive("a", 2, 1);
+        let m = b.build();
+        for view in [View::Open, View::Closed] {
+            let once = minimize_strong(&m, view);
+            assert_eq!(once.fingerprint(), m.fingerprint());
+            assert_eq!(minimize_strong(&once, view).fingerprint(), m.fingerprint());
+        }
+        // A lone τ-divergent state keeps its only transition.
+        let mut b = ImcBuilder::new(1, 0);
+        b.tau(0, 0);
+        let m = b.build();
+        assert_eq!(
+            minimize_strong(&m, View::Open).fingerprint(),
+            m.fingerprint()
+        );
     }
 
     #[test]
