@@ -797,10 +797,11 @@ impl CheckpointData {
                         "in-progress query index {query} out of range for {nqueries} queries"
                     ));
                 }
-                if current_i == 0 || current_i > k + 1 {
+                // `k` comes from the file: `k + 1` may overflow.
+                if current_i == 0 || current_i - 1 > k {
                     return Err(format!(
                         "in-progress step index {current_i} outside 1..={}",
-                        k + 1
+                        k as u128 + 1
                     ));
                 }
                 Some(InProgress {
@@ -1681,6 +1682,35 @@ mod tests {
                 q: vec![0.1, 0.2, 0.3],
             }),
         };
+        let decoded = CheckpointData::from_bytes(&data.to_bytes()).unwrap();
+        assert_eq!(decoded, data);
+    }
+
+    /// A step total of `u64::MAX` behind a valid trailer is decoded
+    /// without overflow: the bound in the error is `k + 1` itself.
+    #[test]
+    fn checkpoint_with_the_largest_step_total_decodes_without_overflow() {
+        let mut data = CheckpointData {
+            n: 1,
+            epsilon_bits: 1e-6f64.to_bits(),
+            rate_bits: 2.0f64.to_bits(),
+            queries: vec![(1.0f64.to_bits(), 0)],
+            completed: Vec::new(),
+            in_progress: Some(InProgress {
+                query: 0,
+                k: usize::MAX,
+                current_i: 0,
+                q: vec![0.5],
+            }),
+        };
+        let err = CheckpointData::from_bytes(&data.to_bytes()).unwrap_err();
+        assert_eq!(
+            err,
+            "in-progress step index 0 outside 1..=18446744073709551616"
+        );
+        if let Some(ip) = &mut data.in_progress {
+            ip.current_i = usize::MAX;
+        }
         let decoded = CheckpointData::from_bytes(&data.to_bytes()).unwrap();
         assert_eq!(decoded, data);
     }

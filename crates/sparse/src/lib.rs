@@ -36,5 +36,5 @@ pub mod plane;
 pub use chunk::assign_blocks;
 pub use coo::CooBuilder;
 pub use csr::{CsrMatrix, RowIter};
-pub use fused::{ClassTiming, FusedBuilder, FusedGroups, GroupClass, PoolRow, LANES};
+pub use fused::{ClassTiming, FusedBuilder, FusedGroups, GroupClass, PoolRow, RowBuffer, LANES};
 pub use plane::Plane;

@@ -3,13 +3,13 @@
 //! overestimation phenomenon.
 
 use unicon::core::PreparedModel;
-use unicon::ctmdp::par::ReachEngine;
+use unicon::ctmdp::par::{ReachBatch, ReachEngine, CHECKSUM_BLOCK};
 use unicon::ctmdp::reachability::{timed_reachability, Objective, ReachOptions};
 use unicon::ctmdp::scheduler::UniformRandom;
 use unicon::ctmdp::simulate::{estimate_reachability, SimulationOptions};
 use unicon::ftwc::{compositional, experiment, generator, FtwcParams};
-use unicon::numeric::assert_close;
 use unicon::numeric::fnv::Fnv64;
+use unicon::numeric::{assert_close, chunked_stable_sum};
 
 #[test]
 fn table1_structure_matches_paper() {
@@ -141,6 +141,48 @@ fn reach_engine_at_n16_keeps_one_copy_of_the_rows_it_sweeps() {
     let bytes = engine.memory_bytes();
     assert!(bytes < 350_000, "engine holds {bytes} bytes");
     assert!(bytes < prepared.ctmdp.memory_bytes() / 3, "{bytes}");
+}
+
+/// Each rate function a non-goal FTWC state uses is shared by two of
+/// them, far apart in state order, so a worker's range of the folded
+/// layout references rows that another worker's range references too.
+/// A laned batch at N = 4, maximizing and minimizing at three bounds,
+/// answers every query with the bits it gets alone on 1, 2, 3 and 8
+/// workers; on 8, the longest lanes' parts split their slots between two
+/// workers each.
+#[test]
+fn laned_ftwc_batch_matches_each_query_alone_on_any_worker_count() {
+    let (prepared, _) = experiment::prepare(&FtwcParams::new(4));
+    let (ctmdp, goal) = (&prepared.ctmdp, &prepared.goal);
+    let mut batch = ReachBatch::new(ctmdp, goal);
+    for t in [100.0, 500.0, 1000.0] {
+        for objective in [Objective::Maximize, Objective::Minimize] {
+            batch = batch.query_with(t, objective);
+        }
+    }
+    let alone: Vec<_> = batch
+        .queries()
+        .iter()
+        .map(|q| {
+            let opts = ReachOptions::default().with_objective(q.objective);
+            timed_reachability(ctmdp, goal, q.t, &opts).unwrap()
+        })
+        .collect();
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for workers in [1, 2, 3, 8] {
+        let out = batch.clone().with_exact_workers(workers).run().unwrap();
+        for (qi, single) in alone.iter().enumerate() {
+            let (r, stats) = (&out.results[qi], &out.stats.queries[qi]);
+            let at = format!("{workers} workers, query {qi}");
+            assert_eq!(bits(&r.values), bits(&single.values), "{at}");
+            assert_eq!(r.iterations, single.iterations, "{at}");
+            assert_eq!(
+                stats.checksum.to_bits(),
+                chunked_stable_sum(&single.values, CHECKSUM_BLOCK).to_bits(),
+                "{at}"
+            );
+        }
+    }
 }
 
 #[test]
