@@ -8,11 +8,11 @@
 //!   fresh iterate is scanned for NaN, infinities and out-of-`[0, 1]`
 //!   drift (beyond [`HEALTH_SLACK`]); a violation surfaces as a
 //!   structured [`NumericHealthError`] naming the step and state;
-//! * **budgets and cooperative cancellation** — a [`RunBudget`] bounds
-//!   the iteration count and wall clock and polls a shared cancel flag;
-//!   exhaustion is not an abort: the run returns a [`GuardedRun`] whose
-//!   [`PartialQuery`] brackets the in-flight query's true values with
-//!   lower/upper bounds derived from the unprocessed Poisson mass;
+//! * **budgets** — a [`RunBudget`] bounds the iteration count and the
+//!   wall clock; exhaustion is not an abort: the run returns a
+//!   [`GuardedRun`] whose [`PartialQuery`] brackets the in-flight query's
+//!   true values with lower/upper bounds derived from the unprocessed
+//!   Poisson mass;
 //! * **checkpoint/resume** — a versioned binary checkpoint of the raw
 //!   iterate, the step index and all completed answers is written
 //!   atomically every K steps (and on budget stops), and
@@ -21,13 +21,10 @@
 //!   recomputed deterministically from the stored `(rate, t, ε)` regime.
 //!   A checksum trailer (FNV-1a 64) makes truncation and bit rot a typed
 //!   [`GuardError::CheckpointCorrupt`], never undefined behaviour;
-//! * **panic quarantine** — every worker sweeps its share of a step
-//!   under [`std::panic::catch_unwind`]; a panicking worker either fails
-//!   the run with a typed [`GuardError::WorkerPanicked`]
-//!   ([`DegradePolicy::Fail`]) or is quarantined: worker 0 recomputes the
-//!   step alone from the same previous iterate (so the result stays
-//!   bitwise identical) and the run degrades to one thread, recording a
-//!   [`GuardEvent::Degradation`] ([`DegradePolicy::Sequential`]).
+//! * **panic containment** — every worker sweeps its share of a step
+//!   under [`std::panic::catch_unwind`], and a panicking worker fails the
+//!   run with a typed [`GuardError::WorkerPanicked`]. A sweep is
+//!   deterministic, so replaying the step would panic again.
 //!
 //! Under the `fault-inject` cargo feature a deterministic, seeded
 //! `FaultPlan` can flip a value to NaN at a chosen step, panic a chosen
@@ -48,8 +45,6 @@
 use std::any::Any;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use unicon_numeric::fnv::fnv1a64;
@@ -88,7 +83,7 @@ impl std::fmt::Display for HealthKind {
             HealthKind::NotANumber => write!(f, "value is NaN"),
             HealthKind::Infinite => write!(f, "value is infinite"),
             HealthKind::OutOfRange { value } => {
-                write!(f, "value {value} lies outside [0, 1] beyond tolerance")
+                write!(f, "value {value:e} lies outside [0, 1] beyond tolerance")
             }
         }
     }
@@ -124,8 +119,6 @@ pub enum StopReason {
     MaxIterations,
     /// [`RunBudget::wall_deadline`] passed.
     DeadlineExpired,
-    /// [`RunBudget::cancel_flag`] was raised.
-    Cancelled,
 }
 
 impl StopReason {
@@ -134,7 +127,6 @@ impl StopReason {
         match self {
             StopReason::MaxIterations => "max-iterations",
             StopReason::DeadlineExpired => "deadline",
-            StopReason::Cancelled => "cancelled",
         }
     }
 }
@@ -150,9 +142,6 @@ pub struct RunBudget {
     pub max_iterations: Option<usize>,
     /// Stop once the wall clock reaches this instant.
     pub wall_deadline: Option<Instant>,
-    /// Stop as soon as this flag is observed `true` (checked before
-    /// every step — cancellation is cooperative, never mid-step).
-    pub cancel_flag: Option<Arc<AtomicBool>>,
 }
 
 impl RunBudget {
@@ -168,28 +157,19 @@ impl RunBudget {
         self
     }
 
-    /// Sets a deadline `timeout` from now.
-    pub fn with_timeout(self, timeout: Duration) -> Self {
+    /// Sets a deadline `timeout` from now, or none when that instant lies
+    /// past what an [`Instant`] can hold.
+    pub fn with_timeout(mut self, timeout: Duration) -> Self {
         // det-lint: allow(clock): deadlines are the budget feature's job.
-        self.with_deadline(Instant::now() + timeout)
-    }
-
-    /// Attaches a shared cancellation flag.
-    pub fn with_cancel_flag(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.cancel_flag = Some(flag);
+        self.wall_deadline = Instant::now().checked_add(timeout);
         self
     }
 
     /// Checks the budget before a step; `Some` means "stop now".
     ///
-    /// Cancellation wins over the iteration cap, which wins over the
-    /// deadline, so concurrent exhaustion reports deterministically.
+    /// The iteration cap wins over the deadline, so concurrent exhaustion
+    /// reports deterministically.
     pub fn exceeded(&self, iterations_done: usize) -> Option<StopReason> {
-        if let Some(flag) = &self.cancel_flag {
-            if flag.load(Ordering::SeqCst) {
-                return Some(StopReason::Cancelled);
-            }
-        }
         if let Some(max) = self.max_iterations {
             if iterations_done >= max {
                 return Some(StopReason::MaxIterations);
@@ -203,18 +183,6 @@ impl RunBudget {
         }
         None
     }
-}
-
-/// How to react to a panicking worker thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DegradePolicy {
-    /// Fail the run with [`GuardError::WorkerPanicked`].
-    Fail,
-    /// Quarantine the panic: recompute the step sequentially from the
-    /// same snapshot (bitwise identical by the determinism contract) and
-    /// continue single-threaded, recording a [`GuardEvent::Degradation`].
-    #[default]
-    Sequential,
 }
 
 /// Where and how often to write checkpoints.
@@ -287,15 +255,13 @@ impl FaultPlan {
 }
 
 /// Options of a guarded run. The default is "no guards": unlimited
-/// budget, no checkpointing, degrade-to-sequential on worker panics.
+/// budget, no checkpointing.
 #[derive(Debug, Clone, Default)]
 pub struct GuardOptions {
-    /// Iteration/wall-clock/cancellation limits.
+    /// Iteration and wall-clock limits.
     pub budget: RunBudget,
     /// Periodic checkpointing, when configured.
     pub checkpoint: Option<CheckpointConfig>,
-    /// Reaction to worker panics.
-    pub on_degrade: DegradePolicy,
     /// Deterministic fault injection (testing only).
     #[cfg(feature = "fault-inject")]
     pub fault_plan: Option<FaultPlan>,
@@ -314,12 +280,6 @@ impl GuardOptions {
         self
     }
 
-    /// Sets the worker-panic policy.
-    pub fn with_degrade_policy(mut self, policy: DegradePolicy) -> Self {
-        self.on_degrade = policy;
-        self
-    }
-
     /// Arms a fault plan.
     #[cfg(feature = "fault-inject")]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
@@ -331,19 +291,6 @@ impl GuardOptions {
 /// A noteworthy occurrence during a guarded run, in chronological order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GuardEvent {
-    /// A worker panicked and the run fell back to sequential execution.
-    Degradation {
-        /// Query index being iterated.
-        query: usize,
-        /// 1-based step at which the panic happened.
-        step: usize,
-        /// Index of the panicking worker.
-        worker: usize,
-        /// Worker count before the degradation.
-        from_threads: usize,
-        /// Worker count afterwards (always 1).
-        to_threads: usize,
-    },
     /// A checkpoint was persisted (`step == 0` marks the end-of-query
     /// checkpoint, which has no in-progress iterate).
     CheckpointWritten {
@@ -365,17 +312,6 @@ pub enum GuardEvent {
 impl std::fmt::Display for GuardEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            GuardEvent::Degradation {
-                query,
-                step,
-                worker,
-                from_threads,
-                to_threads,
-            } => write!(
-                f,
-                "degraded query {query} at step {step}: worker {worker} panicked, \
-                 falling back from {from_threads} to {to_threads} thread(s)"
-            ),
             GuardEvent::CheckpointWritten { query, step } => {
                 write!(f, "checkpoint written (query {query}, step {step})")
             }
@@ -396,13 +332,14 @@ pub enum GuardError {
     /// The Fox–Glynn weights cannot certify the requested precision
     /// (underflow) or the regime is invalid.
     FoxGlynn(FoxGlynnError),
-    /// A worker panicked and the policy is [`DegradePolicy::Fail`].
+    /// A worker panicked while sweeping its share of a step.
     WorkerPanicked {
         /// Query index being iterated.
         query: usize,
         /// 1-based step at which the panic happened.
         step: usize,
-        /// Index of the panicking worker.
+        /// Index of the panicking worker: the lowest, when several
+        /// panicked in that step.
         worker: usize,
     },
     /// The checkpoint file failed structural or checksum validation.
@@ -439,7 +376,7 @@ impl std::fmt::Display for GuardError {
                 worker,
             } => write!(
                 f,
-                "worker {worker} panicked at step {step} of query {query} (degrade policy: fail)"
+                "worker {worker} panicked at step {step} of query {query}"
             ),
             GuardError::CheckpointCorrupt { path, reason } => {
                 write!(f, "checkpoint {} is corrupt: {reason}", path.display())
@@ -523,7 +460,7 @@ pub struct GuardedRun {
     /// `Some` when a budget stopped the run: the reason, plus bounds on
     /// the interrupted query (`None` only if no query was in flight).
     pub stopped: Option<(StopReason, Option<PartialQuery>)>,
-    /// Degradations, checkpoints and resumes, in order.
+    /// Checkpoints and resumes, in order.
     pub events: Vec<GuardEvent>,
     /// Number of per-step health checks performed.
     pub health_checks: usize,
@@ -866,14 +803,14 @@ impl CheckpointData {
         }
         if self.epsilon_bits != batch.epsilon.to_bits() {
             return mismatch(format!(
-                "checkpoint epsilon {} differs from batch epsilon {}",
+                "checkpoint epsilon {:e} differs from batch epsilon {:e}",
                 f64::from_bits(self.epsilon_bits),
                 batch.epsilon
             ));
         }
         if self.rate_bits != rate.to_bits() {
             return mismatch(format!(
-                "checkpoint uniform rate {} differs from the model's {}",
+                "checkpoint uniform rate {:e} differs from the model's {:e}",
                 f64::from_bits(self.rate_bits),
                 rate
             ));
@@ -888,8 +825,8 @@ impl CheckpointData {
         for (i, (&(t_bits, objective), q)) in self.queries.iter().zip(&batch.queries).enumerate() {
             if t_bits != q.t.to_bits() || objective != objective_byte(q.objective) {
                 return mismatch(format!(
-                    "query {i} differs: checkpoint (t = {}, objective byte {objective}), \
-                     batch (t = {}, objective byte {})",
+                    "query {i} differs: checkpoint (t = {:e}, objective byte {objective}), \
+                     batch (t = {:e}, objective byte {})",
                     f64::from_bits(t_bits),
                     q.t,
                     objective_byte(q.objective)
@@ -1047,7 +984,7 @@ fn apply_truncate_fault(guard: &GuardOptions, path: &Path) -> Result<(), GuardEr
 
 /// Worker 0's hooks for the query in flight, `lane`, whose run starts at
 /// step `from`: step counting and periodic checkpoints after each step,
-/// the budget before the next, and the reaction to a worker panic.
+/// the budget before the next, and the typed error of a worker panic.
 struct InFlight<'r, 'a, 'b> {
     run: &'r mut Guarded<'a, 'b>,
     lane: Lane<'r>,
@@ -1097,35 +1034,12 @@ impl Supervisor for InFlight<'_, '_, '_> {
         Ok(false)
     }
 
-    fn panicked(
-        &mut self,
-        i: usize,
-        worker: usize,
-        workers: usize,
-        _: Box<dyn Any + Send>,
-    ) -> Result<(), GuardError> {
-        let query = self.lane.qi;
-        if self.run.guard.on_degrade == DegradePolicy::Fail {
-            return Err(GuardError::WorkerPanicked {
-                query,
-                step: i,
-                worker,
-            });
-        }
-        self.run.events.push(GuardEvent::Degradation {
-            query,
+    fn panicked(&mut self, i: usize, worker: usize, _: Box<dyn Any + Send>) -> GuardError {
+        GuardError::WorkerPanicked {
+            query: self.lane.qi,
             step: i,
             worker,
-            from_threads: workers,
-            to_threads: 1,
-        });
-        unicon_obs::emit(unicon_obs::Class::Guard, || unicon_obs::Event::Guard {
-            kind: "degradation",
-            query,
-            step: i,
-            detail: format!("worker {worker} panicked; degrading {workers} -> 1 threads"),
-        });
-        Ok(())
+        }
     }
 }
 
@@ -1144,7 +1058,7 @@ fn run_guarded_inner(
 ) -> Result<GuardedRun, GuardError> {
     batch.check(rate)?;
     let n = batch.ctmdp.num_states();
-    let mut workers = batch.workers();
+    let workers = batch.workers();
     let mut run = Guarded {
         batch,
         rate,
@@ -1238,8 +1152,7 @@ fn run_guarded_inner(
             lane: query_run.lane(),
             from: resume.map_or(k, |(from, _)| from),
         };
-        let (left, answer) = query_run.run(resume, checks, false, workers, planes, &mut sup)?;
-        workers = left;
+        let answer = query_run.run(resume, checks, false, workers, planes, &mut sup)?;
         let Some(answer) = answer else {
             return Ok(run.finish());
         };
@@ -1252,8 +1165,8 @@ fn run_guarded_inner(
 
 impl ReachBatch<'_> {
     /// Runs the batch under the guarded execution layer: numeric health
-    /// checks after every step, budget/cancellation polling before every
-    /// step, optional periodic checkpoints and worker-panic quarantine.
+    /// checks after every step, budget checks before every step, optional
+    /// periodic checkpoints and typed worker-panic errors.
     ///
     /// Completed results are bitwise identical to [`ReachBatch::run`]
     /// for every thread count.
@@ -1264,7 +1177,7 @@ impl ReachBatch<'_> {
     /// model, [`GuardError::FoxGlynn`] when ε is below the certifiable
     /// floor for `rate·t` or `rate·t` exceeds [`FoxGlynn::MAX_LAMBDA`],
     /// [`GuardError::Health`] on numeric corruption,
-    /// [`GuardError::WorkerPanicked`] under [`DegradePolicy::Fail`], and
+    /// [`GuardError::WorkerPanicked`] when a worker panics, and
     /// [`GuardError::Io`] if a checkpoint cannot be written. Budget
     /// exhaustion is **not** an error — see [`GuardedRun::stopped`].
     ///
@@ -1481,6 +1394,7 @@ mod tests {
             let partial = partial.expect("a query was in flight");
             assert_eq!(partial.query, 0);
             assert_eq!(partial.completed_steps, max);
+            assert_eq!(run.health_checks, max);
             assert_eq!(partial.total_steps, k);
             for s in 0..3 {
                 let v = full.results[0].values[s];
@@ -1499,23 +1413,6 @@ mod tests {
             }
             assert!(run.results.is_empty());
         }
-    }
-
-    #[test]
-    fn raised_cancel_flag_stops_before_the_first_step() {
-        let m = chain();
-        let goal = [false, false, true];
-        let flag = Arc::new(AtomicBool::new(true));
-        let guard = GuardOptions::default()
-            .with_budget(RunBudget::default().with_cancel_flag(Arc::clone(&flag)));
-        let run = ReachBatch::new(&m, &goal)
-            .query(2.5)
-            .run_guarded(&guard)
-            .unwrap();
-        let (reason, partial) = run.stopped.unwrap();
-        assert_eq!(reason, StopReason::Cancelled);
-        assert_eq!(partial.unwrap().completed_steps, 0);
-        assert_eq!(run.health_checks, 0);
     }
 
     #[test]
@@ -1736,17 +1633,24 @@ mod tests {
     }
 
     #[test]
-    fn budget_precedence_is_cancel_then_iterations_then_deadline() {
-        let flag = Arc::new(AtomicBool::new(true));
+    fn budget_precedence_is_iterations_then_deadline() {
         let budget = RunBudget::default()
-            .with_cancel_flag(Arc::clone(&flag))
             .with_max_iterations(0)
             .with_deadline(Instant::now());
-        assert_eq!(budget.exceeded(0), Some(StopReason::Cancelled));
-        flag.store(false, Ordering::SeqCst);
         assert_eq!(budget.exceeded(0), Some(StopReason::MaxIterations));
         let budget = RunBudget::default().with_deadline(Instant::now());
         assert_eq!(budget.exceeded(0), Some(StopReason::DeadlineExpired));
         assert_eq!(RunBudget::default().exceeded(usize::MAX), None);
+    }
+
+    /// A timeout past what an `Instant` holds sets no deadline, rather
+    /// than overflowing.
+    #[test]
+    fn a_timeout_past_the_clock_sets_no_deadline() {
+        let budget = RunBudget::default().with_timeout(Duration::MAX);
+        assert_eq!(budget.wall_deadline, None);
+        assert_eq!(budget.exceeded(0), None);
+        let soon = RunBudget::default().with_timeout(Duration::from_secs(60));
+        assert!(soon.wall_deadline.is_some());
     }
 }

@@ -172,10 +172,9 @@ impl StateRun<'_> {
             ..Checks::default()
         };
         let timed = unicon_obs::live(unicon_obs::Class::Metric);
-        let (_, answer) = self
-            .run(None, checks, timed, workers, planes, &mut Plain)
-            .expect("an unguarded run has no hook that fails");
-        answer.expect("an unguarded run takes every step")
+        self.run(None, checks, timed, workers, planes, &mut Plain)
+            .expect("an unguarded run has no hook that fails")
+            .expect("an unguarded run takes every step")
     }
 
     /// Emits the query's start record and runs its steps on `workers`
@@ -183,8 +182,8 @@ impl StateRun<'_> {
     /// and `q_{k+1} = 0`, with `checks` in every worker and `sup` on
     /// worker 0 — the one place that sets up a one-lane state run. A
     /// `timed` run times its kernel per state class and observes that and
-    /// its wall time. Returns the worker count at the end and the answer,
-    /// or `None` when `sup` stopped the run early.
+    /// its wall time. Returns the answer, or `None` when `sup` stopped the
+    /// run early.
     pub(crate) fn run(
         &self,
         resume: Option<(usize, &[f64])>,
@@ -193,7 +192,7 @@ impl StateRun<'_> {
         workers: usize,
         planes: &mut Planes,
         sup: &mut dyn Supervisor,
-    ) -> Result<(usize, Option<ReachResult>), GuardError> {
+    ) -> Result<Option<ReachResult>, GuardError> {
         let lane = self.lane();
         lane.announce(self.query.t, self.epsilon);
         let start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
@@ -211,7 +210,7 @@ impl StateRun<'_> {
         };
         let done = drive(&sweep, &steps, workers, planes.pair(), sup)?;
         if done.stopped {
-            return Ok((done.workers, None));
+            return Ok(None);
         }
         let answer = ReachResult {
             values: finalize_values(self.goal, plane::values(planes.q(1))),
@@ -224,7 +223,7 @@ impl StateRun<'_> {
             observe_classes(&done.timing);
             observe_wall(answer.runtime);
         }
-        Ok((done.workers, Some(answer)))
+        Ok(Some(answer))
     }
 }
 
@@ -382,15 +381,9 @@ pub(crate) trait Supervisor {
         Ok(true)
     }
 
-    /// Worker `worker` of `workers` panicked in step `i`. `Ok` has worker
-    /// 0 replay the step alone and run the remaining steps alone.
-    fn panicked(
-        &mut self,
-        _i: usize,
-        _worker: usize,
-        _workers: usize,
-        payload: Box<dyn Any + Send>,
-    ) -> Result<(), GuardError> {
+    /// Worker `worker` panicked in step `i`: the error that ends the run.
+    /// A sweep is deterministic, so a replay would panic again.
+    fn panicked(&mut self, _i: usize, _worker: usize, payload: Box<dyn Any + Send>) -> GuardError {
         std::panic::resume_unwind(payload)
     }
 }
@@ -414,8 +407,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// What a run of [`drive`], or one worker's pass of it, did.
 #[derive(Default)]
 pub(crate) struct Done {
-    /// The worker count at the end: 1 after a degradation.
-    pub(crate) workers: usize,
     /// A hook stopped the run before its last step.
     pub(crate) stopped: bool,
     /// When recording: a run's `decisions[i - 1]` for each step `i`; a
@@ -451,15 +442,14 @@ struct Pool<'a> {
 
 impl Pool<'_> {
     /// Worker `w`'s share of step `i` over `range`, swept with the
-    /// worker's `scratch`, then the guard hooks: a planned panic (unless
-    /// `replay`), a planned NaN, the health scan.
+    /// worker's `scratch`, then the guard hooks: a planned panic, a
+    /// planned NaN, the health scan.
     fn share(
         &self,
         i: usize,
         w: usize,
         range: Range<usize>,
         decisions: &mut [u16],
-        replay: bool,
         scratch: &mut Scratch,
     ) -> Option<Failure> {
         let steps = self.steps;
@@ -470,10 +460,10 @@ impl Pool<'_> {
         for (p, lane) in psi.iter_mut().zip(active) {
             *p = lane.fg.psi(i);
         }
-        // AssertUnwindSafe: a failed share's range is rewritten by the
-        // replay or abandoned with the run, never read as a result.
+        // AssertUnwindSafe: a failed share's range is abandoned with the
+        // run, never read as a result.
         let swept = catch_unwind(AssertUnwindSafe(|| {
-            if !replay && steps.checks.panic_at == Some((i, w)) {
+            if steps.checks.panic_at == Some((i, w)) {
                 panic!("injected worker fault (step {i}, worker {w})");
             }
             self.sweep.run(
@@ -528,21 +518,19 @@ impl Pool<'_> {
         ranges: &[Range<usize>],
         mut sup: Option<&mut dyn Supervisor>,
     ) -> Result<Done, GuardError> {
-        let mut done = Done {
-            workers: ranges.len(),
-            ..Done::default()
-        };
-        let mut range = ranges[w].clone();
-        // A folded worker's range is fixed for the run, so its row buffer
-        // finds the range's rows and grows in the first sweep only.
+        let mut done = Done::default();
+        let range = ranges[w].clone();
+        let shared = ranges.len() > 1;
+        // A folded run has one worker, so its row buffer grows in the
+        // first sweep only.
         let mut scratch = Scratch::default();
         for i in (1..=self.steps.from).rev() {
             let mut row = self.row(range.len());
-            if let Some(f) = self.share(i, w, range.clone(), &mut row, false, &mut scratch) {
+            if let Some(f) = self.share(i, w, range.clone(), &mut row, &mut scratch) {
                 self.fail(i, w, f);
             }
             done.decisions.push(row);
-            if done.workers > 1 {
+            if shared {
                 self.barrier.wait();
             }
             let failed = self.failed_at.load(Ordering::Relaxed) == i;
@@ -552,26 +540,12 @@ impl Pool<'_> {
                 }
                 continue;
             };
-            let failure = failed.then(|| lock(&self.failure).take()).flatten();
-            if let Some((w, failure)) = failure {
-                let payload = match failure {
-                    Failure::Health(e) => return Err(e.into()),
-                    Failure::Panic(payload) => payload,
-                };
-                sup.panicked(i, w, done.workers, payload)?;
-                // Every other worker stopped at this barrier: replay the
-                // step alone from the untouched plane of q_{i+1}.
-                debug_assert!(
-                    !self.steps.checks.record,
-                    "decisions are never recorded with a degrade"
-                );
-                done.workers = 1;
-                range = 0..self.sweep.groups();
-                match self.share(i, 0, range.clone(), &mut [], true, &mut scratch) {
-                    Some(Failure::Health(e)) => return Err(e.into()),
-                    Some(Failure::Panic(payload)) => std::panic::resume_unwind(payload),
-                    None => {}
-                }
+            // Every other worker stopped at this barrier.
+            if let Some((w, failure)) = failed.then(|| lock(&self.failure).take()).flatten() {
+                return Err(match failure {
+                    Failure::Health(e) => e.into(),
+                    Failure::Panic(payload) => sup.panicked(i, w, payload),
+                });
             }
             let q = self.planes.q(i);
             let active = self.steps.active(i);
@@ -581,7 +555,7 @@ impl Pool<'_> {
             self.lane_steps.fetch_add(active.len(), Ordering::Relaxed);
             let go = sup.proceed(i, q);
             if !matches!(go, Ok(true)) {
-                if done.workers > 1 && i > 1 {
+                if shared && i > 1 {
                     // The others are sweeping step i - 1: stop them at its
                     // barrier.
                     self.stop_after.store(i - 1, Ordering::Relaxed);
@@ -598,11 +572,10 @@ impl Pool<'_> {
 }
 
 /// The value-iteration step loop — the only one. Returns what the run
-/// did: the worker count at the end (1 after a degradation), whether a
-/// hook stopped it, when recording `decisions[i - 1]` for each step `i`,
-/// and the kernel time per class its workers' timed sweeps summed. Runs
-/// `steps` on
-/// `workers` workers (at most one per group) over the shared `planes`;
+/// did: whether a hook stopped it, when recording `decisions[i - 1]` for
+/// each step `i`, and the kernel time per class its workers' timed
+/// sweeps summed. Runs `steps` on `workers` workers (at most one per
+/// group) over the shared `planes`;
 /// the calling thread is worker 0 and workers `1..` live in one scope for
 /// the whole run. Each step, every worker sweeps its own group range —
 /// every active lane of it — into plane `i % 2`, reading plane
@@ -620,7 +593,6 @@ pub(crate) fn drive(
     let workers = workers.clamp(1, sweep.groups().max(1));
     if !sup.proceed(steps.from + 1, planes.q(steps.from + 1))? {
         return Ok(Done {
-            workers,
             stopped: true,
             ..Done::default()
         });
@@ -724,8 +696,9 @@ pub struct BatchStats {
     /// small hardware is visible instead of silently rewriting the
     /// request in benchmark records.
     pub threads_requested: usize,
-    /// Worker threads actually used per run (after resolving `0` =
-    /// auto and clamping to `available_parallelism`).
+    /// The resolved worker count: the request after resolving `0` = auto
+    /// and clamping to `available_parallelism`. A laned batch uses at
+    /// most one worker per lane, and a state run at most one per state.
     pub threads_effective: usize,
     /// Time spent checking uniformity and compiling the fused layout:
     /// the state layout, or for a laned batch its goal-folded layout.
@@ -1106,7 +1079,8 @@ impl<'a> ReachBatch<'a> {
     /// zeros its planes start with, the scalar engine's `q_{k+1} = 0`.
     /// Queries with `t = 0` get the indicator and no lane.
     ///
-    /// Several workers first split the lanes: see [`lane_parts`].
+    /// Several workers split the lanes, one worker per part: see
+    /// [`lane_parts`].
     fn run_lanes(
         &self,
         rate: f64,
@@ -1158,7 +1132,7 @@ impl<'a> ReachBatch<'a> {
         let slots = folded.groups.num_groups();
         let lens: Vec<usize> = parts
             .iter()
-            .map(|(lanes, _)| slots * lanes.len().min(LANES))
+            .map(|lanes| slots * lanes.len().min(LANES))
             .collect();
         let pairs = planes.split(&lens);
         let part = Part {
@@ -1169,29 +1143,23 @@ impl<'a> ReachBatch<'a> {
         // Telemetry collection and request ids are thread-local: while
         // iteration telemetry is live, the parts run on this thread.
         let side_by_side = parts.len() > 1 && !unicon_obs::live(unicon_obs::Class::Iter);
-        let mut runs = parts
-            .iter()
-            .zip(pairs)
-            .map(|((lanes, workers), pair)| (lanes.as_slice(), *workers, pair));
+        let mut runs = parts.iter().zip(pairs);
         let start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
         let answers: Vec<Answers> = if side_by_side {
             std::thread::scope(|scope| {
                 let part = &part;
-                let (lanes, workers, pair) = runs.next().expect("at least one part");
+                let (lanes, pair) = runs.next().expect("at least one part");
                 let others: Vec<_> = runs
-                    .map(|(lanes, workers, pair)| {
-                        scope.spawn(move || part.run(lanes, workers, pair))
-                    })
+                    .map(|(lanes, pair)| scope.spawn(move || part.run(lanes, pair)))
                     .collect();
-                let mut answers = vec![part.run(lanes, workers, pair)];
+                let mut answers = vec![part.run(lanes, pair)];
                 for h in others {
                     answers.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
                 }
                 answers
             })
         } else {
-            runs.map(|(lanes, workers, pair)| part.run(lanes, workers, pair))
-                .collect()
+            runs.map(|(lanes, pair)| part.run(lanes, pair)).collect()
         };
         pass.iterate_time = start.elapsed();
 
@@ -1215,8 +1183,9 @@ impl<'a> ReachBatch<'a> {
     }
 }
 
-/// Splits the lanes of a laned batch, `k` descending, across `workers`:
-/// `(lanes, workers)` per part, each part's lanes still `k` descending.
+/// Splits the lanes of a laned batch, `k` descending, into at most
+/// `workers` parts, each part's lanes still `k` descending. Each part runs
+/// on one worker, so a batch uses at most one worker per lane.
 ///
 /// Lanes share no data, so parts run side by side with no barrier and no
 /// shared plane between them. That scales where splitting a step's slots
@@ -1224,32 +1193,18 @@ impl<'a> ReachBatch<'a> {
 /// halves of one spend most of a step on the barrier and on reading
 /// slots the other just wrote. A part costs `max k + Σ k` — a sweep of
 /// the layout per step plus a lane's work per step — and each lane goes
-/// to the part it raises least. Workers beyond one per part go to the
-/// part with the most cost per worker, which splits its slots by count,
-/// as a state sweep splits its states.
-fn lane_parts<'a>(lanes: &[Lane<'a>], workers: usize) -> Vec<(Vec<Lane<'a>>, usize)> {
+/// to the part it raises least.
+fn lane_parts<'a>(lanes: &[Lane<'a>], workers: usize) -> Vec<Vec<Lane<'a>>> {
     let cost = |lanes: &[Lane<'_>], k: usize| {
         // det-lint: allow(float-sum): step counts, integers.
         lanes.first().map_or(k, |l| l.k) + lanes.iter().map(|l| l.k).sum::<usize>() + k
     };
-    let mut parts: Vec<(Vec<Lane<'a>>, usize)> =
-        vec![(Vec::new(), 1); workers.clamp(1, lanes.len().max(1))];
+    let mut parts: Vec<Vec<Lane<'a>>> = vec![Vec::new(); workers.clamp(1, lanes.len().max(1))];
     for &lane in lanes {
         let best = (0..parts.len())
-            .min_by_key(|&p| cost(&parts[p].0, lane.k))
+            .min_by_key(|&p| cost(&parts[p], lane.k))
             .expect("at least one part");
-        parts[best].0.push(lane);
-    }
-    for _ in parts.len()..workers {
-        // The first part of greatest cost per worker: `a` orders first
-        // when `ca / wa > cb / wb`, compared in integers.
-        let busiest = (0..parts.len())
-            .min_by(|&a, &b| {
-                let (ca, cb) = (cost(&parts[a].0, 0), cost(&parts[b].0, 0));
-                (cb * parts[a].1).cmp(&(ca * parts[b].1))
-            })
-            .expect("at least one part");
-        parts[busiest].1 += 1;
+        parts[best].push(lane);
     }
     parts
 }
@@ -1269,8 +1224,8 @@ struct Answers {
 }
 
 impl Part<'_, '_> {
-    /// Runs `lanes` on `workers` workers over `pair`, [`LANES`] at a time.
-    fn run(&self, lanes: &[Lane<'_>], workers: usize, pair: Pair<'_>) -> Answers {
+    /// Runs `lanes` on one worker over `pair`, [`LANES`] at a time.
+    fn run(&self, lanes: &[Lane<'_>], pair: Pair<'_>) -> Answers {
         let batch = self.batch;
         let mut answers = Answers {
             results: Vec::with_capacity(lanes.len()),
@@ -1294,7 +1249,7 @@ impl Part<'_, '_> {
                 checks: Checks::default(),
             };
             let pair = pair.zeroed(self.folded.groups.num_groups() * group.len());
-            drive(&sweep, &steps, workers, pair, &mut Plain)
+            drive(&sweep, &steps, 1, pair, &mut Plain)
                 .expect("an unguarded run has no hook that fails");
             let runtime = start.elapsed();
             answers.sweeps += steps.from;
@@ -1959,14 +1914,14 @@ mod tests {
         let shape = |workers| {
             lane_parts(&lanes, workers)
                 .into_iter()
-                .map(|(lanes, w)| (lanes.iter().map(|l| l.qi).collect::<Vec<_>>(), w))
+                .map(|lanes| lanes.iter().map(|l| l.qi).collect::<Vec<_>>())
                 .collect::<Vec<_>>()
         };
-        assert_eq!(shape(1), vec![(vec![2, 1, 0], 1)]);
+        assert_eq!(shape(1), vec![vec![2, 1, 0]]);
         // The longest lane alone costs more than the other two together.
-        assert_eq!(shape(2), vec![(vec![2], 1), (vec![1, 0], 1)]);
-        // One part per lane; the spare worker joins the costliest part.
-        assert_eq!(shape(4), vec![(vec![2], 2), (vec![1], 1), (vec![0], 1)]);
+        assert_eq!(shape(2), vec![vec![2], vec![1, 0]]);
+        // One part per lane, and no spare worker joins a part.
+        assert_eq!(shape(4), vec![vec![2], vec![1], vec![0]]);
     }
 
     #[test]

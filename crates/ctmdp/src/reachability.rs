@@ -62,10 +62,10 @@ impl std::fmt::Display for ReachError {
             ReachError::NotUniform(e) => e.fmt(f),
             ReachError::InvalidEpsilon { epsilon } => write!(
                 f,
-                "truncation precision epsilon must lie in (0, 1), got {epsilon}"
+                "truncation precision epsilon must lie in (0, 1), got {epsilon:e}"
             ),
             ReachError::InvalidTimeBound { t } => {
-                write!(f, "time bound must be finite and >= 0, got {t}")
+                write!(f, "time bound must be finite and >= 0, got {t:e}")
             }
             ReachError::GoalLengthMismatch {
                 goal_len,
@@ -570,8 +570,9 @@ impl Sweep<'_> {
     ///
     /// The fused arms delegate the whole range to
     /// [`FusedGroups::sweep_best`] (the state layout) or
-    /// [`FusedGroups::sweep_lanes`] (the folded one, at every stride),
-    /// whose per-group semantics mirror [`step_state`] operation for
+    /// [`FusedGroups::sweep_lanes`] (the folded one, at every stride; one
+    /// worker sweeps it, so its range is every group), whose per-group
+    /// semantics mirror [`step_state`] operation for
     /// operation: `Fixed` is the goal branch (`psi + q_next[s]`), `Empty`
     /// the absorbing branch (`0.0`), and active groups evaluate each
     /// transition's interned row with the same bias-then-entries order,
@@ -606,16 +607,11 @@ impl Sweep<'_> {
                 }
             }
             Layout::Folded(f) => {
+                debug_assert_eq!(range, 0..self.groups(), "one worker sweeps a folded layout");
                 let maximize = &self.maximize[..psi.len()];
-                f.groups.sweep_lanes(
-                    range,
-                    psi,
-                    maximize,
-                    q_next,
-                    self.stride(),
-                    out,
-                    &mut scratch.rows,
-                );
+                let rows = &mut scratch.rows;
+                f.groups
+                    .sweep_lanes(psi, maximize, q_next, self.stride(), out, rows);
             }
             Layout::States(groups) => {
                 if self.timed {
@@ -715,93 +711,6 @@ pub(crate) fn emit_iteration(
             checksum,
         }
     });
-}
-
-/// Step-bounded reachability: the optimal probability to reach `B` within
-/// at most `k` Markov jumps, ignoring time.
-///
-/// This is the DTMDP core that Algorithm 1 weights with Poisson
-/// probabilities; unlike the timed analysis it does **not** require
-/// uniformity (jump counting is oblivious to exit rates).
-///
-/// # Panics
-///
-/// Panics if `goal.len()` mismatches the state count.
-///
-/// # Examples
-///
-/// ```
-/// use unicon_ctmdp::CtmdpBuilder;
-/// use unicon_ctmdp::reachability::{step_bounded_reachability, Objective};
-///
-/// let mut b = CtmdpBuilder::new(3, 0);
-/// b.transition(0, "a", &[(1, 1.0), (2, 1.0)]);
-/// b.transition(1, "a", &[(2, 2.0)]);
-/// b.transition(2, "a", &[(2, 2.0)]);
-/// let m = b.build();
-/// let goal = [false, false, true];
-/// let one = step_bounded_reachability(&m, &goal, 1, Objective::Maximize);
-/// assert_eq!(one[0], 0.5); // one jump: the 50/50 branch
-/// let two = step_bounded_reachability(&m, &goal, 2, Objective::Maximize);
-/// assert_eq!(two[0], 1.0); // two jumps always suffice
-/// ```
-pub fn step_bounded_reachability(
-    ctmdp: &Ctmdp,
-    goal: &[bool],
-    k: usize,
-    objective: Objective,
-) -> Vec<f64> {
-    // Infallible return type: a mismatched goal is a caller bug here (the
-    // CLI paths all build the goal from the model they pass), so this is a
-    // documented panic rather than a ReachError.
-    assert_eq!(
-        goal.len(),
-        ctmdp.num_states(),
-        "goal vector length mismatch"
-    );
-    let n = ctmdp.num_states();
-    let maximize = objective == Objective::Maximize;
-    let mut p: Vec<f64> = goal.iter().map(|&g| f64::from(u8::from(g))).collect();
-    let mut next = vec![0.0f64; n];
-    for _ in 0..k {
-        for s in 0..n {
-            if goal[s] {
-                next[s] = 1.0;
-                continue;
-            }
-            let trans = ctmdp.transitions_from(s as u32);
-            if trans.is_empty() {
-                next[s] = 0.0;
-                continue;
-            }
-            let mut best = if maximize { -1.0f64 } else { f64::INFINITY };
-            for tr in trans {
-                let rf = ctmdp.rate_function(tr.rate_fn);
-                let mut v = 0.0;
-                for (tgt, prob) in rf.probs() {
-                    v += prob * p[tgt as usize];
-                }
-                best = if maximize { best.max(v) } else { best.min(v) };
-            }
-            next[s] = best;
-        }
-        std::mem::swap(&mut p, &mut next);
-    }
-    p
-}
-
-/// Convenience wrapper returning only the value from the initial state.
-///
-/// # Errors
-///
-/// See [`timed_reachability`].
-pub fn timed_reachability_from_initial(
-    ctmdp: &Ctmdp,
-    goal: &[bool],
-    t: f64,
-    opts: &ReachOptions,
-) -> Result<f64, ReachError> {
-    Ok(timed_reachability(ctmdp, goal, t, opts)?.from_state(ctmdp.initial()))
 }
 
 #[cfg(test)]
@@ -1096,58 +1005,6 @@ mod tests {
         }
         let r = timed_reachability(&m, &goal, 1.0, &ReachOptions::default()).unwrap();
         assert_close!(r.values[0], exponential_cdf(1.0, 1.0), 1e-6);
-    }
-
-    #[test]
-    fn step_bounded_is_monotone_and_bounds_timed() {
-        let (m, _) = chain_as_ctmdp();
-        let goal = [false, false, true];
-        let mut prev = 0.0;
-        for k in 0..8 {
-            let p = step_bounded_reachability(&m, &goal, k, Objective::Maximize)[0];
-            assert!((0.0..=1.0).contains(&p));
-            assert!(p >= prev - 1e-12);
-            prev = p;
-        }
-        // the timed value at precision ε is below the step-bounded value at
-        // the truncation point, plus ε
-        let t = 1.5;
-        let eps = 1e-9;
-        let timed =
-            timed_reachability(&m, &goal, t, &ReachOptions::default().with_epsilon(eps)).unwrap();
-        let stepped = step_bounded_reachability(&m, &goal, timed.iterations, Objective::Maximize);
-        assert!(timed.values[0] <= stepped[0] + eps);
-    }
-
-    #[test]
-    fn step_bounded_works_on_non_uniform_models() {
-        // non-uniform: exit rates 1 and 3 — jump counting does not care
-        let mut b = CtmdpBuilder::new(3, 0);
-        b.transition(0, "a", &[(1, 0.5), (2, 0.5)]);
-        b.transition(1, "a", &[(2, 3.0)]);
-        b.transition(2, "a", &[(2, 3.0)]);
-        let m = b.build();
-        assert!(m.uniform_rate().is_err());
-        let goal = [false, false, true];
-        let p1 = step_bounded_reachability(&m, &goal, 1, Objective::Maximize);
-        assert_close!(p1[0], 0.5, 1e-12);
-        let p2 = step_bounded_reachability(&m, &goal, 2, Objective::Maximize);
-        assert_close!(p2[0], 1.0, 1e-12);
-    }
-
-    #[test]
-    fn step_bounded_min_vs_max() {
-        let mut b = CtmdpBuilder::new(3, 0);
-        b.transition(0, "good", &[(1, 1.0)]);
-        b.transition(0, "bad", &[(2, 1.0)]);
-        b.transition(1, "s", &[(1, 1.0)]);
-        b.transition(2, "s", &[(2, 1.0)]);
-        let m = b.build();
-        let goal = [false, true, false];
-        let mx = step_bounded_reachability(&m, &goal, 3, Objective::Maximize);
-        let mn = step_bounded_reachability(&m, &goal, 3, Objective::Minimize);
-        assert_eq!(mx[0], 1.0);
-        assert_eq!(mn[0], 0.0);
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! resumed from its checkpoint produces **bitwise identical** values to
 //! an uninterrupted run, at every thread count. These tests chop runs at
 //! randomized budgets on XorShift64-seeded uniform CTMDPs and compare
-//! raw `f64` bits.
+//! raw `f64` bits. A bounded mutation test feeds the checkpoint reader
+//! damaged files: each resumes or fails with a typed error, never a
+//! panic.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 
 use unicon_ctmdp::guard::{
     CheckpointConfig, GuardError, GuardEvent, GuardOptions, RunBudget, StopReason,
@@ -16,6 +17,7 @@ use unicon_ctmdp::guard::{
 use unicon_ctmdp::par::ReachBatch;
 use unicon_ctmdp::reachability::Objective;
 use unicon_ctmdp::{Ctmdp, CtmdpBuilder};
+use unicon_numeric::fnv::fnv1a64;
 use unicon_numeric::rng::{Rng, XorShift64};
 
 /// Builds a random uniform CTMDP: every rate function distributes
@@ -212,21 +214,22 @@ fn resume_crosses_thread_counts_bitwise() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A stop before the first step writes a checkpoint that resumes
+/// bitwise.
 #[test]
-fn cancel_flag_stop_is_resumable_too() {
+fn a_stop_before_the_first_step_is_resumable_too() {
     let n = 40;
     let m = random_uniform_ctmdp(n, 41);
     let goal = random_goal(n, 41);
-    let path = temp_ck("cancelled");
+    let path = temp_ck("first_step");
     let batch = ReachBatch::new(&m, &goal).with_epsilon(1e-8).query(1.0);
     let reference = batch.run().unwrap();
 
-    let flag = Arc::new(AtomicBool::new(true));
     let guard = GuardOptions::default()
         .with_checkpoint(CheckpointConfig::new(&path, 2))
-        .with_budget(RunBudget::default().with_cancel_flag(flag));
+        .with_budget(RunBudget::default().with_max_iterations(0));
     let run = batch.run_guarded(&guard).unwrap();
-    assert_eq!(run.stopped.unwrap().0, StopReason::Cancelled);
+    assert_eq!(run.stopped.unwrap().0, StopReason::MaxIterations);
 
     let finished = batch.resume(&path, &GuardOptions::default()).unwrap();
     assert!(finished.is_complete());
@@ -260,4 +263,150 @@ fn resume_against_a_different_model_is_rejected() {
         "{err}"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// A checkpoint's body: everything before its FNV-1a trailer.
+fn body(ck: &[u8]) -> &[u8] {
+    &ck[..ck.len() - 8]
+}
+
+/// `body` with a trailer that matches it, so the reader decodes it.
+fn seal(mut body: Vec<u8>) -> Vec<u8> {
+    let trailer = fnv1a64(&body);
+    body.extend_from_slice(&trailer.to_le_bytes());
+    body
+}
+
+/// The offsets of a version-1 checkpoint's u64 count and index fields:
+/// the state count, the query count, the completed count, each completed
+/// query's step count and, with an in-progress section, its query index,
+/// step total and step index.
+fn count_fields(ck: &[u8]) -> Vec<(&'static str, usize)> {
+    let at = |i: usize| u64::from_le_bytes(ck[i..i + 8].try_into().unwrap()) as usize;
+    let (n, queries) = (at(12), at(36));
+    let completed = 44 + 9 * queries;
+    let mut fields = vec![("states", 12), ("queries", 36), ("completed", completed)];
+    let mut next = completed + 8;
+    for _ in 0..at(completed) {
+        fields.push(("iterations", next));
+        next += 8 + 8 * n;
+    }
+    if ck[next] == 1 {
+        fields.extend([
+            ("in-progress query", next + 1),
+            ("step total", next + 9),
+            ("step index", next + 17),
+        ]);
+    }
+    fields
+}
+
+/// Damaged checkpoints resume or fail with a typed error, never a panic.
+/// The two seeds are the checkpoint a budget stop writes in the middle of
+/// a query (with an in-progress section) and the one a completed run
+/// leaves (without one). Every count and index field of each is
+/// overwritten with 0, 1, its neighbours, a huge value and `u64::MAX`;
+/// the other mutants flip bits, truncate, or splice the two seeds. Most
+/// are re-sealed with a matching trailer so that they reach the decoder;
+/// one in eight keeps the seed's stale trailer.
+#[test]
+fn mutated_checkpoints_resume_or_fail_typed_never_panic() {
+    const MUTANTS: usize = 2_400;
+    let n = 40;
+    let m = random_uniform_ctmdp(n, 81);
+    let goal = random_goal(n, 81);
+    let path = temp_ck("mutants");
+    let batch = ReachBatch::new(&m, &goal)
+        .with_epsilon(1e-8)
+        .query(1.0)
+        .query_with(1.5, Objective::Minimize);
+    let k0 = batch.run().unwrap().results[0].iterations;
+    let seed = |budget: RunBudget| {
+        let guard = GuardOptions::default()
+            .with_checkpoint(CheckpointConfig::new(&path, usize::MAX))
+            .with_budget(budget);
+        batch.run_guarded(&guard).unwrap();
+        std::fs::read(&path).unwrap()
+    };
+    let seeds = [
+        seed(RunBudget::default().with_max_iterations(k0 + 3)),
+        seed(RunBudget::default()),
+    ];
+    assert_eq!(
+        count_fields(&seeds[0]).len(),
+        7,
+        "one completed, one in progress"
+    );
+    assert_eq!(count_fields(&seeds[1]).len(), 5, "two completed");
+
+    let mut mutants: Vec<(String, Vec<u8>)> = Vec::new();
+    for (si, ck) in seeds.iter().enumerate() {
+        for (field, at) in count_fields(ck) {
+            let old = u64::from_le_bytes(ck[at..at + 8].try_into().unwrap());
+            for v in [0, 1, old.wrapping_sub(1), old + 1, 1 << 40, u64::MAX] {
+                let mut b = body(ck).to_vec();
+                b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                mutants.push((format!("seed {si}: {field} = {v}"), seal(b)));
+            }
+        }
+    }
+    let mut rng = XorShift64::seed_from_u64(0xc0ff_ee00_5eed);
+    while mutants.len() < MUTANTS {
+        let si = rng.random_range(2);
+        let ck = body(&seeds[si]);
+        let (what, b) = match rng.random_range(3) {
+            0 => {
+                let mut b = ck.to_vec();
+                let mut at = Vec::new();
+                for _ in 0..1 + rng.random_range(3) {
+                    let i = rng.random_range(b.len());
+                    b[i] ^= 1 << rng.random_range(8);
+                    at.push(i);
+                }
+                (format!("bits flipped at {at:?}"), b)
+            }
+            1 => {
+                let len = rng.random_range(ck.len());
+                (format!("truncated to {len} bytes"), ck[..len].to_vec())
+            }
+            _ => {
+                let other = body(&seeds[1 - si]);
+                let (head, tail) = (rng.random_range(ck.len()), rng.random_range(other.len()));
+                let mut b = ck[..head].to_vec();
+                b.extend_from_slice(&other[tail..]);
+                (
+                    format!("first {head} bytes, then seed {} from {tail}", 1 - si),
+                    b,
+                )
+            }
+        };
+        let bytes = if rng.random_range(8) == 0 {
+            let mut b = b;
+            b.extend_from_slice(&seeds[si][seeds[si].len() - 8..]);
+            b
+        } else {
+            seal(b)
+        };
+        mutants.push((format!("seed {si}: {what}"), bytes));
+    }
+
+    let (mut resumed, mut corrupt, mut mismatched, mut panicked) = (0, 0, 0, Vec::new());
+    for (what, bytes) in &mutants {
+        std::fs::write(&path, bytes).unwrap();
+        match catch_unwind(AssertUnwindSafe(|| {
+            batch.resume(&path, &GuardOptions::default())
+        })) {
+            Ok(Ok(_)) => resumed += 1,
+            Ok(Err(GuardError::CheckpointCorrupt { .. })) => corrupt += 1,
+            Ok(Err(GuardError::CheckpointMismatch { .. })) => mismatched += 1,
+            Ok(Err(_)) => {}
+            Err(_) => panicked.push(what.clone()),
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+    assert!(panicked.is_empty(), "mutants that panicked: {panicked:?}");
+    assert!(
+        resumed > 0 && corrupt > 0 && mismatched > 0,
+        "{resumed} resumed, {corrupt} corrupt, {mismatched} mismatched of {MUTANTS}"
+    );
 }

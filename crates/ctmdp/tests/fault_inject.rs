@@ -5,11 +5,9 @@
 //!
 //! * an injected NaN must surface as a [`GuardError::Health`] naming the
 //!   planned step and state — never a silent wrong answer;
-//! * an injected worker panic under [`DegradePolicy::Sequential`] must
-//!   degrade the run to one thread and still produce values **bitwise
-//!   identical** to a clean run, recording a Degradation event;
-//! * the same panic under [`DegradePolicy::Fail`] must be the typed
-//!   [`GuardError::WorkerPanicked`];
+//! * an injected worker panic must be the typed
+//!   [`GuardError::WorkerPanicked`] naming the planned step and worker,
+//!   at any worker count;
 //! * a truncated checkpoint must be detected via the checksum trailer as
 //!   [`GuardError::CheckpointCorrupt`] — never undefined behaviour.
 #![cfg(feature = "fault-inject")]
@@ -17,8 +15,7 @@
 use std::path::PathBuf;
 
 use unicon_ctmdp::guard::{
-    CheckpointConfig, DegradePolicy, FaultPlan, GuardError, GuardEvent, GuardOptions, HealthKind,
-    RunBudget,
+    CheckpointConfig, FaultPlan, GuardError, GuardOptions, HealthKind, RunBudget,
 };
 use unicon_ctmdp::par::ReachBatch;
 use unicon_ctmdp::{Ctmdp, CtmdpBuilder};
@@ -61,10 +58,6 @@ fn random_goal(n: usize, seed: u64) -> Vec<bool> {
     let mut goal: Vec<bool> = (0..n).map(|_| rng.random_range(5) == 0).collect();
     goal[n - 1] = true;
     goal
-}
-
-fn bits(values: &[f64]) -> Vec<u64> {
-    values.iter().map(|v| v.to_bits()).collect()
 }
 
 fn temp_ck(name: &str) -> PathBuf {
@@ -113,109 +106,43 @@ fn injected_nan_is_a_typed_health_error_naming_step_and_state() {
     }
 }
 
+/// A planned panic of the first worker, the last worker or a
+/// seed-chosen one is the typed error naming the planned step and worker
+/// at 1, 2, 3 and 8 workers: a panic of worker 0 gives the same error at
+/// every count.
 #[test]
-fn worker_panic_degrades_to_sequential_with_bitwise_correct_values() {
+fn planned_worker_panic_is_the_same_typed_error_at_any_worker_count() {
     let m = random_uniform_ctmdp(N, SEED);
     let goal = random_goal(N, SEED);
     let k = steps(&m, &goal);
-    let clean = batch(&m, &goal, 4).run().unwrap();
-    for fault_seed in [1, 2, 3] {
-        let plan = FaultPlan::worker_panic(fault_seed, k, 4);
-        let (planned_step, planned_worker) = plan.panic_worker_at.unwrap();
-        let guard = GuardOptions::default()
-            .with_fault_plan(plan)
-            .with_degrade_policy(DegradePolicy::Sequential);
-        let run = batch(&m, &goal, 4).run_guarded(&guard).unwrap();
-        assert!(run.is_complete(), "degraded run still completes");
-        // quarantine + sequential replay keeps the determinism contract
-        assert_eq!(
-            bits(&run.results[0].values),
-            bits(&clean.results[0].values),
-            "seed {fault_seed}"
-        );
-        let degradations: Vec<_> = run
-            .events
-            .iter()
-            .filter(|e| matches!(e, GuardEvent::Degradation { .. }))
-            .collect();
-        assert_eq!(degradations.len(), 1);
-        let GuardEvent::Degradation {
-            step,
-            worker,
-            from_threads,
-            to_threads,
-            ..
-        } = degradations[0]
-        else {
-            unreachable!()
+    for workers in [1, 2, 3, 8] {
+        let at = |worker| FaultPlan {
+            panic_worker_at: Some((k / 3, worker)),
+            ..FaultPlan::default()
         };
-        assert_eq!(*step, planned_step);
-        assert_eq!(*worker, planned_worker);
-        assert_eq!(*from_threads, 4);
-        assert_eq!(*to_threads, 1);
-    }
-}
-
-#[test]
-fn degradation_emits_exactly_one_structured_guard_record() {
-    let m = random_uniform_ctmdp(N, SEED);
-    let goal = random_goal(N, SEED);
-    let k = steps(&m, &goal);
-    let plan = FaultPlan::worker_panic(2, k, 4);
-    let (planned_step, _) = plan.panic_worker_at.unwrap();
-    let guard = GuardOptions::default()
-        .with_fault_plan(plan)
-        .with_degrade_policy(DegradePolicy::Sequential);
-    let (run, events) = unicon_obs::collect(|| batch(&m, &goal, 4).run_guarded(&guard).unwrap());
-    assert!(run.is_complete());
-    let degradations: Vec<_> = events
-        .iter()
-        .filter_map(|e| match e {
-            unicon_obs::Event::Guard {
-                kind: "degradation",
+        for plan in [
+            at(0),
+            at(workers - 1),
+            FaultPlan::worker_panic(5, k, workers),
+        ] {
+            let (planned_step, planned_worker) = plan.panic_worker_at.unwrap();
+            let guard = GuardOptions::default().with_fault_plan(plan);
+            let err = batch(&m, &goal, workers).run_guarded(&guard).unwrap_err();
+            let GuardError::WorkerPanicked {
                 query,
                 step,
-                detail,
-            } => Some((*query, *step, detail.clone())),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(
-        degradations.len(),
-        1,
-        "exactly one degradation record, got {degradations:?}"
-    );
-    let (query, step, detail) = &degradations[0];
-    assert_eq!(*query, 0);
-    assert_eq!(*step, planned_step);
-    assert!(
-        detail.contains("4 -> 1"),
-        "detail names the thread drop: {detail}"
-    );
-}
-
-#[test]
-fn worker_panic_under_fail_policy_is_a_typed_error() {
-    let m = random_uniform_ctmdp(N, SEED);
-    let goal = random_goal(N, SEED);
-    let k = steps(&m, &goal);
-    let plan = FaultPlan::worker_panic(5, k, 4);
-    let (planned_step, planned_worker) = plan.panic_worker_at.unwrap();
-    let guard = GuardOptions::default()
-        .with_fault_plan(plan)
-        .with_degrade_policy(DegradePolicy::Fail);
-    let err = batch(&m, &goal, 4).run_guarded(&guard).unwrap_err();
-    let GuardError::WorkerPanicked {
-        query,
-        step,
-        worker,
-    } = err
-    else {
-        panic!("expected WorkerPanicked, got {err}");
-    };
-    assert_eq!(query, 0);
-    assert_eq!(step, planned_step);
-    assert_eq!(worker, planned_worker);
+                worker,
+            } = err
+            else {
+                panic!("expected WorkerPanicked at {workers} workers, got {err}");
+            };
+            assert_eq!(
+                (query, step, worker),
+                (0, planned_step, planned_worker),
+                "{workers} workers"
+            );
+        }
+    }
 }
 
 #[test]
@@ -278,42 +205,4 @@ fn nan_in_the_last_workers_range_is_the_same_error_at_any_worker_count() {
     assert_eq!(errors[0].state, N - 1);
     assert_eq!(errors[0].kind, HealthKind::NotANumber);
     assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
-}
-
-/// A planned panic of the first or the last worker degrades to a replay
-/// whose values are bitwise those of a clean run, at 1, 2 and 8 workers.
-#[test]
-fn planned_panic_degrades_bitwise_identically_at_any_worker_count() {
-    let m = random_uniform_ctmdp(N, SEED);
-    let goal = random_goal(N, SEED);
-    let k = steps(&m, &goal);
-    let clean = batch(&m, &goal, 1).run().unwrap();
-    for workers in [1, 2, 8] {
-        for worker in [0, workers - 1] {
-            let plan = FaultPlan {
-                panic_worker_at: Some((k / 3, worker)),
-                ..FaultPlan::default()
-            };
-            let guard = GuardOptions::default()
-                .with_fault_plan(plan)
-                .with_degrade_policy(DegradePolicy::Sequential);
-            let run = batch(&m, &goal, workers).run_guarded(&guard).unwrap();
-            assert!(run.is_complete());
-            assert_eq!(
-                bits(&run.results[0].values),
-                bits(&clean.results[0].values),
-                "workers {workers}, panicking worker {worker}"
-            );
-            assert_eq!(
-                run.events,
-                vec![GuardEvent::Degradation {
-                    query: 0,
-                    step: k / 3,
-                    worker,
-                    from_threads: workers,
-                    to_threads: 1,
-                }]
-            );
-        }
-    }
 }

@@ -161,7 +161,7 @@ pub fn from_aut(text: &str) -> Result<Imc, ParseImcError> {
                 .parse()
                 .map_err(|_| err(no + 1, format!("bad rate '{rate_str}'")))?;
             if !(rate.is_finite() && rate > 0.0) {
-                return Err(err(no + 1, format!("rate must be positive, got {rate}")));
+                return Err(err(no + 1, format!("rate must be positive, got {rate:e}")));
             }
             b.markov(from, rate, to);
         } else if label == "i" {

@@ -55,12 +55,12 @@ impl std::fmt::Display for FoxGlynnError {
                 FoxGlynn::MAX_LAMBDA
             ),
             FoxGlynnError::InvalidEpsilon { epsilon } => {
-                write!(f, "epsilon must lie in (0, 1), got {epsilon}")
+                write!(f, "epsilon must lie in (0, 1), got {epsilon:e}")
             }
             FoxGlynnError::Underflow { lambda, epsilon } => write!(
                 f,
-                "Fox-Glynn underflow: epsilon = {epsilon} is below the certifiable \
-                 floor {:.3e} for lambda = rate*t = {lambda} (weights below the \
+                "Fox-Glynn underflow: epsilon = {epsilon:e} is below the certifiable \
+                 floor {:.3e} for lambda = rate*t = {lambda:e} (weights below the \
                  1e-18 relative cutoff are dropped); use a larger epsilon or \
                  rescale the rates",
                 FoxGlynn::min_certifiable_epsilon(*lambda)
@@ -307,7 +307,7 @@ impl FoxGlynn {
     pub fn right_truncation(&self, epsilon: f64) -> usize {
         assert!(
             epsilon > 0.0 && epsilon < 1.0,
-            "epsilon must be in (0,1), got {epsilon}"
+            "epsilon must be in (0,1), got {epsilon:e}"
         );
         // smallest k with tail_from(k+1) <= ε
         for rel in 0..self.weights.len() {
@@ -328,7 +328,7 @@ impl FoxGlynn {
     pub fn left_truncation(&self, epsilon: f64) -> usize {
         assert!(
             epsilon > 0.0 && epsilon < 1.0,
-            "epsilon must be in (0,1), got {epsilon}"
+            "epsilon must be in (0,1), got {epsilon:e}"
         );
         let mut acc = NeumaierSum::new();
         for (rel, &w) in self.weights.iter().enumerate() {

@@ -153,11 +153,11 @@ pub enum Event {
         /// Nanoseconds the handler ran.
         run_ns: u64,
     },
-    /// A guard-layer incident (checkpoint written, degradation, budget
-    /// exhaustion, resume).
+    /// A guard-layer incident (checkpoint written, budget exhaustion,
+    /// resume).
     Guard {
-        /// Incident kind: `"checkpoint"`, `"degradation"`,
-        /// `"budget-exhausted"` or `"resumed"`.
+        /// Incident kind: `"checkpoint"`, `"budget-exhausted"` or
+        /// `"resumed"`.
         kind: &'static str,
         /// Query index the incident occurred in.
         query: usize,
@@ -408,10 +408,10 @@ mod tests {
                 num_blocks: 23,
             },
             Event::Guard {
-                kind: "degradation",
+                kind: "budget-exhausted",
                 query: 0,
                 step: 9,
-                detail: "worker 2 panicked".into(),
+                detail: "max-iterations".into(),
             },
             Event::Observe {
                 name: "serve_query_latency_ns",

@@ -88,7 +88,7 @@ pub enum Class {
     /// Counters and aggregate progress records (refinement rounds,
     /// Fox–Glynn windows, cache statistics).
     Metric,
-    /// Guard-layer incidents (checkpoints, degradations, budget stops).
+    /// Guard-layer incidents (checkpoints, budget stops, resumes).
     Guard,
 }
 

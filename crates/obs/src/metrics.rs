@@ -418,7 +418,7 @@ mod tests {
             num_blocks: 7,
         });
         reg.record(&Event::Guard {
-            kind: "degradation",
+            kind: "budget-exhausted",
             query: 0,
             step: 5,
             detail: "x".into(),
@@ -454,7 +454,7 @@ mod tests {
         assert!(text.contains("unicon_serve_active_queries 1e0"));
         assert!(text.contains("unicon_reach_iterations_total 1"));
         assert!(text.contains("unicon_foxglynn_window_width 5.6e1"));
-        assert!(text.contains("unicon_guard_events_total{kind=\"degradation\"} 1"));
+        assert!(text.contains("unicon_guard_events_total{kind=\"budget-exhausted\"} 1"));
         assert!(text.contains("unicon_log_messages_total{level=\"info\"} 1"));
 
         // identical event streams render byte-identical expositions

@@ -27,11 +27,11 @@
 //!   group that references it, and can record each group's best row;
 //! * [`FusedGroups::sweep_lanes`] advances up to [`LANES`] independent
 //!   problems at once over planes interleaved as `[group][lane]`, in two
-//!   phases: it first evaluates each pool row the swept groups
-//!   reference, once, into a caller-owned [`RowBuffer`], then takes each
-//!   group's best over its rows' buffered values. Each entry is streamed
-//!   once per sweep for every active lane, and each lane performs exactly
-//!   the single-lane operations in exactly their order.
+//!   phases: it first evaluates each pool row, once, into a caller-owned
+//!   [`RowBuffer`], then takes each group's best over its rows' buffered
+//!   values. Each entry is streamed once per sweep for every active lane,
+//!   and each lane performs exactly the single-lane operations in exactly
+//!   their order.
 //!
 //! The evaluation order inside a row — bias term first, then the
 //! entries in storage order — is part of the layout's contract: callers
@@ -380,43 +380,39 @@ impl FusedGroups {
         }
     }
 
-    /// [`FusedGroups::sweep_best`] for `psi.len()` independent lanes at
-    /// once. Planes are interleaved as `[group][lane]` with `stride`
-    /// entries per group: lane `l` of group `g` is entry `g * stride + l`
-    /// of `x`, and entry `(g - groups.start) * stride + l` of `out`.
-    /// Lane `l` is swept with scale `psi[l]` and objective
-    /// `maximize[l]`; lanes `psi.len()..stride` are neither read nor
-    /// written. No decisions are recorded.
+    /// [`FusedGroups::sweep_best`] over every group for `psi.len()`
+    /// independent lanes at once. Planes are interleaved as
+    /// `[group][lane]` with `stride` entries per group: lane `l` of group
+    /// `g` is entry `g * stride + l` of `x` and of `out`. Lane `l` is
+    /// swept with scale `psi[l]` and objective `maximize[l]`; lanes
+    /// `psi.len()..stride` are neither read nor written. No decisions are
+    /// recorded.
     ///
-    /// The sweep runs in two phases. Phase 1 evaluates, in pool order,
-    /// each distinct pool row the groups reference, once, into `rows`,
-    /// each lane as [`FusedGroups::eval_pool_row`] does: `psi[l] · bias`
-    /// first, then the entries in storage order. Phase 2 walks the class
-    /// runs and takes each group's best over its rows' buffered values,
-    /// with strict `>`/`<` compares against the same `-1.0`/`+∞`
-    /// sentinels as [`FusedGroups::sweep_best`]. A row's value is the
-    /// same bits whether it is buffered or recomputed per group, so lane
-    /// `l`'s output is bitwise what `sweep_best` writes for that lane's
-    /// plane alone, at any `groups` partition; a row that several groups
-    /// reference is evaluated once instead of once per group, and a row
-    /// none of them reads is not evaluated. The lanes share the stream of
-    /// the layout: every entry is read once and updates every lane.
+    /// The sweep runs in two phases. Phase 1 evaluates every pool row,
+    /// once, in pool order, into `rows`, each lane as
+    /// [`FusedGroups::eval_pool_row`] does: `psi[l] · bias` first, then
+    /// the entries in storage order. Phase 2 walks the class runs and
+    /// takes each group's best over its rows' buffered values, with
+    /// strict `>`/`<` compares against the same `-1.0`/`+∞` sentinels as
+    /// [`FusedGroups::sweep_best`]. A row's value is the same bits whether
+    /// it is buffered or recomputed per group, so lane `l`'s output is
+    /// bitwise what `sweep_best` writes for that lane's plane alone; a
+    /// row that several groups reference is evaluated once instead of
+    /// once per group. The lanes share the stream of the layout: every
+    /// entry is read once and updates every lane. A row no group
+    /// references is evaluated too, and never read: a builder that
+    /// interns a row only when a group first uses it leaves none.
     ///
-    /// `rows` keeps the distinct row ids of the last `groups` it was
-    /// swept with and collects them again only when `groups` changes. Its
-    /// values are indexed from the lowest of those rows to the highest,
-    /// `stride` per row; it grows to that and then allocates no more. One
-    /// buffer serves one layout.
+    /// `rows` grows to `stride` values per pool row and then allocates no
+    /// more.
     ///
     /// # Panics
     ///
-    /// Panics if `groups` is out of range, `psi` and `maximize` differ in
-    /// length, more lanes are active than `stride` holds, `stride`
-    /// exceeds [`LANES`], or a plane is too short.
-    #[allow(clippy::too_many_arguments)] // the planes' layout, the lanes' arguments and the buffer
+    /// Panics if `psi` and `maximize` differ in length, more lanes are
+    /// active than `stride` holds, `stride` exceeds [`LANES`], or a plane
+    /// is too short.
     pub fn sweep_lanes(
         &self,
-        groups: Range<usize>,
         psi: &[f64],
         maximize: &[bool],
         x: &Plane,
@@ -424,19 +420,13 @@ impl FusedGroups {
         out: &Plane,
         rows: &mut RowBuffer,
     ) {
-        assert!(groups.end <= self.num_groups(), "group range out of bounds");
         assert_eq!(psi.len(), maximize.len(), "one objective per lane");
         assert!(
             psi.len() <= stride && stride <= LANES,
             "{} lanes do not fit a stride of {stride} (at most {LANES})",
             psi.len()
         );
-        let lanes = LaneArgs {
-            groups,
-            x,
-            stride,
-            out,
-        };
+        let lanes = LaneArgs { x, stride, out };
         match psi.len() {
             0 => {}
             1 => self.lanes_by_storage::<1>(lanes, psi, maximize, rows),
@@ -457,10 +447,11 @@ impl FusedGroups {
     ) {
         let psi: [f64; A] = psi.try_into().expect("one scale per active lane");
         let maximize: [bool; A] = maximize.try_into().expect("one objective per active lane");
-        let (ids, values) = rows.prepare(self, &lanes.groups, lanes.stride);
+        let pool_rows = self.num_pool_rows();
+        let values = &mut rows.prepare(pool_rows * lanes.stride)[..pool_rows * A];
         match &self.col {
-            ColData::Narrow(c) => sweep_lanes_generic(self, c, lanes, psi, maximize, ids, values),
-            ColData::Wide(c) => sweep_lanes_generic(self, c, lanes, psi, maximize, ids, values),
+            ColData::Narrow(c) => sweep_lanes_generic(self, c, lanes, psi, maximize, values),
+            ColData::Wide(c) => sweep_lanes_generic(self, c, lanes, psi, maximize, values),
         }
     }
 
@@ -554,9 +545,8 @@ fn sweep_best_generic<C: Copy + Into<u32>>(
     }
 }
 
-/// The group range and interleaved planes of one lane sweep.
+/// The interleaved planes of one lane sweep.
 struct LaneArgs<'a> {
-    groups: Range<usize>,
     x: &'a Plane,
     stride: usize,
     out: &'a Plane,
@@ -564,58 +554,30 @@ struct LaneArgs<'a> {
 
 /// A worker's buffer of pool-row values for
 /// [`FusedGroups::sweep_lanes`], kept across the sweeps of a run so that
-/// no sweep allocates. It remembers the group range it was last swept
-/// with and the distinct pool rows that range references, so the range's
-/// row ids are scanned again only when the range changes. One buffer
-/// serves one layout.
+/// no sweep allocates. One buffer serves one layout.
 #[derive(Debug, Default)]
 pub struct RowBuffer {
-    /// The group range `rows` belongs to.
-    groups: Range<usize>,
-    /// The distinct pool row ids `groups` references, ascending.
-    rows: Vec<u32>,
-    /// Row `rows[0] + r`, lane `l` at `r * A + l` for `A` active lanes;
-    /// only the entries of `rows` are written and read.
+    /// Pool row `p`, lane `l` at `p * A + l` for `A` active lanes.
     values: Vec<f64>,
 }
 
 impl RowBuffer {
-    /// The distinct pool rows `groups` references in `f`, ascending, and
-    /// room for `stride` values of each row from the first to the last.
-    fn prepare(
-        &mut self,
-        f: &FusedGroups,
-        groups: &Range<usize>,
-        stride: usize,
-    ) -> (&[u32], &mut [f64]) {
-        if self.groups != *groups {
-            let refs =
-                &f.row_pool[f.group_ptr[groups.start] as usize..f.group_ptr[groups.end] as usize];
-            self.rows.clear();
-            self.rows.extend_from_slice(refs);
-            self.rows.sort_unstable();
-            self.rows.dedup();
-            self.groups = groups.clone();
-        }
-        let span = match (self.rows.first(), self.rows.last()) {
-            (Some(&lo), Some(&hi)) => (hi - lo) as usize + 1,
-            _ => 0,
-        };
-        let len = span * stride;
+    /// The first `len` values, grown to that length if shorter.
+    fn prepare(&mut self, len: usize) -> &mut [f64] {
         if self.values.len() < len {
             self.values.resize(len, 0.0);
         }
-        (&self.rows, &mut self.values[..len])
+        &mut self.values[..len]
     }
 }
 
 /// The two-phase lane sweep body, monomorphized per column element (as
 /// [`sweep_best_generic`]) and per active lane count `A`, so the
-/// per-lane loops have a fixed trip count. Phase 1 evaluates the pool
-/// rows `rows` (distinct, ascending) into `values` as `[row][lane]`, `A`
-/// values per row from `rows[0]` on; phase 2 is `sweep_best_generic`'s
-/// walk without decisions, reading each row's value from `values` and
-/// selecting per lane instead of per sweep.
+/// per-lane loops have a fixed trip count. Phase 1 evaluates every pool
+/// row into `values` as `[row][lane]`, `A` values per row; phase 2 is
+/// `sweep_best_generic`'s walk over every group without decisions,
+/// reading each row's value from `values` and selecting per lane instead
+/// of per sweep.
 #[inline(never)]
 fn sweep_lanes_generic<const A: usize, C: Copy + Into<u32>>(
     f: &FusedGroups,
@@ -623,19 +585,11 @@ fn sweep_lanes_generic<const A: usize, C: Copy + Into<u32>>(
     lanes: LaneArgs<'_>,
     psi: [f64; A],
     maximize: [bool; A],
-    rows: &[u32],
     values: &mut [f64],
 ) {
-    let LaneArgs {
-        groups,
-        x,
-        stride,
-        out,
-    } = lanes;
-    // Phase 1: each referenced row, once, in pool order.
-    let first = rows.first().map_or(0, |&p| p as usize);
-    for &p in rows {
-        let p = p as usize;
+    let LaneArgs { x, stride, out } = lanes;
+    // Phase 1: every pool row, once, in pool order.
+    for (p, row) in values.chunks_exact_mut(A).enumerate() {
         let (lo, hi) = (f.pool_ptr[p] as usize, f.pool_ptr[p + 1] as usize);
         let mut acc: [f64; A] = std::array::from_fn(|l| psi[l] * f.bias[p]);
         for (&c, &w) in col[lo..hi].iter().zip(&f.weight[lo..hi]) {
@@ -644,21 +598,16 @@ fn sweep_lanes_generic<const A: usize, C: Copy + Into<u32>>(
                 *a += w * f64::from_bits(xl.load(Ordering::Relaxed));
             }
         }
-        values[(p - first) * A..][..A].copy_from_slice(&acc);
+        row.copy_from_slice(&acc);
     }
 
     // Phase 2: each group's best over its rows' values.
-    let base = groups.start;
     let sentinel: [f64; A] =
         std::array::from_fn(|l| if maximize[l] { -1.0 } else { f64::INFINITY });
-    let lane_out = |s: usize| &out[(s - base) * stride..][..A];
-    let mut ri = f
-        .class_runs
-        .partition_point(|&(end, _)| (end as usize) <= groups.start);
-    let mut g = groups.start;
-    while g < groups.end {
-        let (run_end, class) = f.class_runs[ri];
-        let end = (run_end as usize).min(groups.end);
+    let lane_out = |s: usize| &out[s * stride..][..A];
+    let mut g = 0;
+    for &(run_end, class) in &f.class_runs {
+        let end = run_end as usize;
         match class {
             GroupClass::Fixed => {
                 for s in g..end {
@@ -682,7 +631,7 @@ fn sweep_lanes_generic<const A: usize, C: Copy + Into<u32>>(
                     let rhi = f.group_ptr[s + 1] as usize;
                     let mut best = sentinel;
                     for &p in &f.row_pool[rlo..rhi] {
-                        let v = &values[(p as usize - first) * A..][..A];
+                        let v = &values[p as usize * A..][..A];
                         for l in 0..A {
                             let better = if maximize[l] {
                                 v[l] > best[l]
@@ -701,7 +650,6 @@ fn sweep_lanes_generic<const A: usize, C: Copy + Into<u32>>(
             }
         }
         g = end;
-        ri += 1;
     }
 }
 
@@ -1257,7 +1205,7 @@ mod tests {
             .collect()
     }
 
-    /// Rows shared across every split point: six rows interned before
+    /// Shared rows and rows no group reads: six rows interned before
     /// the first group, the last of them never referenced, each group
     /// reading two of them, which groups at both ends of the order share,
     /// and one of the rows interned between groups, some of which no
@@ -1301,12 +1249,10 @@ mod tests {
         b
     }
 
-    /// Every stride and active lane count, with mixed objectives, over
-    /// the whole range and every split of it, narrow and wide columns:
-    /// each active lane is bitwise the single-lane sweep of its own plane,
-    /// and no inactive lane is written. Each side of the split keeps one
-    /// row buffer per layout, so it sweeps a new range after every split
-    /// and the same range once per active lane count.
+    /// Every stride and active lane count, with mixed objectives, narrow
+    /// and wide columns: each active lane is bitwise the single-lane sweep
+    /// of its own plane, and no inactive lane is written. One row buffer
+    /// serves every sweep of a layout, whatever its stride and lane count.
     #[test]
     fn sweep_lanes_is_each_lanes_single_sweep_bitwise() {
         const MARK: f64 = 7.5;
@@ -1321,90 +1267,32 @@ mod tests {
         ];
         for f in builders.iter().map(|b| b().build()) {
             let (n, cols) = (f.num_groups(), f.cols().max(f.num_groups()));
-            let (mut lo_rows, mut hi_rows) = (RowBuffer::default(), RowBuffer::default());
+            let mut rows = RowBuffer::default();
             for stride in 1..=LANES {
                 let planes: Vec<Vec<f64>> = (0..stride).map(|l| lane_x(cols, l)).collect();
                 let x = plane::from_slice(&interleave(&planes));
-                let runs: Vec<_> = (0..=stride)
-                    .map(|active| {
-                        let psi: Vec<f64> = (0..active).map(|l| 0.3 + 0.2 * l as f64).collect();
-                        let maximize: Vec<bool> =
-                            (0..active).map(|l| (l + stride) % 2 == 0).collect();
-                        let mut expected = Vec::new();
-                        for l in 0..active {
-                            let mut single = vec![0.0; n];
-                            sweep(&f, 0..n, psi[l], &planes[l], maximize[l], &mut single, None);
-                            expected.push(single);
+                for active in 0..=stride {
+                    let psi: Vec<f64> = (0..active).map(|l| 0.3 + 0.2 * l as f64).collect();
+                    let maximize: Vec<bool> = (0..active).map(|l| (l + stride) % 2 == 0).collect();
+                    let out = plane::from_slice(&vec![MARK; n * stride]);
+                    f.sweep_lanes(&psi, &maximize, &x, stride, &out, &mut rows);
+                    for l in 0..stride {
+                        let mut want = vec![MARK; n];
+                        if l < active {
+                            sweep(&f, 0..n, psi[l], &planes[l], maximize[l], &mut want, None);
                         }
-                        (psi, maximize, expected)
-                    })
-                    .collect();
-                for split in 0..=n {
-                    for (active, (psi, maximize, expected)) in runs.iter().enumerate() {
-                        let out = plane::from_slice(&vec![MARK; n * stride]);
-                        f.sweep_lanes(
-                            0..split,
-                            psi,
-                            maximize,
-                            &x,
-                            stride,
-                            &out[..split * stride],
-                            &mut lo_rows,
-                        );
-                        f.sweep_lanes(
-                            split..n,
-                            psi,
-                            maximize,
-                            &x,
-                            stride,
-                            &out[split * stride..],
-                            &mut hi_rows,
-                        );
-                        for g in 0..n {
-                            for l in 0..stride {
-                                let got = plane::get(&out, g * stride + l);
-                                let want = expected.get(l).map_or(MARK, |e| e[g]);
-                                assert_eq!(
-                                    got.to_bits(),
-                                    want.to_bits(),
-                                    "stride {stride} active {active} split {split} group {g} lane {l}"
-                                );
-                            }
+                        for (g, want) in want.iter().enumerate() {
+                            let got = plane::get(&out, g * stride + l);
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "stride {stride} active {active} group {g} lane {l}"
+                            );
                         }
                     }
                 }
             }
         }
-    }
-
-    /// A row buffer lists each row its range references once, ascending,
-    /// and no other: phase 1 evaluates none of the rows between them in
-    /// pool order that the range does not read.
-    #[test]
-    fn a_row_buffer_lists_only_the_rows_its_range_references() {
-        let f = shared_rows(16).build();
-        let n = f.num_groups();
-        let mut unread = 0;
-        for split in 0..=n {
-            for groups in [0..split, split..n] {
-                let refs: Vec<u32> = groups
-                    .clone()
-                    .flat_map(|g| f.pool_rows(g).to_vec())
-                    .collect();
-                let mut rows = RowBuffer::default();
-                let (ids, values) = rows.prepare(&f, &groups, 3);
-                assert!(
-                    ids.windows(2).all(|w| w[0] < w[1]),
-                    "ascending and distinct"
-                );
-                assert!(ids.iter().all(|p| refs.contains(p)), "split {split}");
-                assert!(refs.iter().all(|p| ids.contains(p)), "split {split}");
-                let span = ids.last().map_or(0, |&hi| (hi - ids[0]) as usize + 1);
-                assert_eq!(values.len(), span * 3);
-                unread += span - ids.len();
-            }
-        }
-        assert!(unread > 0, "some range's rows leave gaps in pool order");
     }
 
     #[test]
@@ -1413,6 +1301,6 @@ mod tests {
         let f = sample();
         let x = plane::from_slice(&[0.0; 4]);
         let mut rows = RowBuffer::default();
-        f.sweep_lanes(0..4, &[1.0, 1.0], &[true, true], &x, 1, &x, &mut rows);
+        f.sweep_lanes(&[1.0, 1.0], &[true, true], &x, 1, &x, &mut rows);
     }
 }

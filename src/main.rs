@@ -46,7 +46,7 @@ use unicon::obs;
 
 use unicon::core::ClosedModel;
 use unicon::ctmdp::export;
-use unicon::ctmdp::guard::{CheckpointConfig, DegradePolicy, GuardOptions, GuardedRun, RunBudget};
+use unicon::ctmdp::guard::{CheckpointConfig, GuardOptions, GuardedRun, RunBudget};
 use unicon::ctmdp::par::ReachBatch;
 use unicon::ctmdp::reachability::{
     timed_reachability, Kernel, Objective, ReachOptions, ReachResult,
@@ -166,7 +166,7 @@ fn print_usage() {
          [--kernel reference|fused]\n          \
          [--min] [--exact-goal] [--json <out.json>] [--values-out <dump>]\n          \
          [--max-iters <n>] [--timeout <secs>] [--checkpoint <file>]\n          \
-         [--checkpoint-every <k>] [--resume <file>] [--on-degrade fail|sequential]\n  \
+         [--checkpoint-every <k>] [--resume <file>]\n  \
          unicon ftwc --n <N> --time <t> [--epsilon <e>]\n  \
          unicon bench-build [--n-list <N1,N2,…>] [--epsilon <e>]\n          \
          [--out <file>] [--json]\n  \
@@ -203,7 +203,8 @@ fn print_usage() {
          the REQUESTED thread counts, with a runner clamp reported in the\n\
          explicit `clamped` field. `bench history` appends one\n\
          schema-versioned snapshot line per run to BENCH_HISTORY.jsonl\n\
-         (keyed by --rev, kernel, effective threads, instance and bounds);\n\
+         (keyed by --rev, machine, kernel, effective threads, instance and\n\
+         bounds);\n\
          `bench diff` compares the newest snapshot against its most recent\n\
          compatible predecessor and exits nonzero when iterate_ms regressed\n\
          past --threshold percent (default 10). --scale-metric multiplies\n\
@@ -222,10 +223,11 @@ fn print_usage() {
          bits for exact cross-run comparison. --kernel selects the fused\n\
          SoA kernel (default) or the retained reference oracle — both\n\
          return identical bits; only the timings differ.\n\n\
-         Any of --max-iters/--timeout/--checkpoint/--resume/--on-degrade\n\
-         selects the guarded engine: per-iteration numeric health checks,\n\
-         budget stops with partial lower/upper bounds (exit 3), periodic\n\
-         checkpoints, and bitwise-identical resume from a checkpoint.\n\n\
+         Any of --max-iters/--timeout/--checkpoint/--resume selects the\n\
+         guarded engine: per-iteration numeric health checks, budget stops\n\
+         with partial lower/upper bounds (exit 3), periodic checkpoints,\n\
+         bitwise-identical resume from a checkpoint, and a typed error\n\
+         when a worker panics.\n\n\
          `reach --residuals-out <csv>` records the per-iteration\n\
          convergence stream (unprocessed Poisson mass + value checksum);\n\
          `metrics` runs an FTWC reach workload with the metrics registry\n\
@@ -383,6 +385,13 @@ fn compositional_n(key: &str, n: usize) -> Result<usize, CliError> {
 fn parse_f64(key: &str, s: &str) -> Result<f64, CliError> {
     s.parse()
         .map_err(|_| usage(key, format!("'{s}' is not a number")))
+}
+
+/// `secs` seconds as a time span: a usage error naming `key` when no
+/// [`Duration`] holds it.
+fn span(key: &str, secs: f64) -> Result<Duration, CliError> {
+    Duration::try_from_secs_f64(secs)
+        .map_err(|_| usage(key, format!("{secs:e} seconds is too long a time span")))
 }
 
 /// A time value: finite and non-negative (rejects `nan`, `inf`, `-1`).
@@ -633,7 +642,7 @@ fn guard_spec<'a>(cli: &Cli<'a>) -> Result<Option<GuardSpec<'a>>, CliError> {
                     format!("must be a positive number of seconds, got '{s}'"),
                 ));
             }
-            Ok(secs)
+            span("--timeout", secs)
         })
         .transpose()?;
     let checkpoint = cli.value("--checkpoint");
@@ -642,26 +651,10 @@ fn guard_spec<'a>(cli: &Cli<'a>) -> Result<Option<GuardSpec<'a>>, CliError> {
         .map(|s| parse_usize("--checkpoint-every", s))
         .transpose()?;
     let resume = cli.value("--resume");
-    let on_degrade = match cli.value("--on-degrade") {
-        None => None,
-        Some("fail") => Some(DegradePolicy::Fail),
-        Some("sequential") => Some(DegradePolicy::Sequential),
-        Some(other) => {
-            return Err(usage(
-                "--on-degrade",
-                format!("'{other}' is not 'fail' or 'sequential'"),
-            ))
-        }
-    };
     if every.is_some() && checkpoint.is_none() {
         return Err(usage("--checkpoint-every", "requires --checkpoint"));
     }
-    if max_iters.is_none()
-        && timeout.is_none()
-        && checkpoint.is_none()
-        && resume.is_none()
-        && on_degrade.is_none()
-    {
+    if max_iters.is_none() && timeout.is_none() && checkpoint.is_none() && resume.is_none() {
         return Ok(None);
     }
 
@@ -669,12 +662,10 @@ fn guard_spec<'a>(cli: &Cli<'a>) -> Result<Option<GuardSpec<'a>>, CliError> {
     if let Some(n) = max_iters {
         budget = budget.with_max_iterations(n);
     }
-    if let Some(secs) = timeout {
-        budget = budget.with_timeout(Duration::from_secs_f64(secs));
+    if let Some(timeout) = timeout {
+        budget = budget.with_timeout(timeout);
     }
-    let mut options = GuardOptions::default()
-        .with_budget(budget)
-        .with_degrade_policy(on_degrade.unwrap_or_default());
+    let mut options = GuardOptions::default().with_budget(budget);
     if let Some(path) = checkpoint {
         options = options.with_checkpoint(CheckpointConfig::new(path, every.unwrap_or(64)));
     }
@@ -699,7 +690,6 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, CliError> {
             "--checkpoint",
             "--checkpoint-every",
             "--resume",
-            "--on-degrade",
         ],
         &["--min", "--exact-goal"],
     )?;
@@ -1225,7 +1215,8 @@ fn cmd_bench_history(args: &[String]) -> Result<ExitCode, CliError> {
     };
     let payload =
         std::fs::read_to_string(from).map_err(|e| runtime(format!("cannot read {from}: {e}")))?;
-    let line = perf::snapshot_from_reach(&payload, rev, scale).map_err(runtime)?;
+    let line =
+        perf::snapshot_from_reach(&payload, rev, scale, &perf::Machine::this()).map_err(runtime)?;
     let file = cli.value("--file").unwrap_or("BENCH_HISTORY.jsonl");
     let mut history = std::fs::read_to_string(file).unwrap_or_default();
     if !history.is_empty() && !history.ends_with('\n') {

@@ -12,8 +12,38 @@ use std::fmt::Write as _;
 use unicon::obs::json::{self, Value};
 
 /// History line format version. Bump when a field changes meaning;
-/// `diff` refuses to compare across schema versions.
-pub const HISTORY_SCHEMA: u64 = 1;
+/// `diff` refuses to compare across schema versions. Version 2 added the
+/// machine, so a version-1 line is never a baseline.
+pub const HISTORY_SCHEMA: u64 = 2;
+
+/// The machine a snapshot was taken on, the fingerprint `benchmark/`
+/// records too: the first `model name` of `/proc/cpuinfo` (`unknown`
+/// where there is none) and the available parallelism.
+pub struct Machine {
+    /// The CPU's `model name`, or `unknown`.
+    pub cpu: String,
+    /// `std::thread::available_parallelism`, or 1 where it is unknown.
+    pub parallelism: usize,
+}
+
+impl Machine {
+    /// The machine this process runs on.
+    pub fn this() -> Self {
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|s| {
+                s.lines()
+                    .find_map(|l| l.strip_prefix("model name"))
+                    .and_then(|l| l.split_once(':'))
+                    .map(|(_, v)| v.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".into());
+        Self {
+            cpu,
+            parallelism: std::thread::available_parallelism().map_or(1, usize::from),
+        }
+    }
+}
 
 fn field<'v>(doc: &'v Value, path: &[&str]) -> Result<&'v Value, String> {
     let mut v = doc;
@@ -134,17 +164,23 @@ pub fn compose_speedup(serial_json: &str, parallel_json: &str) -> Result<String,
 /// Renders one history snapshot (a single JSON line) from a `unicon
 /// reach --json` payload.
 ///
-/// The snapshot carries the full **compatibility key** — schema, kind,
-/// kernel, effective thread count, instance size and time bounds — so
-/// [`diff_history`] can refuse to compare runs of different experiments,
-/// plus the tracked metrics. `scale` multiplies the timing metrics; it
-/// exists so CI can inject a synthetic regression and prove the gate
-/// fires (1.0 for real snapshots).
+/// The snapshot carries the full **compatibility key** — schema, the
+/// `machine` it ran on, kind, kernel, effective thread count, instance
+/// size and time bounds — so [`diff_history`] can refuse to compare runs
+/// of different experiments or machines, plus the tracked metrics.
+/// `scale` multiplies the timing metrics; it exists so CI can inject a
+/// synthetic regression and prove the gate fires (1.0 for real
+/// snapshots).
 ///
 /// # Errors
 ///
 /// A message naming the unparseable or missing field.
-pub fn snapshot_from_reach(reach_json: &str, rev: &str, scale: f64) -> Result<String, String> {
+pub fn snapshot_from_reach(
+    reach_json: &str,
+    rev: &str,
+    scale: f64,
+    machine: &Machine,
+) -> Result<String, String> {
     let doc = Value::parse(reach_json).map_err(|e| format!("reach payload: {e}"))?;
     let facts = run_facts(&doc)?;
     let kind = string(&doc, &["case_study"]).unwrap_or_else(|_| "model".into());
@@ -154,7 +190,13 @@ pub fn snapshot_from_reach(reach_json: &str, rev: &str, scale: f64) -> Result<St
     let mut out = String::from("{\"schema\":");
     let _ = write!(out, "{HISTORY_SCHEMA},\"rev\":");
     json::write_str(rev, &mut out);
-    let _ = write!(out, ",\"kind\":");
+    out.push_str(",\"machine\":{\"cpu\":");
+    json::write_str(&machine.cpu, &mut out);
+    let _ = write!(
+        out,
+        ",\"available_parallelism\":{}}},\"kind\":",
+        machine.parallelism
+    );
     json::write_str(&kind, &mut out);
     let _ = write!(out, ",\"kernel\":");
     json::write_str(&kernel, &mut out);
@@ -193,14 +235,21 @@ pub struct DiffOutcome {
 }
 
 /// The compatibility key: two snapshots are comparable only when the
-/// experiment is the same one (schema, kind, kernel, effective
-/// parallelism, instance size, time bounds).
+/// experiment is the same one on the same machine (schema, CPU, available
+/// parallelism, kind, kernel, effective parallelism, instance size, time
+/// bounds). A line of an older schema has no key, so it is never a
+/// baseline.
 fn compat_key(snap: &Value) -> Option<String> {
+    if snap.get("schema")?.as_f64()? != HISTORY_SCHEMA as f64 {
+        return None;
+    }
+    let machine = snap.get("machine")?;
     let mut key = String::new();
+    json::write_str(machine.get("cpu")?.as_str()?, &mut key);
     let _ = write!(
         key,
-        "{}/{}/{}/{}/{}",
-        snap.get("schema")?.as_f64()?,
+        "/{}/{}/{}/{}/{}",
+        machine.get("available_parallelism")?.as_f64()?,
         snap.get("kind")?.as_str()?,
         snap.get("kernel")?.as_str()?,
         snap.get("threads_effective")?.as_f64()?,
@@ -381,9 +430,18 @@ mod tests {
         assert!(err.starts_with("serial run:"), "{err}");
     }
 
+    /// The machine every synthetic snapshot ran on.
+    fn machine() -> Machine {
+        Machine {
+            cpu: "Test CPU @ 2.00GHz".into(),
+            parallelism: 2,
+        }
+    }
+
     #[test]
     fn snapshot_carries_schema_and_compat_key() {
-        let line = snapshot_from_reach(&reach_doc(4, 4, 20.0), "abc123", 1.0).expect("snapshot");
+        let line = snapshot_from_reach(&reach_doc(4, 4, 20.0), "abc123", 1.0, &machine())
+            .expect("snapshot");
         let doc = Value::parse(&line).expect("snapshot parses");
         assert_eq!(
             doc.get("schema").and_then(Value::as_f64),
@@ -397,13 +455,69 @@ mod tests {
             Some(4.0)
         );
         assert_eq!(doc.get("iterate_ms").and_then(Value::as_f64), Some(20.0));
+        let on = doc.get("machine").expect("machine recorded");
+        assert_eq!(
+            on.get("cpu").and_then(Value::as_str),
+            Some("Test CPU @ 2.00GHz")
+        );
+        assert_eq!(
+            on.get("available_parallelism").and_then(Value::as_f64),
+            Some(2.0)
+        );
         assert!(!line.contains('\n'), "snapshot must be a single JSONL line");
+    }
+
+    /// Snapshots compare only on the machine they were taken on: the same
+    /// CPU and parallelism compare, another CPU or parallelism has no
+    /// compatible baseline.
+    #[test]
+    fn diff_compares_only_snapshots_of_the_same_machine() {
+        let doc = reach_doc(4, 4, 20.0);
+        let at = |rev, machine: &Machine| snapshot_from_reach(&doc, rev, 1.0, machine).unwrap();
+        let base = at("base", &machine());
+        let same = diff_history(&format!("{base}\n{}\n", at("same", &machine())), 10.0).unwrap();
+        assert_eq!(
+            same.compared.map(|(base, newest, _)| (base, newest)),
+            Some(("base".into(), "same".into()))
+        );
+        let others = [
+            Machine {
+                cpu: "Other CPU".into(),
+                ..machine()
+            },
+            Machine {
+                parallelism: 4,
+                ..machine()
+            },
+        ];
+        for other in &others {
+            let diff = diff_history(&format!("{base}\n{}\n", at("other", other)), 10.0).unwrap();
+            assert!(diff.compared.is_none(), "{}", diff.message);
+            assert!(!diff.regression);
+            assert!(
+                diff.message.contains("no earlier snapshot"),
+                "{}",
+                diff.message
+            );
+        }
+    }
+
+    /// A schema-1 line, which records no machine, is never a baseline.
+    #[test]
+    fn diff_skips_schema_1_lines() {
+        let new = snapshot_from_reach(&reach_doc(4, 4, 20.0), "rev-new", 1.0, &machine()).unwrap();
+        let old = new
+            .replace("\"schema\":2", "\"schema\":1")
+            .replace("rev-new", "rev-old");
+        assert_ne!(old, new);
+        let diff = diff_history(&format!("{old}\n{new}\n"), 10.0).unwrap();
+        assert!(diff.compared.is_none(), "{}", diff.message);
     }
 
     #[test]
     fn diff_passes_identical_snapshots_and_catches_synthetic_regression() {
-        let a = snapshot_from_reach(&reach_doc(4, 4, 20.0), "rev-a", 1.0).unwrap();
-        let b = snapshot_from_reach(&reach_doc(4, 4, 20.0), "rev-b", 1.0).unwrap();
+        let a = snapshot_from_reach(&reach_doc(4, 4, 20.0), "rev-a", 1.0, &machine()).unwrap();
+        let b = snapshot_from_reach(&reach_doc(4, 4, 20.0), "rev-b", 1.0, &machine()).unwrap();
         let same = diff_history(&format!("{a}\n{b}\n"), 10.0).expect("diff");
         assert!(!same.regression, "{}", same.message);
         let (base, newest, ratio) = same.compared.expect("compared");
@@ -412,7 +526,8 @@ mod tests {
 
         // the --scale-metric hook doubles the timings: a 2x slowdown
         // must trip a 10% gate
-        let slow = snapshot_from_reach(&reach_doc(4, 4, 20.0), "rev-slow", 2.0).unwrap();
+        let slow =
+            snapshot_from_reach(&reach_doc(4, 4, 20.0), "rev-slow", 2.0, &machine()).unwrap();
         let diff = diff_history(&format!("{a}\n{b}\n{slow}\n"), 10.0).expect("diff");
         assert!(diff.regression, "{}", diff.message);
         assert!(diff.message.contains("REGRESSION"), "{}", diff.message);
@@ -422,9 +537,10 @@ mod tests {
     /// not a baseline: diff walks past it to the nearest compatible one.
     #[test]
     fn diff_skips_incompatible_baselines() {
-        let old = snapshot_from_reach(&reach_doc(4, 4, 20.0), "rev-old", 1.0).unwrap();
-        let clamped = snapshot_from_reach(&reach_doc(4, 1, 90.0), "rev-clamped", 1.0).unwrap();
-        let new = snapshot_from_reach(&reach_doc(4, 4, 20.0), "rev-new", 1.0).unwrap();
+        let old = snapshot_from_reach(&reach_doc(4, 4, 20.0), "rev-old", 1.0, &machine()).unwrap();
+        let clamped =
+            snapshot_from_reach(&reach_doc(4, 1, 90.0), "rev-clamped", 1.0, &machine()).unwrap();
+        let new = snapshot_from_reach(&reach_doc(4, 4, 20.0), "rev-new", 1.0, &machine()).unwrap();
         let diff = diff_history(&format!("{old}\n{clamped}\n{new}\n"), 10.0).expect("diff");
         let (base, newest, _) = diff.compared.expect("compared");
         assert_eq!((base.as_str(), newest.as_str()), ("rev-old", "rev-new"));
@@ -435,7 +551,7 @@ mod tests {
     fn diff_with_too_little_history_is_not_a_failure() {
         let empty = diff_history("", 10.0).expect("empty diff");
         assert!(empty.compared.is_none() && !empty.regression);
-        let only = snapshot_from_reach(&reach_doc(4, 4, 20.0), "solo", 1.0).unwrap();
+        let only = snapshot_from_reach(&reach_doc(4, 4, 20.0), "solo", 1.0, &machine()).unwrap();
         let one = diff_history(&only, 10.0).expect("single diff");
         assert!(one.compared.is_none() && !one.regression, "{}", one.message);
     }

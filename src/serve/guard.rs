@@ -196,7 +196,8 @@ pub struct Drain {
 
 struct DrainClock {
     started: Instant,
-    deadline: Instant,
+    /// `None` when the grace window ends past what an [`Instant`] holds.
+    deadline: Option<Instant>,
 }
 
 impl Default for Drain {
@@ -223,7 +224,7 @@ impl Drain {
         let started = Instant::now(); // det-lint: allow(clock): drain telemetry only.
         *inner = Some(DrainClock {
             started,
-            deadline: started + grace,
+            deadline: started.checked_add(grace),
         });
         true
     }
@@ -233,9 +234,11 @@ impl Drain {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// The wall-clock deadline queries must respect while draining.
+    /// The wall-clock deadline queries must respect while draining:
+    /// none before the drain, or when its grace window ends past what an
+    /// [`Instant`] holds.
     pub fn deadline(&self) -> Option<Instant> {
-        lock(&self.inner).as_ref().map(|c| c.deadline)
+        lock(&self.inner).as_ref().and_then(|c| c.deadline)
     }
 
     /// Seconds since drain began (the `serve_drain_seconds` gauge).
@@ -404,6 +407,12 @@ mod tests {
         let dl = d.deadline().expect("deadline set");
         assert!(dl > Instant::now()); // det-lint: allow(clock): test asserts a live deadline.
         assert!(d.elapsed_seconds().expect("started") >= 0.0);
+        // A grace window past what an Instant holds drains without a
+        // deadline.
+        let endless = Drain::new();
+        assert!(endless.begin(Duration::MAX));
+        assert!(endless.draining());
+        assert_eq!(endless.deadline(), None);
     }
 
     #[test]

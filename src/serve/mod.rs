@@ -137,7 +137,7 @@ struct ServeConfig {
     /// `overloaded` with `retriable: true`.
     max_inflight: usize,
     /// Deadline for queries that do not carry `budget.timeout_ms`.
-    default_timeout_ms: Option<f64>,
+    default_timeout: Option<Duration>,
     /// Socket read timeout; a stalled client releases its thread.
     idle_timeout: Option<Duration>,
     /// Resident model-cache byte budget (0 = unlimited).
@@ -157,7 +157,7 @@ impl Default for ServeConfig {
             default_threads: 0,
             max_sessions: 64,
             max_inflight: 32,
-            default_timeout_ms: None,
+            default_timeout: None,
             idle_timeout: Some(Duration::from_secs(300)),
             cache_budget: 0,
             max_line_bytes: 1 << 20,
@@ -479,12 +479,13 @@ impl ServeState {
 
     /// The effective wall-clock deadline of one query: the request's
     /// `timeout_ms` (or the daemon default), tightened by the drain
-    /// deadline once shutdown has begun.
+    /// deadline once shutdown has begun. A timeout that ends past what an
+    /// [`Instant`] holds sets no deadline.
     fn query_deadline(&self, q: &QueryRequest, start: Instant) -> Option<Instant> {
         let from_timeout = q
-            .timeout_ms
-            .or(self.cfg.default_timeout_ms)
-            .map(|ms| start + Duration::from_secs_f64(ms / 1e3));
+            .timeout
+            .or(self.cfg.default_timeout)
+            .and_then(|timeout| start.checked_add(timeout));
         match (from_timeout, self.drain.deadline()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -877,9 +878,12 @@ pub fn run(args: &[String]) -> Result<ExitCode, CliError> {
             "serve: unexpected argument '{extra}'"
         )));
     }
-    let seconds = |flag: &'static str, default: f64| -> Result<f64, CliError> {
-        cli.value(flag)
-            .map_or(Ok(default), |s| crate::parse_time(flag, s))
+    // `None` for 0 seconds: no timeout, or no drain grace.
+    let seconds = |flag: &'static str, default: f64| -> Result<Option<Duration>, CliError> {
+        let secs = cli
+            .value(flag)
+            .map_or(Ok(default), |s| crate::parse_time(flag, s))?;
+        (secs > 0.0).then(|| crate::span(flag, secs)).transpose()
     };
     let max_line_bytes = cli
         .value("--max-line-bytes")
@@ -911,19 +915,13 @@ pub fn run(args: &[String]) -> Result<ExitCode, CliError> {
         max_inflight: cli
             .value("--max-inflight")
             .map_or(Ok(32), |s| parse_usize("--max-inflight", s))?,
-        default_timeout_ms: {
-            let secs = seconds("--default-timeout", 0.0)?;
-            (secs > 0.0).then_some(secs * 1e3)
-        },
-        idle_timeout: {
-            let secs = seconds("--idle-timeout", 300.0)?;
-            (secs > 0.0).then(|| Duration::from_secs_f64(secs))
-        },
+        default_timeout: seconds("--default-timeout", 0.0)?,
+        idle_timeout: seconds("--idle-timeout", 300.0)?,
         cache_budget: cli
             .value("--cache-budget")
             .map_or(Ok(0), |s| parse_usize("--cache-budget", s))?,
         max_line_bytes,
-        drain_grace: Duration::from_secs_f64(seconds("--drain-grace", 5.0)?),
+        drain_grace: seconds("--drain-grace", 5.0)?.unwrap_or_default(),
         #[cfg(feature = "fault-inject")]
         faults,
     };

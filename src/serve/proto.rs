@@ -31,6 +31,8 @@
 //! two front ends. The only nondeterministic response fields are the
 //! wall-clock `*_ms` measurements.
 
+use std::time::Duration;
+
 use unicon::ctmdp::reachability::Objective;
 use unicon::ftwc::generator;
 use unicon::obs::json::{self, Value};
@@ -172,10 +174,11 @@ pub struct QueryRequest {
     /// Per-request admission control: stop after this many
     /// value-iteration steps and answer with a partial result.
     pub max_iters: Option<usize>,
-    /// Per-request wall-clock deadline in milliseconds: the query runs
-    /// through the guarded engine and answers an exit-3-style partial
-    /// record (lower/upper brackets) when the clock expires first.
-    pub timeout_ms: Option<f64>,
+    /// Per-request wall-clock deadline, `budget.timeout_ms` on the wire:
+    /// the query runs through the guarded engine and answers an
+    /// exit-3-style partial record (lower/upper brackets) when the clock
+    /// expires first.
+    pub timeout: Option<Duration>,
 }
 
 fn integer_field(obj: &Value, key: &str, verb: &str) -> Result<Option<usize>, ProtoError> {
@@ -187,7 +190,7 @@ fn integer_field(obj: &Value, key: &str, verb: &str) -> Result<Option<usize>, Pr
                 .ok_or_else(|| ProtoError::usage(format!("{verb}.{key} must be a number")))?;
             if x.fract() != 0.0 || !(0.0..=u32::MAX as f64).contains(&x) {
                 return Err(ProtoError::usage(format!(
-                    "{verb}.{key} must be a non-negative integer, got {x}"
+                    "{verb}.{key} must be a non-negative integer, got {x:e}"
                 )));
             }
             Ok(Some(x as usize))
@@ -226,7 +229,7 @@ fn parse_query(body: &Value) -> Result<Request, ProtoError> {
         .ok_or_else(|| ProtoError::usage("query needs a numeric time bound \"t\""))?;
     if !t.is_finite() || t < 0.0 {
         return Err(ProtoError::usage(format!(
-            "query.t must be finite and non-negative, got {t}"
+            "query.t must be finite and non-negative, got {t:e}"
         )));
     }
     let objective = match body.get("objective") {
@@ -249,21 +252,21 @@ fn parse_query(body: &Value) -> Result<Request, ProtoError> {
                 .ok_or_else(|| ProtoError::usage("query.epsilon must be a number"))?;
             if !(e > 0.0 && e < 1.0) {
                 return Err(ProtoError::usage(format!(
-                    "query.epsilon must be in the open interval (0, 1), got {e}"
+                    "query.epsilon must be in the open interval (0, 1), got {e:e}"
                 )));
             }
             e
         }
     };
     let threads = integer_field(body, "threads", "query")?;
-    let (max_iters, timeout_ms) = match body.get("budget") {
+    let (max_iters, timeout) = match body.get("budget") {
         None => (None, None),
         Some(b) => {
             if !matches!(b, Value::Obj(_)) {
                 return Err(ProtoError::usage("query.budget must be an object"));
             }
             let max_iters = integer_field(b, "max_iters", "query.budget")?;
-            let timeout_ms = match b.get("timeout_ms") {
+            let timeout = match b.get("timeout_ms") {
                 None => None,
                 Some(v) => {
                     let ms = v.as_f64().ok_or_else(|| {
@@ -271,13 +274,18 @@ fn parse_query(body: &Value) -> Result<Request, ProtoError> {
                     })?;
                     if !(ms.is_finite() && ms > 0.0) {
                         return Err(ProtoError::usage(format!(
-                            "query.budget.timeout_ms must be finite and positive, got {ms}"
+                            "query.budget.timeout_ms must be finite and positive, got {ms:e}"
                         )));
                     }
-                    Some(ms)
+                    let timeout = Duration::try_from_secs_f64(ms / 1e3).map_err(|_| {
+                        ProtoError::usage(format!(
+                            "query.budget.timeout_ms {ms:e} is too long a time span"
+                        ))
+                    })?;
+                    Some(timeout)
                 }
             };
-            (max_iters, timeout_ms)
+            (max_iters, timeout)
         }
     };
     Ok(Request::Query(QueryRequest {
@@ -287,7 +295,7 @@ fn parse_query(body: &Value) -> Result<Request, ProtoError> {
         epsilon,
         threads,
         max_iters,
-        timeout_ms,
+        timeout,
     }))
 }
 
@@ -458,7 +466,7 @@ mod tests {
         assert_eq!(q.epsilon, 1e-9);
         assert_eq!(q.threads, Some(2));
         assert_eq!(q.max_iters, Some(7));
-        assert_eq!(q.timeout_ms, Some(250.5));
+        assert_eq!(q.timeout, Some(Duration::from_secs_f64(250.5 / 1e3)));
     }
 
     #[test]
@@ -472,7 +480,7 @@ mod tests {
         assert_eq!(q.epsilon, 1e-6);
         assert_eq!(q.threads, None);
         assert_eq!(q.max_iters, None);
-        assert_eq!(q.timeout_ms, None);
+        assert_eq!(q.timeout, None);
     }
 
     /// Every rejection is a typed record with a nonzero code, and the
@@ -571,7 +579,7 @@ mod tests {
             epsilon: 1e-6,
             threads: None,
             max_iters: None,
-            timeout_ms: None,
+            timeout: None,
         };
         let line = render_query(&q, 0.15625, 0x1234, 58, true, 0, 4, 1.25);
         let v = Value::parse(&line).expect("query response parses");

@@ -286,9 +286,33 @@ fn malformed_flags_are_usage_errors_with_exit_2() {
                 "--time-bounds",
                 "5",
                 "--on-degrade",
-                "retry",
+                "fail",
             ],
-            "--on-degrade: 'retry' is not 'fail' or 'sequential'",
+            "--on-degrade: unknown flag",
+        ),
+        (
+            &[
+                "reach",
+                "--ftwc",
+                "1",
+                "--time-bounds",
+                "10",
+                "--timeout",
+                "1e300",
+            ],
+            "--timeout: 1e300 seconds is too long a time span",
+        ),
+        (
+            &["serve", "--default-timeout", "1e300"],
+            "--default-timeout: 1e300 seconds is too long a time span",
+        ),
+        (
+            &["serve", "--idle-timeout", "1e300"],
+            "--idle-timeout: 1e300 seconds is too long a time span",
+        ),
+        (
+            &["serve", "--drain-grace", "1e300"],
+            "--drain-grace: 1e300 seconds is too long a time span",
         ),
         (
             &[
@@ -500,6 +524,44 @@ fn time_bounds_past_the_weight_cap_are_runtime_errors() {
         &[&tiny[..], &["--max-iters", "100000"]].concat(),
         "underflow",
     );
+}
+
+/// A timeout that a time span holds but whose deadline lies past what the
+/// clock holds runs the guarded engine with no deadline: the run
+/// completes.
+#[test]
+fn a_timeout_past_the_clock_runs_without_a_deadline() {
+    let out = unicon()
+        .args(["reach", "--ftwc", "1", "--time-bounds", "10"])
+        .args(["--timeout", "1e19"])
+        .output()
+        .expect("runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    let json = String::from_utf8_lossy(&out.stdout);
+    assert!(json.contains("\"guarded\":true"), "{json}");
+    assert!(json.contains("\"complete\":true"), "{json}");
+}
+
+/// Extreme floats from outside print in exponent form, not as hundreds
+/// of digits: an ε below the underflow floor and a negative AUT rate.
+#[test]
+fn extreme_floats_print_in_exponent_form() {
+    let path = model_path("huge_rate");
+    std::fs::write(&path, "des (0, 1, 2)\n(0, \"rate -1e300\", 1)\n").expect("write model");
+    let check = unicon().arg("check").arg(&path).output().expect("runs");
+    std::fs::remove_file(&path).ok();
+    let reach = unicon()
+        .args(["reach", "--ftwc", "1", "--time-bounds", "10"])
+        .args(["--epsilon", "1e-320"])
+        .output()
+        .expect("runs");
+    for (out, needle) in [(check, "got -1e300"), (reach, "epsilon = 1e-320")] {
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{err}");
+        assert!(err.contains(needle), "{err}");
+        assert!(!has_digit_run(&err, 20), "{err}");
+    }
 }
 
 /// `paper figure4` checks the CTMC's λ at every grid point before the

@@ -233,6 +233,69 @@ fn time_bounds_past_the_weight_cap_get_typed_errors_and_the_session_survives() {
     assert_eq!(str_field(&parse(&responses[11]), "ok"), "query");
 }
 
+/// Whether `text` holds `len` or more consecutive ASCII digits.
+fn has_digit_run(text: &str, len: usize) -> bool {
+    text.as_bytes()
+        .split(|b| !b.is_ascii_digit())
+        .any(|run| run.len() >= len)
+}
+
+/// A `timeout_ms` past what a time span holds is a usage error naming
+/// the field, extreme `t` and `epsilon` are printed in exponent form, and
+/// the session answers its next line. A timeout whose deadline lies past
+/// what the clock holds sets no deadline, and a drain grace past it
+/// drains with none: the daemon acknowledges `shutdown` and exits 0.
+#[test]
+fn extreme_spans_and_floats_get_typed_errors_and_the_session_survives() {
+    let pre = stdin_session(&register_line(1));
+    let fp = str_field(&parse(&pre[0]), "model").to_string();
+    let query = |fields: &str| format!("{{\"query\": {{\"model\": \"{fp}\", {fields}}}}}\n");
+    let script = register_line(1)
+        + &query(r#""t": 10, "budget": {"timeout_ms": 1e300}"#)
+        + &query(r#""t": -1e300"#)
+        + &query(r#""t": 10, "epsilon": 1e300"#)
+        + &query(r#""t": 10, "budget": {"timeout_ms": 1e22}"#)
+        + &query(r#""t": 10"#);
+    let responses = stdin_session(&script);
+    assert_eq!(responses.len(), 6);
+    let fields = [
+        "query.budget.timeout_ms 1e300",
+        "query.t must be finite and non-negative, got -1e300",
+        "query.epsilon must be in the open interval (0, 1), got 1e300",
+    ];
+    for (resp, field) in responses[1..4].iter().zip(fields) {
+        let v = parse(resp);
+        let err = v
+            .get("error")
+            .unwrap_or_else(|| panic!("not an error: {resp}"));
+        assert_eq!(str_field(err, "kind"), "usage", "{resp}");
+        assert_eq!(num_field(err, "code"), 2.0, "{resp}");
+        assert!(str_field(err, "detail").contains(field), "{resp}");
+        assert!(!has_digit_run(resp, 20), "{resp}");
+    }
+    for resp in &responses[4..] {
+        assert_eq!(str_field(&parse(resp), "ok"), "query", "{resp}");
+    }
+
+    let mut child = unicon()
+        .args(["serve", "--drain-grace", "1e19"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("serve spawns");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(b"{\"shutdown\": {}}\n")
+        .expect("shutdown written");
+    let out = child.wait_with_output().expect("serve exits");
+    assert!(out.status.success(), "serve failed: {:?}", out.status);
+    let resp = String::from_utf8(out.stdout).expect("UTF-8");
+    assert_eq!(str_field(&parse(resp.trim()), "ok"), "shutdown", "{resp}");
+}
+
 #[test]
 fn exhausted_budget_answers_a_partial_record_bracketing_the_value() {
     let pre = stdin_session(&register_line(1));
