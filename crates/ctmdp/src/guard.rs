@@ -458,8 +458,8 @@ pub struct GuardedRun {
     /// plain [`ReachBatch::run`] result for that query.
     pub results: Vec<ReachResult>,
     /// `Some` when a budget stopped the run: the reason, plus bounds on
-    /// the interrupted query (`None` only if no query was in flight).
-    pub stopped: Option<(StopReason, Option<PartialQuery>)>,
+    /// the interrupted query.
+    pub stopped: Option<(StopReason, PartialQuery)>,
     /// Checkpoints and resumes, in order.
     pub events: Vec<GuardEvent>,
     /// Number of per-step health checks performed.
@@ -954,9 +954,7 @@ impl Guarded<'_, '_> {
     fn finish(self) -> GuardedRun {
         GuardedRun {
             results: self.results,
-            stopped: self
-                .stopped
-                .map(|(reason, partial)| (reason, Some(partial))),
+            stopped: self.stopped,
             events: self.events,
             health_checks: self.iterations_done,
         }
@@ -1366,7 +1364,7 @@ mod tests {
         let partial = batch.run_guarded_with_engine(&tight, &engine).unwrap();
         let (reason, pq) = partial.stopped.expect("budget must stop the run");
         assert_eq!(reason, StopReason::MaxIterations);
-        assert_eq!(pq.unwrap().completed_steps, 1);
+        assert_eq!(pq.completed_steps, 1);
 
         // A mismatched engine is a typed error, not a wrong answer.
         let other_goal = [true, false, false];
@@ -1391,7 +1389,6 @@ mod tests {
             let run = batch.run_guarded(&guard).unwrap();
             let (reason, partial) = run.stopped.expect("budget must stop the run");
             assert_eq!(reason, StopReason::MaxIterations);
-            let partial = partial.expect("a query was in flight");
             assert_eq!(partial.query, 0);
             assert_eq!(partial.completed_steps, max);
             assert_eq!(run.health_checks, max);

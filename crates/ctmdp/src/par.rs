@@ -4,7 +4,7 @@
 //!
 //! * **across states** — every backward value-iteration step is split over
 //!   a persistent pool of `std::thread` workers, each owning a contiguous
-//!   range of the state space ([`timed_reachability_par`]);
+//!   range of the state space ([`ReachBatch::with_threads`]);
 //! * **across queries** — a [`ReachBatch`] answers many `(time bound,
 //!   objective)` queries in one pass, compiling the layout it sweeps once
 //!   and caching Fox–Glynn weight vectors keyed by `(rate, t, epsilon)`.
@@ -72,35 +72,16 @@ pub fn resolve_threads(threads: usize) -> usize {
 }
 
 /// Computes `opt_D Pr_D(s ⤳≤t B)` with the state-space loop of every
-/// value-iteration step split over `threads` worker threads.
-///
-/// `threads == 0` uses one worker per available hardware thread;
-/// `threads == 1` (or a single-state model) runs on the calling thread
-/// alone. Results — values, iteration count and recorded decisions — are
-/// bitwise identical to [`crate::reachability::timed_reachability`] for
-/// every thread count.
+/// value-iteration step split over exactly `workers` workers (at most one
+/// per state), never clamped to the hardware — so tests exercise the
+/// multi-worker step loop even on single-core machines. Results — values,
+/// iteration count and recorded decisions — are bitwise identical to
+/// [`crate::reachability::timed_reachability`] for every worker count.
 ///
 /// # Errors
 ///
 /// See [`crate::reachability::timed_reachability`] — invalid `t`, epsilon
 /// or goal length are typed errors, not panics.
-pub fn timed_reachability_par(
-    ctmdp: &Ctmdp,
-    goal: &[bool],
-    t: f64,
-    opts: &ReachOptions,
-    threads: usize,
-) -> Result<ReachResult, ReachError> {
-    timed_reachability_workers(ctmdp, goal, t, opts, resolve_threads(threads))
-}
-
-/// [`timed_reachability_par`] on exactly `workers` workers (at most one
-/// per state), never clamped to the hardware — so tests exercise the
-/// multi-worker driver even on single-core machines.
-///
-/// # Errors
-///
-/// See [`crate::reachability::timed_reachability`].
 #[doc(hidden)]
 pub fn timed_reachability_workers(
     ctmdp: &Ctmdp,
@@ -135,7 +116,7 @@ pub fn timed_reachability_workers(
 }
 
 /// One query over the n states on a lane of its own: the run of every
-/// query but a laned batch's — of [`timed_reachability_par`], a
+/// query but a laned batch's — of `timed_reachability_workers`, a
 /// [`ReachEngine`], a batch that runs its queries one by one, and the
 /// guarded engine.
 pub(crate) struct StateRun<'a> {
@@ -873,9 +854,8 @@ impl<'a> ReachBatch<'a> {
 
     /// Runs all queries, sharing the layout and weight vectors.
     ///
-    /// Every returned [`ReachResult`]'s values are bitwise equal to the
-    /// corresponding single-query [`timed_reachability_par`] call (and
-    /// hence to the sequential engine).
+    /// Every returned [`ReachResult`]'s values are bitwise equal to those
+    /// of the sequential engine on that query alone.
     ///
     /// On the fused kernel, two or more queries with `t > 0` run as lanes
     /// of one step loop over a goal-folded copy of the model, at most
@@ -1307,8 +1287,7 @@ enum Plan<'a> {
 /// Every query's arithmetic is confined to that query (snapshot reads,
 /// disjoint writes, fixed-block checksums), so the same query returns
 /// bitwise-identical values whether issued serially, interleaved with
-/// other queries, or at any worker-thread count — the same contract
-/// [`timed_reachability_par`] pins.
+/// other queries, or at any worker-thread count: the sequential engine's.
 ///
 /// The engine does not borrow the model; calls pass `&Ctmdp` so the
 /// engine can live next to an owned model inside a registry entry. It is
@@ -1438,7 +1417,7 @@ impl ReachEngine {
     }
 
     /// Answers one query, computing the Fox–Glynn weights in place (no
-    /// cache). Bitwise identical to [`timed_reachability_par`].
+    /// cache). Bitwise identical to the sequential engine.
     ///
     /// # Errors
     ///
@@ -1544,7 +1523,7 @@ mod tests {
         let opts = ReachOptions::default().with_epsilon(1e-10);
         let seq = timed_reachability(&m, &goal, 2.5, &opts).unwrap();
         for threads in [1, 2, 3, 8] {
-            let par = timed_reachability_par(&m, &goal, 2.5, &opts, threads).unwrap();
+            let par = timed_reachability_workers(&m, &goal, 2.5, &opts, threads).unwrap();
             assert_eq!(bits(&par.values), bits(&seq.values), "threads {threads}");
             assert_eq!(par.iterations, seq.iterations);
         }
@@ -1561,7 +1540,7 @@ mod tests {
         let goal = [false, true, false];
         let opts = ReachOptions::default().recording_decisions();
         let seq = timed_reachability(&m, &goal, 1.0, &opts).unwrap();
-        let par = timed_reachability_par(&m, &goal, 1.0, &opts, 2).unwrap();
+        let par = timed_reachability_workers(&m, &goal, 1.0, &opts, 2).unwrap();
         assert_eq!(seq.decisions, par.decisions);
         assert_eq!(bits(&seq.values), bits(&par.values));
     }
@@ -1570,11 +1549,12 @@ mod tests {
     fn zero_time_and_zero_rate_shortcuts() {
         let m = chain();
         let goal = [false, false, true];
-        let r = timed_reachability_par(&m, &goal, 0.0, &ReachOptions::default(), 4).unwrap();
+        let r = timed_reachability_workers(&m, &goal, 0.0, &ReachOptions::default(), 4).unwrap();
         assert_eq!(r.values, vec![0.0, 0.0, 1.0]);
         let empty = CtmdpBuilder::new(2, 0).build();
-        let r = timed_reachability_par(&empty, &[false, true], 3.0, &ReachOptions::default(), 4)
-            .unwrap();
+        let r =
+            timed_reachability_workers(&empty, &[false, true], 3.0, &ReachOptions::default(), 4)
+                .unwrap();
         assert_eq!(r.values, vec![0.0, 1.0]);
         assert_eq!(r.iterations, 0);
     }
@@ -1584,7 +1564,7 @@ mod tests {
         let m = chain();
         let goal = [false, false, true];
         assert!(matches!(
-            timed_reachability_par(
+            timed_reachability_workers(
                 &m,
                 &goal,
                 1.0,
@@ -1597,7 +1577,13 @@ mod tests {
         b.transition(0, "a", &[(1, 1.0)]);
         b.transition(1, "a", &[(0, 3.0)]);
         assert!(matches!(
-            timed_reachability_par(&b.build(), &[false, true], 1.0, &ReachOptions::default(), 2),
+            timed_reachability_workers(
+                &b.build(),
+                &[false, true],
+                1.0,
+                &ReachOptions::default(),
+                2
+            ),
             Err(ReachError::NotUniform(_))
         ));
     }

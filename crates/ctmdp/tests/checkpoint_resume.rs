@@ -164,7 +164,7 @@ fn budget_stop_brackets_are_identical_at_any_worker_count() {
                 let (reason, partial) = run.stopped.expect("the budget stops the run");
                 assert_eq!(reason, StopReason::MaxIterations);
                 assert_eq!(run.health_checks, stop_after);
-                partial.expect("a query was in flight")
+                partial
             })
             .collect();
         for p in &partials {

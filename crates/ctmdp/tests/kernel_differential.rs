@@ -8,7 +8,7 @@
 //! models) plus the structural edge cases the fused layout special-cases
 //! (empty transition rows, all-goal models, single-action models, t=0).
 
-use unicon_ctmdp::par::{timed_reachability_par, timed_reachability_workers};
+use unicon_ctmdp::par::timed_reachability_workers;
 use unicon_ctmdp::reachability::{timed_reachability, Kernel, Objective, ReachOptions};
 use unicon_ctmdp::{Ctmdp, CtmdpBuilder};
 use unicon_numeric::rng::{Rng, XorShift64};
@@ -59,8 +59,8 @@ fn bits(values: &[f64]) -> Vec<u64> {
 
 /// Runs both kernels over the same query (sequential engine) and
 /// asserts bitwise parity at the value *and* decision level, then
-/// repeats the fused run through the parallel engine at 1, 2, and 8
-/// threads against the same reference result.
+/// repeats the fused run through the parallel engine on exactly 1, 2,
+/// and 8 workers against the same reference result.
 fn assert_kernel_parity(m: &Ctmdp, goal: &[bool], t: f64, objective: Objective, label: &str) {
     let base = ReachOptions::default()
         .with_epsilon(1e-7)
@@ -71,29 +71,18 @@ fn assert_kernel_parity(m: &Ctmdp, goal: &[bool], t: f64, objective: Objective, 
     assert_eq!(bits(&fused.values), bits(&reference.values), "{label}");
     assert_eq!(fused.decisions, reference.decisions, "{label}");
     assert_eq!(fused.iterations, reference.iterations, "{label}");
-    for threads in [1usize, 2, 8] {
-        let par =
-            timed_reachability_par(m, goal, t, &base.with_kernel(Kernel::Fused), threads).unwrap();
-        assert_eq!(
-            bits(&par.values),
-            bits(&reference.values),
-            "{label} threads={threads}"
-        );
-        assert_eq!(
-            par.decisions, reference.decisions,
-            "{label} threads={threads}"
-        );
+    for workers in [1usize, 2, 8] {
         let exact =
-            timed_reachability_workers(m, goal, t, &base.with_kernel(Kernel::Fused), threads)
+            timed_reachability_workers(m, goal, t, &base.with_kernel(Kernel::Fused), workers)
                 .unwrap();
         assert_eq!(
             bits(&exact.values),
             bits(&reference.values),
-            "{label} workers={threads}"
+            "{label} workers={workers}"
         );
         assert_eq!(
             exact.decisions, reference.decisions,
-            "{label} workers={threads}"
+            "{label} workers={workers}"
         );
     }
 }

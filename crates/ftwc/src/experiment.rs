@@ -145,9 +145,12 @@ impl ReachBench {
 /// Builds the FTWC for `params` and transforms it into a
 /// [`PreparedModel`], returning the wall-clock time the build took.
 ///
-/// This is the shared front half of [`reach_bench`] and of the CLI's
+/// This is the shared front half of [`reach_bench`], of the CLI's
 /// guarded `unicon reach --ftwc` path, which needs the prepared model
-/// itself to wire budgets and checkpoints around the batch run.
+/// itself to wire budgets and checkpoints around the batch run, and of
+/// `unicon serve`'s register, which keys its registry by the CTMDP's
+/// fingerprint. The generator and the transformation are deterministic,
+/// so equal parameters always give the same fingerprint.
 ///
 /// # Panics
 ///
@@ -165,22 +168,6 @@ pub fn prepare(params: &FtwcParams) -> (PreparedModel, Duration) {
     drop(transform_span);
     drop(build_span);
     (prepared, start.elapsed())
-}
-
-/// [`prepare`] plus the FNV-1a content fingerprint of the resulting
-/// CTMDP — the registry key of `unicon serve`, where prepared models are
-/// cached and addressed by fingerprint across sessions. Because the
-/// generator and transformation are deterministic, equal parameters
-/// always map to the same fingerprint; a registry keyed by it performs
-/// each build exactly once.
-///
-/// # Panics
-///
-/// See [`prepare`].
-pub fn prepare_registered(params: &FtwcParams) -> (PreparedModel, Duration, u64) {
-    let (prepared, build_time) = prepare(params);
-    let fingerprint = prepared.ctmdp.fingerprint();
-    (prepared, build_time, fingerprint)
 }
 
 /// Builds the FTWC through the *certified* compositional route — shared
@@ -205,9 +192,11 @@ pub fn certified_prepare(params: &FtwcParams) -> (PreparedModel, Vec<Obligation>
     })
 }
 
-/// Builds the FTWC for `params`, transforms it, and answers all
-/// `time_bounds` worst-case queries in one batched pass over `threads`
-/// worker threads — the driver behind `unicon reach --ftwc`.
+/// Builds the FTWC for `params`, transforms it, and answers every
+/// `time_bounds` query under `objective` in one batched pass over
+/// `threads` worker threads with the value-iteration `kernel` — what
+/// `unicon reach --ftwc` and `unicon profile` run. Both kernels return
+/// bitwise-identical values; only the timings differ.
 ///
 /// # Errors
 ///
@@ -219,34 +208,6 @@ pub fn certified_prepare(params: &FtwcParams) -> (PreparedModel, Vec<Obligation>
 /// Panics if the generated model fails to transform (cannot happen for
 /// well-formed parameters).
 pub fn reach_bench(
-    params: &FtwcParams,
-    time_bounds: &[f64],
-    epsilon: f64,
-    threads: usize,
-) -> Result<ReachBench, ReachError> {
-    reach_bench_with_kernel(
-        params,
-        time_bounds,
-        epsilon,
-        threads,
-        Kernel::default(),
-        Objective::Maximize,
-    )
-}
-
-/// [`reach_bench`] with an explicit value-iteration kernel and objective
-/// — the differential-benchmarking entry behind
-/// `unicon reach --ftwc --kernel [--min]`. Both kernels return
-/// bitwise-identical values; only the timings differ.
-///
-/// # Errors
-///
-/// See [`reach_bench`].
-///
-/// # Panics
-///
-/// See [`reach_bench`].
-pub fn reach_bench_with_kernel(
     params: &FtwcParams,
     time_bounds: &[f64],
     epsilon: f64,
@@ -669,7 +630,8 @@ mod tests {
         let params = FtwcParams::new(1);
         let bounds = [10.0, 100.0];
         let eps = 1e-6;
-        let bench = reach_bench(&params, &bounds, eps, 2).unwrap();
+        let bench =
+            reach_bench(&params, &bounds, eps, 2, Kernel::Fused, Objective::Maximize).unwrap();
         let row = table1_row(&params, &bounds, eps).unwrap();
         let values = bench.initial_values();
         assert_eq!(values.len(), 2);
@@ -725,16 +687,19 @@ mod tests {
     #[test]
     fn prepare_registered_fingerprint_is_deterministic() {
         let p = FtwcParams::new(1);
-        let (m1, _, fp1) = prepare_registered(&p);
-        let (m2, _, fp2) = prepare_registered(&p);
-        assert_eq!(fp1, fp2);
-        assert_eq!(fp1, m1.ctmdp.fingerprint());
+        let (m1, _) = prepare(&p);
+        let (m2, _) = prepare(&p);
+        assert_eq!(m1.ctmdp.fingerprint(), m2.ctmdp.fingerprint());
         assert_eq!(m1.goal, m2.goal);
 
         let mut q = FtwcParams::new(1);
         q.repair_phases = 2;
-        let (_, _, fp3) = prepare_registered(&q);
-        assert_ne!(fp1, fp3, "distinct parameters collided");
+        let (m3, _) = prepare(&q);
+        assert_ne!(
+            m1.ctmdp.fingerprint(),
+            m3.ctmdp.fingerprint(),
+            "distinct parameters collided"
+        );
     }
 
     /// Larger golden instances, release-only: the debug-build uniformity

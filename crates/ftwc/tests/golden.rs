@@ -11,7 +11,9 @@
 // with, even where the trailing ones don't change the nearest f64.
 #![allow(clippy::excessive_precision)]
 
-use unicon_ftwc::{experiment, FtwcParams};
+use unicon_ctmdp::reachability::{Kernel, Objective};
+use unicon_ftwc::experiment::{self, ReachBench};
+use unicon_ftwc::FtwcParams;
 
 const EPS: f64 = 1e-12;
 const TOL: f64 = 1e-11;
@@ -36,9 +38,22 @@ fn bounds() -> Vec<f64> {
     GOLDEN_WORST.iter().map(|&(t, _, _)| t).collect()
 }
 
+/// The N = 1 worst case at `bounds` on `threads` workers, at ε = [`EPS`].
+fn worst_case(bounds: &[f64], threads: usize) -> ReachBench {
+    experiment::reach_bench(
+        &FtwcParams::new(1),
+        bounds,
+        EPS,
+        threads,
+        Kernel::Fused,
+        Objective::Maximize,
+    )
+    .unwrap()
+}
+
 #[test]
 fn golden_model_shape_n1() {
-    let bench = experiment::reach_bench(&FtwcParams::new(1), &[10.0], EPS, 1).unwrap();
+    let bench = worst_case(&[10.0], 1);
     assert_eq!(bench.states, 112);
     assert!(
         (bench.batch.results[0].uniform_rate - 2.0047).abs() < 1e-12,
@@ -49,7 +64,7 @@ fn golden_model_shape_n1() {
 
 #[test]
 fn golden_worst_case_values_n1() {
-    let bench = experiment::reach_bench(&FtwcParams::new(1), &bounds(), EPS, 1).unwrap();
+    let bench = worst_case(&bounds(), 1);
     let values = bench.initial_values();
     for ((t, v), &(gt, gv, gk)) in values.iter().zip(&GOLDEN_WORST) {
         assert_eq!(*t, gt);
@@ -71,8 +86,8 @@ fn golden_worst_case_values_n1() {
 
 #[test]
 fn golden_values_hold_under_the_parallel_engine() {
-    let seq = experiment::reach_bench(&FtwcParams::new(1), &bounds(), EPS, 1).unwrap();
-    let par = experiment::reach_bench(&FtwcParams::new(1), &bounds(), EPS, 4).unwrap();
+    let seq = worst_case(&bounds(), 1);
+    let par = worst_case(&bounds(), 4);
     for (s, p) in seq.batch.results.iter().zip(&par.batch.results) {
         let s_bits: Vec<u64> = s.values.iter().map(|v| v.to_bits()).collect();
         let p_bits: Vec<u64> = p.values.iter().map(|v| v.to_bits()).collect();

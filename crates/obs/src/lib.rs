@@ -20,9 +20,9 @@
 //!   per-iteration event — iteration records are timestamp-free. The hot
 //!   loop does read the clock while a sink wants [`Class::Metric`]: an
 //!   unguarded reach run then times its kernel per class, one clock read
-//!   per class run per worker per step, and `unicon serve` and
-//!   `unicon metrics` always install such a sink (the metrics
-//!   [`Registry`]). The readings only feed observations;
+//!   per class run per worker per step, and `unicon serve` always
+//!   installs such a sink (the metrics [`Registry`]). The readings only
+//!   feed observations;
 //! * when no installed sink is interested in a [`Class`] (and no
 //!   thread-local collector captures it), [`live`] is a single relaxed
 //!   atomic load plus a thread-local mask check, and [`emit`] never

@@ -1,6 +1,6 @@
 //! The metrics [`Registry`]: a sink that aggregates the event stream
 //! into counters, gauges and histograms, rendered as Prometheus-style
-//! text exposition (`unicon metrics`).
+//! text exposition (the `metrics` verb of `unicon serve`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -1,7 +1,7 @@
 //! Model exchange: build a uniform IMC compositionally, serialize it in the
 //! CADP-compatible extended Aldebaran format, reload it, and verify that
 //! the analysis results survive the round trip. The written file can also
-//! be fed to the `unicon` CLI (`unicon analyze <file> --goal … --time …`).
+//! be fed to the `unicon` CLI (`unicon reach <file> --goal … --time-bounds …`).
 //!
 //! Run with `cargo run --release --example model_exchange`.
 
@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!((p_original - p_reloaded).abs() < 1e-12);
     println!("round trip preserves the analysis exactly ✓");
     println!(
-        "try: unicon analyze {} --goal <ids> --time {t}",
+        "try: unicon reach {} --goal <ids> --time-bounds {t}",
         path.display()
     );
     std::fs::remove_file(&path).ok();

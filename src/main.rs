@@ -5,13 +5,11 @@
 //! unicon check <model.aut>                       inspect an IMC
 //! unicon lint <model.aut> [--deny warnings]      U001–U009 diagnostics
 //! unicon transform <model.aut> [--dot out.dot]   uIMC -> uCTMDP
-//! unicon analyze <model.aut> --goal 1,2,3 --time 10 [options]
-//! unicon reach --ftwc 4 --time-bounds 10,100 --threads 2   batched engine
-//! unicon ftwc --n 4 --time 100 [--epsilon 1e-6]  built-in case study
+//! unicon reach <model.aut> --goal 1,2,3 --time-bounds 10   Algorithm 1
+//! unicon reach --ftwc 4 --time-bounds 10,100 --threads 2   built-in case study
 //! unicon bench-build --n-list 1,2 [--json]       construction benchmark
 //! unicon bench speedup|history|diff              perf files + regression gate
 //! unicon profile --ftwc 4 [--folded f] [--chrome f]  self-profiler
-//! unicon metrics --ftwc 1 --time-bounds 10       metrics exposition
 //! unicon serve [--socket <path>] [--threads <n>] JSONL query daemon
 //! unicon audit --ftwc 2 [--cert-out c.jsonl]     certify the proof chain
 //! unicon audit --cert c.jsonl                    re-check a certificate
@@ -48,9 +46,7 @@ use unicon::core::ClosedModel;
 use unicon::ctmdp::export;
 use unicon::ctmdp::guard::{CheckpointConfig, GuardOptions, GuardedRun, RunBudget};
 use unicon::ctmdp::par::ReachBatch;
-use unicon::ctmdp::reachability::{
-    timed_reachability, Kernel, Objective, ReachOptions, ReachResult,
-};
+use unicon::ctmdp::reachability::{Kernel, Objective, ReachResult};
 use unicon::ftwc::{compositional, experiment, generator, FtwcParams};
 use unicon::imc::audit::Witness;
 use unicon::imc::{analysis, io, Imc, View};
@@ -79,13 +75,10 @@ fn main() -> ExitCode {
         Some("check") => cmd_check(&args[1..]),
         Some("lint") => cmd_lint(&args[1..]),
         Some("transform") => cmd_transform(&args[1..]),
-        Some("analyze") => cmd_analyze(&args[1..]),
         Some("reach") => cmd_reach(&args[1..]),
-        Some("ftwc") => cmd_ftwc(&args[1..]),
         Some("bench-build") => cmd_bench_build(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
-        Some("metrics") => cmd_metrics(&args[1..]),
         Some("serve") => serve::run(&args[1..]),
         Some("audit") => cmd_audit(&args[1..]),
         Some("det-lint") => cmd_det_lint(&args[1..]),
@@ -159,15 +152,12 @@ fn print_usage() {
          unicon check <model.aut>\n  \
          unicon lint <model.aut> [--view open|closed] [--deny warnings] [--json]\n  \
          unicon transform <model.aut> [--dot <out.dot>]\n  \
-         unicon analyze <model.aut> --goal <s1,s2,…> --time <t>\n          \
-         [--epsilon <e>] [--min] [--exact-goal]\n  \
          unicon reach (--ftwc <N> | <model.aut> --goal <s1,s2,…>)\n          \
          --time-bounds <t1,t2,…> [--threads <n>] [--epsilon <e>]\n          \
          [--kernel reference|fused]\n          \
          [--min] [--exact-goal] [--json <out.json>] [--values-out <dump>]\n          \
          [--max-iters <n>] [--timeout <secs>] [--checkpoint <file>]\n          \
          [--checkpoint-every <k>] [--resume <file>]\n  \
-         unicon ftwc --n <N> --time <t> [--epsilon <e>]\n  \
          unicon bench-build [--n-list <N1,N2,…>] [--epsilon <e>]\n          \
          [--out <file>] [--json]\n  \
          unicon bench speedup --serial <reach.json> --parallel <reach.json>\n          \
@@ -176,10 +166,7 @@ fn print_usage() {
          [--file BENCH_HISTORY.jsonl] [--scale-metric <f>]\n  \
          unicon bench diff [--file BENCH_HISTORY.jsonl] [--threshold <pct>]\n  \
          unicon profile [--ftwc <N>] [--time-bounds <t1,…>] [--threads <n>]\n          \
-         [--epsilon <e>] [--kernel reference|fused] [--folded <file>]\n          \
-         [--chrome <file>] [--top <n>]\n  \
-         unicon metrics [--ftwc <N>] [--time-bounds <t1,…>] [--epsilon <e>]\n          \
-         [--threads <n>]\n  \
+         [--epsilon <e>] [--folded <file>] [--chrome <file>] [--top <n>]\n  \
          unicon serve [--socket <path>] [--threads <n>] [--max-sessions <n>]\n          \
          [--max-inflight <n>] [--default-timeout <secs>] [--idle-timeout <secs>]\n          \
          [--cache-budget <bytes>] [--max-line-bytes <n>] [--drain-grace <secs>]\n  \
@@ -229,9 +216,7 @@ fn print_usage() {
          bitwise-identical resume from a checkpoint, and a typed error\n\
          when a worker panics.\n\n\
          `reach --residuals-out <csv>` records the per-iteration\n\
-         convergence stream (unprocessed Poisson mass + value checksum);\n\
-         `metrics` runs an FTWC reach workload with the metrics registry\n\
-         installed and prints a Prometheus-style text exposition.\n\
+         convergence stream (unprocessed Poisson mass + value checksum).\n\
          Telemetry is bit-invisible: results are unchanged by any sink.\n\n\
          `serve` runs a long-lived JSONL query daemon over stdin or a Unix\n\
          socket: {{\"register\":{{\"ftwc\":N}}}} builds a model once and caches\n\
@@ -560,61 +545,6 @@ fn cmd_transform(args: &[String]) -> Result<ExitCode, CliError> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_analyze(args: &[String]) -> Result<ExitCode, CliError> {
-    let cli = parse_cli(
-        args,
-        &["--goal", "--time", "--epsilon"],
-        &["--min", "--exact-goal"],
-    )?;
-    // validate every flag before touching the filesystem, so malformed
-    // arguments are usage errors even when the model path is bad too
-    let path = cli.model_path("analyze")?;
-    let goal_spec = cli
-        .value("--goal")
-        .ok_or_else(|| CliError::Usage("analyze needs --goal s1,s2,…".into()))?;
-    let t = parse_time(
-        "--time",
-        cli.value("--time")
-            .ok_or_else(|| CliError::Usage("analyze needs --time <t>".into()))?,
-    )?;
-    let epsilon = epsilon_or_default(&cli)?;
-    let imc = load(path)?;
-    let goal = parse_goal(goal_spec, imc.num_states())?;
-
-    // Verify uniformity under the closed view before transforming.
-    ClosedModel::try_new(imc.clone()).map_err(runtime)?;
-    let out = transform(&imc).map_err(runtime)?;
-    let cgoal = if cli.has("--exact-goal") {
-        out.goal_vector_exact(&goal)
-    } else {
-        out.goal_vector(&goal)
-    };
-    let objective = if cli.has("--min") {
-        Objective::Minimize
-    } else {
-        Objective::Maximize
-    };
-    let res = timed_reachability(
-        &out.ctmdp,
-        &cgoal,
-        t,
-        &ReachOptions::default()
-            .with_epsilon(epsilon)
-            .with_objective(objective),
-    )
-    .map_err(runtime)?;
-    println!(
-        "{} P(reach goal within {t}) = {:.10e}",
-        if cli.has("--min") { "min" } else { "max" },
-        res.from_state(out.ctmdp.initial())
-    );
-    println!(
-        "uniform rate {}, {} iterations, {:?}",
-        res.uniform_rate, res.iterations, res.runtime
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
 // ---------------------------------------------------------------------------
 // reach: batched + guarded timed reachability
 // ---------------------------------------------------------------------------
@@ -722,7 +652,7 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, CliError> {
             None => {
                 // plain batched engine with full phase-timing stats
                 let (bench, events) = run_collected(&cli, || {
-                    experiment::reach_bench_with_kernel(
+                    experiment::reach_bench(
                         &FtwcParams::new(n),
                         &bounds,
                         epsilon,
@@ -769,11 +699,13 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, CliError> {
             }
         }
     } else {
+        // every flag is checked before the model is read, so a malformed
+        // one is a usage error even when the model path is bad too
         let path = cli.model_path("reach")?;
-        let imc = load(path)?;
         let goal_spec = cli
             .value("--goal")
             .ok_or_else(|| CliError::Usage("reach on a model needs --goal s1,s2,…".into()))?;
+        let imc = load(path)?;
         let goal = parse_goal(goal_spec, imc.num_states())?;
         ClosedModel::try_new(imc.clone()).map_err(runtime)?;
         let out = transform(&imc).map_err(runtime)?;
@@ -832,18 +764,27 @@ fn run_guarded_reach(
         obs::info(|| format!("note: {ev}"));
     }
 
+    let (stopped, partial) = match &run.stopped {
+        None => ("null".to_string(), "null".to_string()),
+        Some((reason, p)) => (
+            format!("\"{}\"", reason.as_str()),
+            format!(
+                "{{\"query\":{},\"t\":{},\"completed_steps\":{},\"total_steps\":{},\
+                 \"lower\":{:e},\"upper\":{:e}}}",
+                p.query,
+                p.t,
+                p.completed_steps,
+                p.total_steps,
+                p.lower[initial as usize],
+                p.upper[initial as usize]
+            ),
+        ),
+    };
     let mut json = format!(
-        "{{{meta},\"epsilon\":{epsilon:e},\"guarded\":true,\"complete\":{},\"health_checks\":{},\"stopped\":",
+        "{{{meta},\"epsilon\":{epsilon:e},\"guarded\":true,\"complete\":{},\"health_checks\":{},\"stopped\":{stopped},\"results\":[",
         run.is_complete(),
         run.health_checks
     );
-    match &run.stopped {
-        None => json.push_str("null"),
-        Some((reason, _)) => {
-            let _ = write!(json, "\"{}\"", reason.as_str());
-        }
-    }
-    json.push_str(",\"results\":[");
     for (qi, r) in run.results.iter().enumerate() {
         if qi > 0 {
             json.push(',');
@@ -856,47 +797,26 @@ fn run_guarded_reach(
             r.iterations
         );
     }
-    json.push_str("],\"partial\":");
-    match run.stopped.as_ref().and_then(|(_, p)| p.as_ref()) {
-        None => json.push_str("null"),
-        Some(p) => {
-            let _ = write!(
-                json,
-                "{{\"query\":{},\"t\":{},\"completed_steps\":{},\"total_steps\":{},\
-                 \"lower\":{:e},\"upper\":{:e}}}",
-                p.query,
-                p.t,
-                p.completed_steps,
-                p.total_steps,
-                p.lower[initial as usize],
-                p.upper[initial as usize]
-            );
-        }
-    }
-    json.push('}');
+    let _ = write!(json, "],\"partial\":{partial}}}");
     emit_results(cli, &json, &run.results, initial, bounds)?;
     write_residuals(cli, &events, bounds)?;
 
     match run.stopped {
         None => Ok(ExitCode::SUCCESS),
-        Some((reason, partial)) => {
-            if let Some(p) = partial {
-                obs::info(|| {
-                    format!(
-                        "partial: stopped by {} during query {} (t = {}) after {}/{} steps; \
-                         value at initial state is in [{:.6e}, {:.6e}]",
-                        reason.as_str(),
-                        p.query,
-                        p.t,
-                        p.completed_steps,
-                        p.total_steps,
-                        p.lower[initial as usize],
-                        p.upper[initial as usize]
-                    )
-                });
-            } else {
-                obs::info(|| format!("partial: stopped by {}", reason.as_str()));
-            }
+        Some((reason, p)) => {
+            obs::info(|| {
+                format!(
+                    "partial: stopped by {} during query {} (t = {}) after {}/{} steps; \
+                     value at initial state is in [{:.6e}, {:.6e}]",
+                    reason.as_str(),
+                    p.query,
+                    p.t,
+                    p.completed_steps,
+                    p.total_steps,
+                    p.lower[initial as usize],
+                    p.upper[initial as usize]
+                )
+            });
             if spec.options.checkpoint.is_some() {
                 obs::info(|| "resume with: unicon reach … --resume <checkpoint>".into());
             }
@@ -1064,7 +984,6 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, CliError> {
             "--time-bounds",
             "--epsilon",
             "--threads",
-            "--kernel",
             "--folded",
             "--chrome",
             "--top",
@@ -1087,18 +1006,17 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, CliError> {
     let threads = cli
         .value("--threads")
         .map_or(Ok(0), |s| parse_usize("--threads", s))?;
-    let kernel = kernel_or_default(&cli)?;
     let top = cli
         .value("--top")
         .map_or(Ok(10), |s| parse_usize("--top", s))?;
 
     let (bench, events) = obs::collect_classes(obs::Class::Span.bit(), || {
-        experiment::reach_bench_with_kernel(
+        experiment::reach_bench(
             &FtwcParams::new(n),
             &bounds,
             epsilon,
             threads,
-            kernel,
+            Kernel::Fused,
             Objective::Maximize,
         )
     });
@@ -1264,66 +1182,6 @@ fn cmd_bench_diff(args: &[String]) -> Result<ExitCode, CliError> {
     } else {
         Ok(ExitCode::SUCCESS)
     }
-}
-
-/// `unicon metrics`: run an FTWC reach workload with the metrics
-/// registry installed as a sink and print the aggregated Prometheus-style
-/// text exposition to stdout.
-fn cmd_metrics(args: &[String]) -> Result<ExitCode, CliError> {
-    let cli = parse_cli(
-        args,
-        &["--ftwc", "--time-bounds", "--epsilon", "--threads"],
-        &[],
-    )?;
-    if let Some(extra) = cli.positional.first() {
-        return Err(CliError::Usage(format!(
-            "metrics: unexpected argument '{extra}'"
-        )));
-    }
-    let n = cluster_size(&cli, "--ftwc", 1)?;
-    let bounds: Vec<f64> = cli
-        .value("--time-bounds")
-        .unwrap_or("10")
-        .split(',')
-        .map(|p| parse_time("--time-bounds", p.trim()))
-        .collect::<Result<_, _>>()?;
-    let epsilon = epsilon_or_default(&cli)?;
-    let threads = cli
-        .value("--threads")
-        .map_or(Ok(0), |s| parse_usize("--threads", s))?;
-
-    let registry = Arc::new(obs::Registry::new());
-    obs::install(registry.clone());
-    let bench =
-        experiment::reach_bench(&FtwcParams::new(n), &bounds, epsilon, threads).map_err(runtime)?;
-    obs::debug(|| {
-        format!(
-            "metrics workload: FTWC N={n}, {} states, {} queries",
-            bench.states,
-            bounds.len()
-        )
-    });
-    print!("{}", registry.exposition());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_ftwc(args: &[String]) -> Result<ExitCode, CliError> {
-    let cli = parse_cli(args, &["--n", "--time", "--epsilon"], &[])?;
-    let n = cluster_size(&cli, "--n", 4)?;
-    let t = cli
-        .value("--time")
-        .map_or(Ok(100.0), |s| parse_time("--time", s))?;
-    let epsilon = epsilon_or_default(&cli)?;
-    let row = experiment::table1_row(&FtwcParams::new(n), &[t], epsilon).map_err(runtime)?;
-    println!(
-        "FTWC N={n}: CTMDP {} states / {} transitions, {} Markov states, built in {:?}",
-        row.interactive_states, row.interactive_transitions, row.markov_states, row.transform_time
-    );
-    let (_, runtime, iters, p) = row.analyses[0];
-    println!(
-        "worst-case P(premium lost within {t} h) = {p:.10e} ({iters} iterations, {runtime:?})"
-    );
-    Ok(ExitCode::SUCCESS)
 }
 
 // ---------------------------------------------------------------------------

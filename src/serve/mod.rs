@@ -337,7 +337,8 @@ impl ServeState {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             #[cfg(feature = "fault-inject")]
             self.cfg.faults.maybe_panic_build(n);
-            let (prepared, _, fp) = experiment::prepare_registered(&FtwcParams::new(n));
+            let (prepared, _) = experiment::prepare(&FtwcParams::new(n));
+            let fp = prepared.ctmdp.fingerprint();
             let engine = ReachEngine::new(&prepared.ctmdp, &prepared.goal)
                 .map_err(|e| ProtoError::runtime(format!("engine construction failed: {e}")))?;
             Ok::<_, ProtoError>((prepared, engine, fp))
@@ -542,11 +543,8 @@ impl ServeState {
                         ms(start),
                     ))
                 }
-                Some((reason, partial)) => {
+                Some((reason, p)) => {
                     self.count("serve_partials", 1);
-                    let p = partial.ok_or_else(|| {
-                        ProtoError::runtime("budget stop without an in-flight query")
-                    })?;
                     Ok(proto::render_partial(
                         q,
                         reason.as_str(),

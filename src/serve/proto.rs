@@ -436,6 +436,10 @@ pub const SHUTDOWN_RESPONSE: &str = "{\"ok\":\"shutdown\"}";
 
 #[cfg(test)]
 mod tests {
+    use std::panic::catch_unwind;
+
+    use unicon::numeric::rng::{Rng, XorShift64};
+
     use super::*;
 
     #[test]
@@ -635,5 +639,69 @@ mod tests {
             .contains("# HELP"));
 
         Value::parse(SHUTDOWN_RESPONSE).expect("shutdown response parses");
+    }
+
+    /// Mutated request lines parse or get a typed error, never a panic.
+    /// The seeds are every line of the checked-in serve session and of
+    /// its golden responses. Each mutant flips bits, truncates, splices
+    /// two seeds, or puts an overflowing, non-finite, out-of-range,
+    /// nested or lone-surrogate token in place of a value: from just
+    /// after a `:`, `[` or `,` (or the start) to the next `,`, `]` or `}`.
+    #[test]
+    fn mutated_requests_parse_or_fail_typed_never_panic() {
+        const MUTANTS: usize = 2_000;
+        const TOKENS: [&str; 5] = [
+            "1e400",
+            "NaN",
+            "18446744073709551616",
+            "[[[[",
+            r#""\ud800""#,
+        ];
+        let seeds: Vec<&[u8]> = include_str!("../../tests/data/serve_session.jsonl")
+            .lines()
+            .chain(include_str!("../../tests/data/serve_golden.jsonl").lines())
+            .map(str::as_bytes)
+            .collect();
+        let mut rng = XorShift64::seed_from_u64(0x5e_12e5_7000);
+        let (mut parsed, mut rejected, mut panicked) = (0, 0, Vec::new());
+        for _ in 0..MUTANTS {
+            let mut b = seeds[rng.random_range(seeds.len())].to_vec();
+            match rng.random_range(4) {
+                0 => {
+                    for _ in 0..1 + rng.random_range(3) {
+                        let i = rng.random_range(b.len());
+                        b[i] ^= 1 << rng.random_range(8);
+                    }
+                }
+                1 => b.truncate(rng.random_range(b.len())),
+                2 => {
+                    let other = seeds[rng.random_range(seeds.len())];
+                    b.truncate(rng.random_range(b.len()));
+                    b.extend_from_slice(&other[rng.random_range(other.len())..]);
+                }
+                _ => {
+                    let starts: Vec<usize> = (0..b.len())
+                        .filter(|&i| i == 0 || matches!(b[i - 1], b':' | b'[' | b','))
+                        .collect();
+                    let i = starts[rng.random_range(starts.len())];
+                    let j = b[i..]
+                        .iter()
+                        .position(|c| matches!(c, b',' | b']' | b'}'))
+                        .map_or(b.len(), |k| i + k);
+                    b.splice(i..j, TOKENS[rng.random_range(TOKENS.len())].bytes());
+                }
+            }
+            let line = String::from_utf8_lossy(&b);
+            match catch_unwind(|| parse_request(&line)) {
+                Ok(Ok(_)) => parsed += 1,
+                Ok(Err(_)) => rejected += 1,
+                Err(_) => panicked.push(line.into_owned()),
+            }
+        }
+        assert!(panicked.is_empty(), "mutants that panicked: {panicked:?}");
+        assert!(
+            parsed > 0 && rejected > 0,
+            "{parsed} parsed, {rejected} rejected"
+        );
     }
 }

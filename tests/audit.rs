@@ -3,8 +3,11 @@
 //! failed obligations, the certificate must round-trip through JSONL,
 //! and the handoff fingerprint must pin the prepared CTMDP to the chain.
 
+use std::panic::catch_unwind;
+
 use unicon::ftwc::{experiment, FtwcParams};
 use unicon::imc::audit::Witness;
+use unicon::numeric::rng::{Rng, XorShift64};
 use unicon::verify::certify::{check_records, parse_jsonl, records, to_jsonl};
 use unicon::verify::{certify, Code};
 
@@ -73,6 +76,68 @@ fn ftwc_certificate_round_trips_through_jsonl() {
         !report.has_errors(),
         "clean certificate must re-check clean: {:?}",
         report.diagnostics()
+    );
+}
+
+/// Mutated certificates parse and re-check, or fail to parse with an
+/// error, never a panic. The seed is the N = 1 certificate. Each mutant
+/// flips bits, truncates, splices the certificate with itself, or puts
+/// an overflowing, non-finite, out-of-range, nested or lone-surrogate
+/// token in place of a value: from just after a `:`, `[` or `,` (or the
+/// start) to the next `,`, `]` or `}`.
+#[test]
+fn mutated_certificates_recheck_or_fail_typed_never_panic() {
+    const MUTANTS: usize = 2_000;
+    const TOKENS: [&str; 5] = [
+        "1e400",
+        "NaN",
+        "18446744073709551616",
+        "[[[[",
+        r#""\ud800""#,
+    ];
+    let (_, obligations) = experiment::certified_prepare(&FtwcParams::new(1));
+    let seed = to_jsonl(&records(&obligations)).into_bytes();
+    let mut rng = XorShift64::seed_from_u64(0xce27_5eed);
+    let (mut clean, mut flagged, mut rejected, mut panicked) = (0, 0, 0, Vec::new());
+    for m in 0..MUTANTS {
+        let mut b = seed.clone();
+        match rng.random_range(4) {
+            0 => {
+                for _ in 0..1 + rng.random_range(3) {
+                    let i = rng.random_range(b.len());
+                    b[i] ^= 1 << rng.random_range(8);
+                }
+            }
+            1 => b.truncate(rng.random_range(b.len())),
+            2 => {
+                b.truncate(rng.random_range(b.len()));
+                b.extend_from_slice(&seed[rng.random_range(seed.len())..]);
+            }
+            _ => {
+                let starts: Vec<usize> = (0..b.len())
+                    .filter(|&i| i == 0 || matches!(b[i - 1], b':' | b'[' | b','))
+                    .collect();
+                let i = starts[rng.random_range(starts.len())];
+                let j = b[i..]
+                    .iter()
+                    .position(|c| matches!(c, b',' | b']' | b'}'))
+                    .map_or(b.len(), |k| i + k);
+                b.splice(i..j, TOKENS[rng.random_range(TOKENS.len())].bytes());
+            }
+        }
+        let text = String::from_utf8_lossy(&b);
+        match catch_unwind(|| parse_jsonl(&text).map(|recs| check_records(&recs))) {
+            Ok(Ok(report)) if report.has_errors() => flagged += 1,
+            Ok(Ok(_)) => clean += 1,
+            Ok(Err(_)) => rejected += 1,
+            Err(_) => panicked.push(m),
+        }
+    }
+    // The generator is seeded: a mutant's index reproduces it.
+    assert!(panicked.is_empty(), "mutants that panicked: {panicked:?}");
+    assert!(
+        clean > 0 && flagged > 0 && rejected > 0,
+        "{clean} clean, {flagged} flagged, {rejected} rejected of {MUTANTS}"
     );
 }
 

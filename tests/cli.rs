@@ -1,9 +1,29 @@
 //! End-to-end tests of the `unicon` command-line binary.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+use unicon::obs::json::Value;
 
 fn unicon() -> Command {
     Command::new(env!("CARGO_BIN_EXE_unicon"))
+}
+
+/// `(objective, value, iterations)` of the one query in the JSON report
+/// that a plain `reach` run prints.
+fn reach_answer(out: &Output) -> (String, f64, f64) {
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    let report = Value::parse(String::from_utf8_lossy(&out.stdout).trim()).expect("JSON report");
+    let Some(Value::Arr(queries)) = report.get("reach").and_then(|r| r.get("queries")) else {
+        panic!("no queries in the report");
+    };
+    let [q] = queries.as_slice() else {
+        panic!("{} queries in the report", queries.len());
+    };
+    let field = |key| q.get(key).expect("a query field");
+    let objective = field("objective").as_str().expect("a string").to_string();
+    let number = |key| field(key).as_f64().expect("a number");
+    (objective, number("value"), number("iterations"))
 }
 
 /// A unique scratch path for a model file (no external tempfile crates).
@@ -13,13 +33,31 @@ fn model_path(name: &str) -> std::path::PathBuf {
     p
 }
 
+/// The usage lists the eleven commands `main` dispatches, and each of
+/// them is one: not the retired `analyze`, `ftwc` and `metrics`, whose
+/// jobs `reach` and `serve`'s `metrics` verb do.
 #[test]
 fn help_prints_usage() {
     let out = unicon().arg("--help").output().expect("binary runs");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("USAGE"));
-    assert!(text.contains("analyze"));
+    let mut listed: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("  unicon "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    listed.dedup();
+    assert_eq!(listed.len(), 11, "{listed:?}");
+    for command in listed {
+        let out = unicon()
+            .args([command, "--no-such-flag"])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command}: {err}");
+        assert!(!err.contains("unknown command"), "{command}: {err}");
+    }
 }
 
 #[test]
@@ -82,44 +120,28 @@ fn transform_and_analyze_roundtrip() {
     assert!(text.contains("CTMDP:"));
     assert!(text.contains("uniform (E = 2)"));
 
-    let out = unicon()
-        .args(["analyze"])
-        .arg(&path)
-        .args(["--goal", "3", "--time", "1.0", "--epsilon", "1e-9"])
-        .output()
-        .expect("runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("max P(reach goal within 1)"));
+    let reach = |extra: &[&str]| {
+        let out = unicon()
+            .arg("reach")
+            .arg(&path)
+            .args(["--goal", "3", "--time-bounds", "1.0"])
+            .args(extra)
+            .output()
+            .expect("runs");
+        reach_answer(&out)
+    };
     // max = take "fast": P = 1 - e^{-2}
-    let p: f64 = text
-        .lines()
-        .next()
-        .and_then(|l| l.split("= ").nth(1))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("parse probability");
+    let (objective, p, iterations) = reach(&["--epsilon", "1e-9"]);
+    assert_eq!(
+        (objective.as_str(), p, iterations),
+        ("max", 8.646647162834191e-1, 15.0)
+    );
     let expect = 1.0 - (-2.0f64).exp();
     assert!((p - expect).abs() < 1e-6, "p = {p}, expect {expect}");
 
     // min = take "slow": strictly smaller
-    let out = unicon()
-        .args(["analyze"])
-        .arg(&path)
-        .args(["--goal", "3", "--time", "1.0", "--min"])
-        .output()
-        .expect("runs");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    let pmin: f64 = text
-        .lines()
-        .next()
-        .and_then(|l| l.split("= ").nth(1))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("parse probability");
+    let (objective, pmin, _) = reach(&["--min"]);
+    assert_eq!(objective, "min");
     assert!(pmin < p);
     std::fs::remove_file(&path).ok();
 }
@@ -130,9 +152,9 @@ fn analyze_rejects_nonuniform_model() {
     let model = "des (0, 2, 2)\n(0, \"rate 1\", 1)\n(1, \"rate 3\", 0)\n";
     std::fs::write(&path, model).expect("write model");
     let out = unicon()
-        .args(["analyze"])
+        .arg("reach")
         .arg(&path)
-        .args(["--goal", "1", "--time", "1.0"])
+        .args(["--goal", "1", "--time-bounds", "1.0"])
         .output()
         .expect("runs");
     assert!(!out.status.success());
@@ -327,22 +349,31 @@ fn malformed_flags_are_usage_errors_with_exit_2() {
             "--checkpoint-every: requires --checkpoint",
         ),
         (
-            &["analyze", "x.aut", "--goal", "0", "--time", "nan"],
-            "--time",
+            &["reach", "x.aut", "--goal", "0", "--time-bounds", "nan"],
+            "--time-bounds: time bound must be finite and non-negative",
         ),
-        (&["ftwc", "--n", "-3"], "--n"),
-        (&["ftwc", "--n", "0"], "--n: N must be at least 1"),
+        (
+            &["reach", "--ftwc", "-3", "--time-bounds", "1"],
+            "--ftwc: '-3' is not a non-negative integer",
+        ),
         (
             &["reach", "--ftwc", "0", "--time-bounds", "1"],
             "--ftwc: N must be at least 1",
         ),
         (&["profile", "--ftwc", "0"], "--ftwc: N must be at least 1"),
-        (&["metrics", "--ftwc", "0"], "--ftwc: N must be at least 1"),
         (
             &["reach", "--ftwc", "9459", "--time-bounds", "1"],
             "--ftwc: N must be at most 9458, got 9459",
         ),
-        (&["ftwc", "--n", "100000"], "--n: N must be at most 9458"),
+        (
+            &["reach", "--ftwc", "100000", "--time-bounds", "1"],
+            "--ftwc: N must be at most 9458",
+        ),
+        (&["reach", "x.aut", "--time-bounds", "1"], "needs --goal"),
+        (&["analyze", "x.aut"], "unknown command 'analyze'"),
+        (&["ftwc", "--n", "1"], "unknown command 'ftwc'"),
+        (&["metrics", "--ftwc", "1"], "unknown command 'metrics'"),
+        (&["profile", "--kernel", "fused"], "--kernel: unknown flag"),
         (&["paper"], "paper needs an experiment"),
         (&["paper", "table2"], "unknown experiment 'table2'"),
         (
@@ -471,11 +502,15 @@ fn has_digit_run(text: &str, len: usize) -> bool {
 /// `t = 1e308`, 2·10³⁰⁰ at `1e300`, 2·10²⁰ at `1e20` (which the
 /// underflow floor alone would admit), 8·10¹⁴ at `4e14` (whose weight
 /// window alone would need gigabytes). Each is a runtime error with exit
-/// 1 on `reach`'s plain and budgeted paths and in `ftwc`, never a panic
-/// (exit 101) or an allocation that grows until it fails. So is an ε
-/// below the underflow floor, on both paths.
+/// 1 on `reach`'s plain and budgeted FTWC paths and on a model file,
+/// never a panic (exit 101) or an allocation that grows until it fails.
+/// So is an ε below the underflow floor, on both FTWC paths.
 #[test]
 fn time_bounds_past_the_weight_cap_are_runtime_errors() {
+    let path = model_path("weight_cap");
+    let model = "des (0, 2, 2)\n(0, \"rate 2\", 1)\n(1, \"rate 2\", 0)\n";
+    std::fs::write(&path, model).expect("write model");
+    let file = path.to_str().expect("a UTF-8 temp path");
     let fails_with = |args: &[&str], needle: &str| {
         let out = unicon().args(args).output().expect("runs");
         let err = String::from_utf8_lossy(&out.stderr);
@@ -496,7 +531,7 @@ fn time_bounds_past_the_weight_cap_are_runtime_errors() {
                 "--max-iters",
                 "5",
             ],
-            &["ftwc", "--n", "1", "--time", t],
+            &["reach", file, "--goal", "1", "--time-bounds", t],
         ];
         for args in runs {
             let err = fails_with(args, "2^32");
@@ -524,6 +559,7 @@ fn time_bounds_past_the_weight_cap_are_runtime_errors() {
         &[&tiny[..], &["--max-iters", "100000"]].concat(),
         "underflow",
     );
+    std::fs::remove_file(&path).ok();
 }
 
 /// A timeout that a time span holds but whose deadline lies past what the
@@ -590,20 +626,24 @@ fn figure4_checks_the_weight_cap_before_computing() {
     }
 }
 
+/// `reach --ftwc` answers the built-in case study's worst-case
+/// P(premium lost within t).
 #[test]
 fn ftwc_subcommand_runs() {
     let out = unicon()
-        .args(["ftwc", "--n", "1", "--time", "10"])
+        .args(["reach", "--ftwc", "1", "--time-bounds", "10"])
         .output()
         .expect("runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+    let (objective, p, iterations) = reach_answer(&out);
+    assert_eq!(
+        (objective.as_str(), p, iterations),
+        ("max", 7.101551309872109e-5, 45.0)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("FTWC N=1"));
-    assert!(text.contains("premium lost"));
+    assert!(
+        text.starts_with("{\"case_study\":\"ftwc\",\"n\":1,"),
+        "{text}"
+    );
 }
 
 #[test]

@@ -448,10 +448,32 @@ fn value_and_checksum(resp: &str) -> (u64, String) {
     )
 }
 
+/// Whether `line` is a well-formed exposition line: a `# HELP ` or
+/// `# TYPE ` header, or a `name[{labels}] value` sample whose value is a
+/// finite float.
+fn exposition_line_ok(line: &str) -> bool {
+    if line.starts_with("# HELP ") || line.starts_with("# TYPE ") {
+        return true;
+    }
+    let Some((series, value)) = line.rsplit_once(' ') else {
+        return false;
+    };
+    let name = match series.split_once('{') {
+        Some((name, labels)) if labels.strip_suffix('}').is_some_and(|l| !l.contains('}')) => name,
+        Some(_) => return false,
+        None => series,
+    };
+    let name_char = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == ':';
+    name.starts_with(|c: char| name_char(c) && !c.is_ascii_digit())
+        && name.chars().all(name_char)
+        && value.parse::<f64>().is_ok_and(f64::is_finite)
+}
+
 /// The same 20-query batch issued (a) serially, (b) interleaved across
 /// two concurrent sessions, and (c) at `--threads` 1 vs 4 produces
 /// bitwise-identical values and chunked-Neumaier checksums, and the
-/// registry builds the model exactly once.
+/// registry builds the model exactly once. The `metrics` scrape that
+/// shows it is a well-formed exposition.
 #[test]
 fn concurrent_sessions_and_thread_counts_are_bitwise_identical() {
     let daemon = Daemon::spawn("determinism");
@@ -517,6 +539,9 @@ fn concurrent_sessions_and_thread_counts_are_bitwise_identical() {
         exposition.contains("unicon_serve_registry_hits_total 3"),
         "registry hits not counted:\n{exposition}"
     );
+    for line in exposition.lines() {
+        assert!(exposition_line_ok(line), "bad exposition line: {line:?}");
+    }
 
     daemon.shutdown();
 }
